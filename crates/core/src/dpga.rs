@@ -267,16 +267,14 @@ impl<'g> DpgaEngine<'g> {
         }
 
         let per_subpop: Vec<GaResult> = self.engines.into_iter().map(|e| e.finish()).collect();
+        // total_cmp orders finite fitness as partial_cmp would (a zero
+        // fitness is always -0.0), without a NaN panic. `validate` rejects
+        // an empty topology, so island 0 exists.
         let best_idx = per_subpop
             .iter()
             .enumerate()
-            .max_by(|(_, a), (_, b)| {
-                a.best_fitness
-                    .partial_cmp(&b.best_fitness)
-                    .expect("finite fitness")
-            })
-            .map(|(i, _)| i)
-            .expect("at least one subpopulation");
+            .max_by(|(_, a), (_, b)| a.best_fitness.total_cmp(&b.best_fitness))
+            .map_or(0, |(i, _)| i);
 
         // Global history: best-so-far across subpopulations per generation.
         let max_len = per_subpop

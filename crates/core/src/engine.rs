@@ -8,7 +8,7 @@
 use crate::chromosome::Chromosome;
 use crate::error::GaError;
 use crate::fitness::{EvalScratch, FitnessEvaluator, FitnessKind};
-use crate::hillclimb::hill_climb;
+use crate::hillclimb::{hill_climb, swap_climb};
 use crate::history::ConvergenceHistory;
 use crate::ops::crossover::{CrossoverCtx, CrossoverOp};
 use crate::ops::mutation::mutate;
@@ -487,14 +487,18 @@ impl<'g> GaEngine<'g> {
         offspring.truncate(wanted);
 
         // Phase 2 — hill-climb + evaluate (RNG-free; parallel when
-        // configured, reduced in index order either way).
+        // configured, reduced in index order either way). A climbed
+        // offspring's fitness comes from the climb's final loads and cuts,
+        // bit for bit what a fresh tally would give.
         let evaluator = &self.evaluator;
         let climb = self.config.hill_climb;
         let eval_one = |scratch: &mut EvalScratch, mut genes: Vec<u32>| {
-            if let HillClimbMode::Offspring { passes } = climb {
-                hill_climb(evaluator, &mut genes, passes);
-            }
-            let fitness = evaluator.evaluate_with(&genes, scratch);
+            let fitness = match climb {
+                HillClimbMode::Offspring { passes } => {
+                    hill_climb(evaluator, &mut genes, passes).fitness
+                }
+                _ => evaluator.evaluate_with(&genes, scratch),
+            };
             Individual {
                 chromosome: Chromosome::new(genes),
                 fitness,
@@ -531,12 +535,8 @@ impl<'g> GaEngine<'g> {
         // Elite polish: one swap-climb of the global best per generation.
         if self.config.elite_swap_passes > 0 {
             let mut genes = self.best_ever.chromosome.genes().to_vec();
-            crate::hillclimb::swap_climb(
-                &self.evaluator,
-                &mut genes,
-                self.config.elite_swap_passes,
-            );
-            let fitness = self.evaluator.evaluate_with(&genes, &mut self.scratch);
+            let fitness =
+                swap_climb(&self.evaluator, &mut genes, self.config.elite_swap_passes).fitness;
             if fitness > self.best_ever.fitness {
                 self.best_ever = Individual {
                     chromosome: Chromosome::new(genes),
@@ -580,8 +580,7 @@ impl<'g> GaEngine<'g> {
     pub fn finish(mut self) -> GaResult {
         if let HillClimbMode::FinalBest { passes } = self.config.hill_climb {
             let mut genes = self.best_ever.chromosome.genes().to_vec();
-            hill_climb(&self.evaluator, &mut genes, passes);
-            let fitness = self.evaluator.evaluate_with(&genes, &mut self.scratch);
+            let fitness = hill_climb(&self.evaluator, &mut genes, passes).fitness;
             if fitness > self.best_ever.fitness {
                 self.best_ever = Individual {
                     chromosome: Chromosome::new(genes),

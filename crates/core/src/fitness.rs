@@ -102,6 +102,13 @@ impl<'g> FitnessEvaluator<'g> {
     /// Allocation-free fitness evaluation using caller-provided scratch.
     pub fn evaluate_with(&self, genes: &[u32], scratch: &mut EvalScratch) -> f64 {
         let (loads, cuts) = self.tally(genes, scratch);
+        self.fitness_of(loads, cuts)
+    }
+
+    /// The objective for per-part `loads` and cuts `C(q)`: the one formula
+    /// behind both [`FitnessEvaluator::evaluate_with`] and
+    /// [`PartitionState::fitness`], so the two agree bit for bit.
+    fn fitness_of(&self, loads: &[u64], cuts: &[u64]) -> f64 {
         let imbalance: f64 = loads
             .iter()
             .map(|&l| {
@@ -157,10 +164,25 @@ impl<'g> FitnessEvaluator<'g> {
     }
 }
 
+/// The edge weights of one node that decide the effect of moving it from
+/// its part `from` to part `to`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct MoveCounts {
+    /// Weight of the node's edges into `from`.
+    pub(crate) in_from: u64,
+    /// Weight of its edges into `to`.
+    pub(crate) in_to: u64,
+    /// Its weighted degree.
+    pub(crate) deg_w: u64,
+}
+
 /// Incremental-move evaluator: maintains per-part loads and cuts so that
 /// the fitness effect of moving one node can be computed in `O(deg(v) +
 /// P)` and applied in the same bound. This is what makes the paper's
-/// boundary hill climbing (§3.6) affordable inside the GA loop.
+/// boundary hill climbing (§3.6) affordable inside the GA loop. The scan
+/// of `deg(v)` only gathers the node's edge weights into its part and the
+/// destination; callers that cache those weights (the hill climbs) pay
+/// `O(1)`, or `O(P)` under Fitness 2.
 #[derive(Debug, Clone)]
 pub struct PartitionState<'g> {
     evaluator: FitnessEvaluator<'g>,
@@ -194,22 +216,11 @@ impl<'g> PartitionState<'g> {
         self.labels
     }
 
-    /// Current fitness (same value [`FitnessEvaluator::evaluate`] would
-    /// return for the current labels).
+    /// Current fitness: bit for bit the value [`FitnessEvaluator::evaluate`]
+    /// returns for the current labels, since both apply one formula to the
+    /// same integer loads and cuts.
     pub fn fitness(&self) -> f64 {
-        let imbalance: f64 = self
-            .loads
-            .iter()
-            .map(|&l| {
-                let d = l as f64 - self.evaluator.avg_load;
-                d * d
-            })
-            .sum();
-        let comm = match self.evaluator.kind {
-            FitnessKind::TotalCut => self.cuts.iter().sum::<u64>() as f64,
-            FitnessKind::WorstCut => self.cuts.iter().copied().max().unwrap_or(0) as f64,
-        };
-        -(imbalance + self.evaluator.lambda * comm)
+        self.evaluator.fitness_of(&self.loads, &self.cuts)
     }
 
     /// Fitness change if node `v` moved to part `to` (0 if `to` is its
@@ -219,22 +230,23 @@ impl<'g> PartitionState<'g> {
         if from == to {
             return 0.0;
         }
-        let g = self.evaluator.graph;
-        let wv = g.node_weight(v) as u64;
+        self.gain_with(v, to, self.move_counts(v, from, to))
+    }
 
-        // Edge-weight sums from v into its own part and into `to`.
-        let mut in_from = 0u64;
-        let mut in_to = 0u64;
-        let mut deg_w = 0u64;
-        for (&u, &w) in g.neighbors(v).iter().zip(g.edge_weights(v)) {
-            let r = self.labels[u as usize];
-            deg_w += w as u64;
-            if r == from {
-                in_from += w as u64;
-            } else if r == to {
-                in_to += w as u64;
-            }
-        }
+    /// [`PartitionState::gain`] from `v`'s edge-weight counts for the move
+    /// to `to`, with no adjacency scan: `O(1)` under Fitness 1 and `O(P)`
+    /// under Fitness 2. `to` must differ from `v`'s part. The hill climbs
+    /// cache the counts, so every gain they compute is this arithmetic.
+    // gapart-lint: allow(panic-reach) -- v is a node of this graph and to a part below num_parts: the climbs pass only nodes and the labels of their neighbours
+    pub(crate) fn gain_with(&self, v: u32, to: u32, counts: MoveCounts) -> f64 {
+        let from = self.labels[v as usize];
+        debug_assert_ne!(from, to, "a move must change the part");
+        let MoveCounts {
+            in_from,
+            in_to,
+            deg_w,
+        } = counts;
+        let wv = self.evaluator.graph.node_weight(v) as u64;
         // C(from) loses v's outgoing contribution (deg_w − in_from) but
         // gains the now-cut edges to v from its old part (in_from).
         // C(to) gains v's new outgoing contribution (deg_w − in_to) and
@@ -279,25 +291,43 @@ impl<'g> PartitionState<'g> {
         if from == to {
             return;
         }
-        let g = self.evaluator.graph;
-        let wv = g.node_weight(v) as u64;
-        let mut in_from = 0u64;
-        let mut in_to = 0u64;
-        let mut deg_w = 0u64;
-        for (&u, &w) in g.neighbors(v).iter().zip(g.edge_weights(v)) {
-            let r = self.labels[u as usize];
-            deg_w += w as u64;
-            if r == from {
-                in_from += w as u64;
-            } else if r == to {
-                in_to += w as u64;
-            }
-        }
+        self.apply_with(v, to, self.move_counts(v, from, to));
+    }
+
+    /// [`PartitionState::apply`] from `v`'s edge-weight counts for the move
+    /// to `to`, in `O(1)`. `to` must differ from `v`'s part.
+    // gapart-lint: allow(panic-reach) -- v is a node of this graph and to a part below num_parts: the climbs pass only nodes and the labels of their neighbours
+    pub(crate) fn apply_with(&mut self, v: u32, to: u32, counts: MoveCounts) {
+        let from = self.labels[v as usize];
+        debug_assert_ne!(from, to, "a move must change the part");
+        let MoveCounts {
+            in_from,
+            in_to,
+            deg_w,
+        } = counts;
+        let wv = self.evaluator.graph.node_weight(v) as u64;
         self.cuts[from as usize] = self.cuts[from as usize] + 2 * in_from - deg_w;
         self.cuts[to as usize] = self.cuts[to as usize] + deg_w - 2 * in_to;
         self.loads[from as usize] -= wv;
         self.loads[to as usize] += wv;
         self.labels[v as usize] = to;
+    }
+
+    /// `v`'s edge weight into `from` and into `to`, and its weighted
+    /// degree, from one scan of its adjacency.
+    fn move_counts(&self, v: u32, from: u32, to: u32) -> MoveCounts {
+        let g = self.evaluator.graph;
+        let mut counts = MoveCounts::default();
+        for (&u, &w) in g.neighbors(v).iter().zip(g.edge_weights(v)) {
+            let r = self.labels[u as usize];
+            counts.deg_w += w as u64;
+            if r == from {
+                counts.in_from += w as u64;
+            } else if r == to {
+                counts.in_to += w as u64;
+            }
+        }
+        counts
     }
 
     /// Per-part cut values `C(q)` (directed: each cut edge counted in two

@@ -3,13 +3,17 @@
 //! "Only the 'boundary points' of each part (with neighbors in other
 //! parts) are examined to see if migrating them to the appropriate
 //! neighboring part improves fitness." Implemented on top of the
-//! incremental [`PartitionState`] so each candidate move costs
-//! `O(deg(v) + P)` instead of a full re-evaluation.
+//! incremental [`PartitionState`]. Every move gain comes from cached edge
+//! weights into neighbouring parts, the connectivity that METIS's k-way
+//! refinement keeps per boundary vertex (Karypis & Kumar, JPDC 1998): a
+//! gain costs `O(1)`, or `O(P)` under Fitness 2, and never rescans an
+//! adjacency list.
 
-use crate::fitness::{FitnessEvaluator, PartitionState};
+use crate::fitness::{FitnessEvaluator, MoveCounts, PartitionState};
+use gapart_graph::CsrGraph;
 
 /// Statistics from a hill-climbing run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ClimbStats {
     /// Vertices moved.
     pub moves: usize,
@@ -17,6 +21,10 @@ pub struct ClimbStats {
     pub gain: f64,
     /// Passes executed before reaching a local optimum (or the cap).
     pub passes: usize,
+    /// Fitness of the climbed labels, from the climb's final loads and
+    /// cuts: bit for bit what [`FitnessEvaluator::evaluate`] returns for
+    /// them, without its `O(V + E)` tally.
+    pub fitness: f64,
 }
 
 /// Hill-climbs `genes` in place: repeatedly sweeps the boundary vertices,
@@ -24,56 +32,25 @@ pub struct ClimbStats {
 /// full pass makes no move or `max_passes` is reached. Returns statistics.
 ///
 /// Only parts that actually appear among a vertex's neighbours are
-/// candidate destinations ("the appropriate neighboring part"), which both
-/// matches the paper and keeps the sweep `O(boundary × deg)`.
+/// candidate destinations ("the appropriate neighboring part"). One scan
+/// of a vertex's adjacency gathers its edge weight into each of them, and
+/// every candidate gain and the applied move reuse those sums, so a pass
+/// costs `O(V + E)`.
 pub fn hill_climb(
     evaluator: &FitnessEvaluator<'_>,
     genes: &mut Vec<u32>,
     max_passes: usize,
 ) -> ClimbStats {
-    let graph = evaluator.graph();
     let mut state = PartitionState::new(evaluator.clone(), std::mem::take(genes));
-    let mut stats = ClimbStats {
-        moves: 0,
-        gain: 0.0,
-        passes: 0,
-    };
-    let mut candidate_parts: Vec<u32> = Vec::with_capacity(8);
+    let mut stats = ClimbStats::default();
+    let mut weights = PartWeights::new(evaluator.graph(), evaluator.num_parts());
     for _ in 0..max_passes {
         stats.passes += 1;
-        let mut moved = false;
-        for v in 0..graph.num_nodes() as u32 {
-            let pv = state.labels()[v as usize];
-            candidate_parts.clear();
-            for &u in graph.neighbors(v) {
-                let pu = state.labels()[u as usize];
-                if pu != pv && !candidate_parts.contains(&pu) {
-                    candidate_parts.push(pu);
-                }
-            }
-            if candidate_parts.is_empty() {
-                continue; // interior vertex
-            }
-            let mut best_gain = 0.0f64;
-            let mut best_part = pv;
-            for &q in &candidate_parts {
-                let g = state.gain(v, q);
-                if g > best_gain + 1e-12 {
-                    best_gain = g;
-                    best_part = q;
-                }
-            }
-            if best_part != pv {
-                state.apply(v, best_part);
-                stats.moves += 1;
-                stats.gain += best_gain;
-                moved = true;
-            }
-        }
-        if !moved {
+        if !single_move_sweep(&mut state, &mut weights, 0.0, 1e-12, &mut stats) {
             break;
         }
     }
+    stats.fitness = state.fitness();
     *genes = state.into_labels();
     stats
 }
@@ -85,98 +62,67 @@ pub fn hill_climb(
 /// (a lone migration pays an `O(load)` imbalance penalty that usually
 /// outweighs a 1–2 edge cut gain; an exchange pays none).
 ///
-/// Cost per pass is `O(B² · (deg + P))` for `B` boundary vertices — fine
-/// for polishing elites, too slow for every offspring.
+/// The pair-swap phase keeps a connectivity row for each of its `B`
+/// boundary vertices and buckets them by part, so a counter-move gain is
+/// `O(1)` (`O(P)` under Fitness 2). A tentative move scans the bucket of
+/// its destination, `O(B / P)` vertices on a balanced partition, and
+/// updates its neighbours' rows in `O(deg)`. A pass thus costs `O(V + E)`
+/// for the single moves plus `O(B² / P)` for the swaps — fine for
+/// polishing elites, too slow for every offspring.
 pub fn swap_climb(
     evaluator: &FitnessEvaluator<'_>,
     genes: &mut Vec<u32>,
     max_passes: usize,
 ) -> ClimbStats {
     let graph = evaluator.graph();
-    let n = graph.num_nodes() as u32;
     let mut state = PartitionState::new(evaluator.clone(), std::mem::take(genes));
-    let mut stats = ClimbStats {
-        moves: 0,
-        gain: 0.0,
-        passes: 0,
-    };
+    let mut stats = ClimbStats::default();
+    let mut weights = PartWeights::new(graph, evaluator.num_parts());
     for _ in 0..max_passes {
         stats.passes += 1;
-        let mut improved = false;
 
         // Phase 1: greedy single moves (cheap).
-        for v in 0..n {
-            let pv = state.labels()[v as usize];
-            let mut best_gain = 1e-12;
-            let mut best_part = pv;
-            for &u in graph.neighbors(v) {
-                let q = state.labels()[u as usize];
-                if q != pv {
-                    let g = state.gain(v, q);
-                    if g > best_gain {
-                        best_gain = g;
-                        best_part = q;
-                    }
-                }
-            }
-            if best_part != pv {
-                state.apply(v, best_part);
-                stats.moves += 1;
-                stats.gain += best_gain;
-                improved = true;
-            }
-        }
+        let mut improved = single_move_sweep(&mut state, &mut weights, 1e-12, 0.0, &mut stats);
 
         // Phase 2: boundary pair swaps. For each boundary vertex v with a
         // neighbouring part q, tentatively move v → q, then look for the
         // best counter-move u → p among q's boundary vertices.
-        let boundary: Vec<u32> = (0..n)
-            .filter(|&v| {
-                let pv = state.labels()[v as usize];
-                graph
-                    .neighbors(v)
-                    .iter()
-                    .any(|&u| state.labels()[u as usize] != pv)
-            })
-            .collect();
-        for &v in &boundary {
+        let mut rows = SwapRows::new(graph, state.labels(), evaluator.num_parts());
+        for i in 0..rows.vertices.len() {
+            let v = rows.vertices[i];
             let p = state.labels()[v as usize];
-            let mut cand: Vec<u32> = Vec::with_capacity(4);
-            for &u in graph.neighbors(v) {
-                let q = state.labels()[u as usize];
-                if q != p && !cand.contains(&q) {
-                    cand.push(q);
-                }
-            }
-            for q in cand {
+            // v's neighbouring parts, in adjacency order.
+            weights.scan(state.labels(), v);
+            for &q in &weights.parts {
                 // v may have moved in an earlier successful swap; always
                 // work relative to its current part.
                 let cur = state.labels()[v as usize];
-                if cur == q {
+                if q == p || q == cur {
                     continue;
                 }
-                let g1 = state.gain(v, q);
-                state.apply(v, q);
-                // Best counter-move from q back to cur (exclude v itself).
+                let g1 = state.gain_with(v, q, rows.counts(v, cur, q));
+                rows.apply(&mut state, v, q);
+                // Best counter-move from q back to cur, first maximum in
+                // ascending id. v itself is excluded: its bucket is still
+                // `cur` during the tentative move.
                 let mut best: Option<(u32, f64)> = None;
-                for &u in &boundary {
-                    if u == v || state.labels()[u as usize] != q {
-                        continue;
-                    }
-                    let g2 = state.gain(u, cur);
+                for &u in &rows.buckets[q as usize] {
+                    let g2 = state.gain_with(u, cur, rows.counts(u, q, cur));
                     if best.is_none_or(|(_, bg)| g2 > bg) {
                         best = Some((u, g2));
                     }
                 }
                 match best {
                     Some((u, g2)) if g1 + g2 > 1e-12 => {
-                        state.apply(u, cur);
+                        rows.apply(&mut state, u, cur);
+                        rows.rebucket(v, cur, q);
+                        rows.rebucket(u, q, cur);
                         stats.moves += 2;
                         stats.gain += g1 + g2;
                         improved = true;
                     }
                     _ => {
-                        state.apply(v, cur); // revert the tentative move
+                        rows.apply(&mut state, v, cur); // revert the tentative move
                     }
                 }
             }
@@ -186,8 +132,212 @@ pub fn swap_climb(
             break;
         }
     }
+    stats.fitness = state.fitness();
     *genes = state.into_labels();
     stats
+}
+
+/// One sweep over every vertex in id order, moving each to its
+/// neighbouring part of largest gain `g`. A candidate must beat the best
+/// so far by more than `slack`, and the best starts at `floor`.
+/// `hill_climb` passes `(0, 1e-12)` and `swap_climb`'s single moves
+/// `(1e-12, 0)`: the pair decides near-ties, so every label depends on
+/// it. Returns whether any vertex moved.
+fn single_move_sweep(
+    state: &mut PartitionState<'_>,
+    weights: &mut PartWeights<'_>,
+    floor: f64,
+    slack: f64,
+    stats: &mut ClimbStats,
+) -> bool {
+    let mut moved = false;
+    for v in 0..weights.graph.num_nodes() as u32 {
+        let pv = state.labels()[v as usize];
+        weights.scan(state.labels(), v);
+        let mut best_gain = floor;
+        let mut best_part = pv;
+        for &q in &weights.parts {
+            if q != pv {
+                let g = state.gain_with(v, q, weights.counts(pv, q));
+                if g > best_gain + slack {
+                    best_gain = g;
+                    best_part = q;
+                }
+            }
+        }
+        if best_part != pv {
+            state.apply_with(v, best_part, weights.counts(pv, best_part));
+            stats.moves += 1;
+            stats.gain += best_gain;
+            moved = true;
+        }
+    }
+    moved
+}
+
+/// One vertex's edge weight into each part, from one scan of its
+/// adjacency.
+struct PartWeights<'g> {
+    graph: &'g CsrGraph,
+    /// Edge weight into each part; zero outside `parts`.
+    weight: Vec<u64>,
+    /// The parts of the vertex's neighbours, in order of first appearance
+    /// in its adjacency list.
+    parts: Vec<u32>,
+    /// Weighted degree.
+    deg_w: u64,
+    /// Scans so far; `seen[q] == scans` marks `q` as listed in `parts`,
+    /// which is cheaper than searching the list for every edge.
+    scans: u64,
+    seen: Vec<u64>,
+}
+
+impl<'g> PartWeights<'g> {
+    fn new(graph: &'g CsrGraph, num_parts: u32) -> Self {
+        PartWeights {
+            graph,
+            weight: vec![0; num_parts as usize],
+            parts: Vec::with_capacity(num_parts as usize),
+            deg_w: 0,
+            scans: 0,
+            seen: vec![0; num_parts as usize],
+        }
+    }
+
+    /// Replaces the sums with `v`'s under `labels`.
+    fn scan(&mut self, labels: &[u32], v: u32) {
+        let PartWeights {
+            graph,
+            weight,
+            parts,
+            deg_w,
+            scans,
+            seen,
+        } = self;
+        for &q in parts.iter() {
+            weight[q as usize] = 0;
+        }
+        parts.clear();
+        *scans += 1;
+        let mut total = 0u64;
+        for (&u, &w) in graph.neighbors(v).iter().zip(graph.edge_weights(v)) {
+            let q = labels[u as usize];
+            if seen[q as usize] != *scans {
+                seen[q as usize] = *scans;
+                parts.push(q);
+            }
+            weight[q as usize] += w as u64;
+            total += w as u64;
+        }
+        *deg_w = total;
+    }
+
+    /// The scanned vertex's counts for a move from `from` to `to`.
+    fn counts(&self, from: u32, to: u32) -> MoveCounts {
+        MoveCounts {
+            in_from: self.weight[from as usize],
+            in_to: self.weight[to as usize],
+            deg_w: self.deg_w,
+        }
+    }
+}
+
+/// Marks a vertex without a connectivity row.
+const NO_ROW: u32 = u32::MAX;
+
+/// The pair-swap phase's cache over the vertices on the boundary when the
+/// phase starts. Each has a connectivity row, its edge weight into every
+/// part plus its weighted degree, kept current through every tentative
+/// move, revert and accepted swap. The vertices are also bucketed by part.
+struct SwapRows<'g> {
+    graph: &'g CsrGraph,
+    num_parts: usize,
+    /// The phase's boundary vertices, ascending; vertex `vertices[r]` owns
+    /// row `r`.
+    vertices: Vec<u32>,
+    /// Each vertex's row, or [`NO_ROW`].
+    row_of: Vec<u32>,
+    /// `num_parts` edge weights per row, row-major.
+    conn: Vec<u64>,
+    /// Weighted degree per row.
+    deg_w: Vec<u64>,
+    /// The boundary vertices in each part, in ascending id: the phase's
+    /// scan order, which fixes its first-maximum tie-break. A vertex
+    /// changes bucket only when a swap is accepted.
+    buckets: Vec<Vec<u32>>,
+}
+
+impl<'g> SwapRows<'g> {
+    fn new(graph: &'g CsrGraph, labels: &[u32], num_parts: u32) -> Self {
+        let p = num_parts as usize;
+        let mut rows = SwapRows {
+            graph,
+            num_parts: p,
+            vertices: Vec::new(),
+            row_of: vec![NO_ROW; graph.num_nodes()],
+            conn: Vec::new(),
+            deg_w: Vec::new(),
+            buckets: vec![Vec::new(); p],
+        };
+        for v in 0..graph.num_nodes() as u32 {
+            let pv = labels[v as usize];
+            if graph.neighbors(v).iter().all(|&u| labels[u as usize] == pv) {
+                continue; // interior vertex
+            }
+            rows.row_of[v as usize] = rows.vertices.len() as u32;
+            rows.vertices.push(v);
+            rows.buckets[pv as usize].push(v);
+            let base = rows.conn.len();
+            rows.conn.resize(base + p, 0);
+            let mut deg_w = 0u64;
+            for (&u, &w) in graph.neighbors(v).iter().zip(graph.edge_weights(v)) {
+                rows.conn[base + labels[u as usize] as usize] += w as u64;
+                deg_w += w as u64;
+            }
+            rows.deg_w.push(deg_w);
+        }
+        rows
+    }
+
+    /// Row vertex `v`'s counts for a move from `from` to `to`.
+    fn counts(&self, v: u32, from: u32, to: u32) -> MoveCounts {
+        let r = self.row_of[v as usize] as usize;
+        let row = &self.conn[r * self.num_parts..(r + 1) * self.num_parts];
+        MoveCounts {
+            in_from: row[from as usize],
+            in_to: row[to as usize],
+            deg_w: self.deg_w[r],
+        }
+    }
+
+    /// Moves row vertex `x` to part `to` in `state` and carries the move
+    /// into the rows of its neighbours on the boundary, in `O(deg(x))`.
+    fn apply(&mut self, state: &mut PartitionState<'_>, x: u32, to: u32) {
+        let from = state.labels()[x as usize];
+        state.apply_with(x, to, self.counts(x, from, to));
+        let graph = self.graph;
+        for (&y, &w) in graph.neighbors(x).iter().zip(graph.edge_weights(x)) {
+            let r = self.row_of[y as usize];
+            if r != NO_ROW {
+                let base = r as usize * self.num_parts;
+                self.conn[base + from as usize] -= w as u64;
+                self.conn[base + to as usize] += w as u64;
+            }
+        }
+    }
+
+    /// Moves row vertex `x` from bucket `from` to bucket `to`, keeping
+    /// both in ascending id.
+    fn rebucket(&mut self, x: u32, from: u32, to: u32) {
+        let old = &mut self.buckets[from as usize];
+        if let Ok(i) = old.binary_search(&x) {
+            old.remove(i);
+        }
+        let new = &mut self.buckets[to as usize];
+        if let Err(i) = new.binary_search(&x) {
+            new.insert(i, x);
+        }
+    }
 }
 
 #[cfg(test)]

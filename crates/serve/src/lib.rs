@@ -390,6 +390,18 @@ pub fn serve<R: BufRead, W: Write>(
     output: &mut W,
 ) -> Result<ServeSummary, std::io::Error> {
     let mut summary = ServeSummary::default();
+    serve_into(daemon, input, output, &mut summary)?;
+    Ok(summary)
+}
+
+/// [`serve`]'s loop, tallying into `summary` so that the commands a
+/// connection ran before a transport error still count.
+fn serve_into<R: BufRead, W: Write>(
+    daemon: &mut Daemon,
+    input: R,
+    output: &mut W,
+    summary: &mut ServeSummary,
+) -> Result<(), std::io::Error> {
     for line in input.lines() {
         let line = line?;
         let trimmed = line.trim();
@@ -406,18 +418,21 @@ pub fn serve<R: BufRead, W: Write>(
             break;
         }
     }
-    Ok(summary)
+    Ok(())
 }
 
 /// Serves connections on a Unix socket at `socket_path`, sequentially
 /// (one session protocol stream at a time — determinism over
 /// throughput). Each connection runs [`serve`]; the daemon (and its
-/// open sessions) persists across connections. A `shutdown` command
-/// ends the accept loop and removes the socket file.
+/// open sessions) persists across connections. A transport error on a
+/// connection, such as a client that hangs up before reading its reply
+/// or a line that is not UTF-8, ends only that connection: it is
+/// reported on stderr and the daemon goes on accepting. A `shutdown`
+/// command ends the accept loop and removes the socket file.
 ///
 /// # Errors
 ///
-/// [`ServeError::Io`] on bind/accept/transport failures.
+/// [`ServeError::Io`] on bind/accept failures.
 pub fn serve_unix(daemon: &mut Daemon, socket_path: &Path) -> Result<ServeSummary, ServeError> {
     use std::os::unix::net::UnixListener;
     // A stale socket file from a previous run blocks bind.
@@ -430,18 +445,19 @@ pub fn serve_unix(daemon: &mut Daemon, socket_path: &Path) -> Result<ServeSummar
         let (stream, _) = listener
             .accept()
             .map_err(|e| ServeError::io(socket_path, e))?;
-        let reader = std::io::BufReader::new(
-            stream
-                .try_clone()
-                .map_err(|e| ServeError::io(socket_path, e))?,
-        );
-        let mut writer = stream;
-        let summary =
-            serve(daemon, reader, &mut writer).map_err(|e| ServeError::io(socket_path, e))?;
-        total.commands += summary.commands;
-        total.errors += summary.errors;
-        if summary.shutdown {
-            total.shutdown = true;
+        let served = stream.try_clone().and_then(|reader| {
+            let mut writer = stream;
+            serve_into(
+                daemon,
+                std::io::BufReader::new(reader),
+                &mut writer,
+                &mut total,
+            )
+        });
+        if let Err(e) = served {
+            eprintln!("serve: dropped a connection: {e}");
+        }
+        if total.shutdown {
             break;
         }
     }

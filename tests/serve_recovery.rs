@@ -5,6 +5,8 @@
 //! uninterrupted `serve` run and the `stream` subcommand over the same
 //! trace. This is the serve leg of the workspace determinism matrix,
 //! exercised the way an operator would hit it: across real processes.
+//! The socket daemon must also survive clients that break their own
+//! connection, keeping every in-memory session.
 
 use gapart::graph::dynamic::trace::trace_to_text;
 use gapart::graph::dynamic::{wire, Mutation};
@@ -202,5 +204,94 @@ fn killed_daemon_recovers_to_the_uninterrupted_hash() {
     assert_eq!(kv(&reply, "hash"), want_hash);
     d.finish();
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A client that hangs up before reading its reply (the reply write hits
+/// EPIPE), and one that sends a line that is not UTF-8, each end only
+/// their own connection: the socket daemon keeps its sessions in memory
+/// and serves the next client.
+#[test]
+fn socket_daemon_outlives_clients_that_drop_their_connection() {
+    use std::os::unix::net::UnixStream;
+    use std::time::{Duration, Instant};
+
+    let dir = temp_dir("hangup");
+    let graph = dir.join("g.metis");
+    let gs = graph.to_str().unwrap();
+    assert!(cli()
+        .args(["gen", "--kind", "mesh", "--nodes", "110", "--seed", "7", "--out", gs])
+        .status()
+        .unwrap()
+        .success());
+    let socket = dir.join("d.sock");
+    let daemon = cli()
+        .args([
+            "serve",
+            "--tape-dir",
+            dir.join("tapes").to_str().unwrap(),
+            "--socket",
+            socket.to_str().unwrap(),
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let connect = || {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            match UnixStream::connect(&socket) {
+                Ok(stream) => return stream,
+                Err(_) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                Err(e) => panic!("daemon not accepting on {}: {e}", socket.display()),
+            }
+        }
+    };
+
+    // Client 1 opens a session and hangs up without reading the reply.
+    // Shutting its read side first makes the daemon's reply write fail
+    // with EPIPE however the two processes are scheduled.
+    let mut hangup = connect();
+    hangup.shutdown(std::net::Shutdown::Read).unwrap();
+    writeln!(hangup, "open s graph={gs} parts={PARTS} seed={SEED}").unwrap();
+    drop(hangup);
+
+    // Client 2 sends bytes that are not UTF-8, and waits for the daemon
+    // to end the connection (EOF, or a reset if it left bytes unread).
+    let mut garbage = connect();
+    garbage.write_all(b"query \xff\xfe s\n").unwrap();
+    let mut rest = Vec::new();
+    let _ = std::io::Read::read_to_end(&mut garbage, &mut rest);
+    assert!(rest.is_empty(), "no reply to a line that is not UTF-8");
+
+    // Client 3 finds client 1's session.
+    let client = connect();
+    let mut replies = BufReader::new(client.try_clone().unwrap());
+    let mut ask = |command: &str| {
+        writeln!(&client, "{command}").unwrap();
+        let mut reply = String::new();
+        replies.read_line(&mut reply).unwrap();
+        reply.trim_end().to_string()
+    };
+    let reply = ask("query s");
+    assert!(reply.starts_with("ok "), "session lost: {reply}");
+    assert_eq!(kv(&reply, "nodes"), "110");
+    assert_eq!(kv(&reply, "batches"), "0");
+    assert!(ask("shutdown").starts_with("ok"));
+
+    let out = daemon.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "serve exited {:?}: {stderr}",
+        out.status.code()
+    );
+    assert_eq!(
+        stderr.matches("dropped a connection").count(),
+        2,
+        "both broken connections reported:\n{stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
