@@ -1,14 +1,14 @@
 //! Whole-partitioner benchmarks: the RSB and IBP baselines the paper
-//! compares against, plus the multilevel variant and greedy refinement.
+//! compares against, plus the multilevel variant and FM refinement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gapart_graph::fm::FmRefiner;
 use gapart_graph::generators::{jittered_mesh, paper_graph};
-use gapart_graph::refine::{refine_kway, RefineOptions};
+use gapart_graph::refine::RefineOptions;
 use gapart_graph::Partition;
 use gapart_ibp::index::IndexScheme;
 use gapart_ibp::{ibp_partition, IbpOptions};
-use gapart_rsb::multilevel::MultilevelOptions;
-use gapart_rsb::{multilevel_rsb, rsb_partition, RsbOptions};
+use gapart_rsb::{rsb_partition, RsbOptions};
 
 fn rsb(c: &mut Criterion) {
     let mut group = c.benchmark_group("rsb_8parts");
@@ -23,12 +23,13 @@ fn rsb(c: &mut Criterion) {
 }
 
 fn multilevel(c: &mut Criterion) {
+    let mlrsb = gapart::partitioners::by_name("mlrsb").expect("registered");
     let mut group = c.benchmark_group("multilevel_rsb_8parts");
     group.sample_size(10);
     for n in [1000usize, 3000] {
         let graph = jittered_mesh(n, 42);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
-            bench.iter(|| multilevel_rsb(&graph, 8, &MultilevelOptions::default()).unwrap())
+            bench.iter(|| mlrsb.partition(&graph, 8, 0x4d4c_5253).unwrap())
         });
     }
     group.finish();
@@ -86,21 +87,17 @@ fn unified_trait_dispatch(c: &mut Criterion) {
 
 fn refinement(c: &mut Criterion) {
     let graph = paper_graph(309);
-    let mut group = c.benchmark_group("refine_kway_309n");
+    let opts = RefineOptions {
+        balance_slack: 0.05,
+        max_passes: 8,
+    };
+    let mut fm = FmRefiner::new();
+    let mut group = c.benchmark_group("fm_refine_309n");
     group.sample_size(20);
     group.bench_function("from_round_robin_8p", |bench| {
         bench.iter_batched(
             || Partition::round_robin(309, 8),
-            |mut p| {
-                refine_kway(
-                    &graph,
-                    &mut p,
-                    &RefineOptions {
-                        balance_slack: 0.05,
-                        max_passes: 8,
-                    },
-                )
-            },
+            |mut p| fm.refine(&graph, &mut p, &opts, 42),
             criterion::BatchSize::SmallInput,
         )
     });

@@ -3,8 +3,8 @@
 //!
 //! Runs large-grid / geometric / churn-stream scenarios across a sweep of
 //! forced worker-pool sizes, flat and multilevel methods side by side —
-//! including the refinement-engine comparison (`mlga` vs `mlga-pfm` vs
-//! `mlga-sweep`, and their `stream+` twins) — and
+//! including the refinement-engine comparison (`mlga` vs `mlga-pfm`, and
+//! their `stream+` twins) — and
 //! writes `BENCH_7.json` (see `--out`) with per-row wall time, cut
 //! metrics, peak-RSS memory telemetry, and an FNV-1a hash of the final
 //! labels — the witness that every thread count produced the
@@ -109,19 +109,6 @@ fn pool(threads: usize) -> rayon::ThreadPool {
         .expect("shim pools are infallible")
 }
 
-/// The registry `mlga` with the greedy sweep instead of boundary FM —
-/// the refinement ablation the grid scenarios record.
-fn mlga_sweep() -> Box<dyn Partitioner> {
-    partitioners::multilevel_with(
-        "mlga-sweep",
-        partitioners::tuned_ga(GaConfig::coarse_defaults(2)),
-        MultilevelConfig {
-            refine_scheme: RefineScheme::Sweep,
-            ..MultilevelConfig::default()
-        },
-    )
-}
-
 /// The registry `mlga` with the parallel colored-batch FM — the
 /// thread-scaling refinement the anchor scenarios track against `mlga`.
 fn mlga_pfm() -> Box<dyn Partitioner> {
@@ -137,7 +124,7 @@ fn mlga_pfm() -> Box<dyn Partitioner> {
 
 /// One partitioner run under a forced pool: returns the row plus prints a
 /// progress line. Registry methods resolve by name; ablations (trimmed
-/// flat GA, `mlga-sweep`) pass their instance via `run_partitioner`.
+/// flat GA, `mlga-pfm`) pass their instance via `run_partitioner`.
 fn run_method(
     scenario: &'static str,
     graph: &CsrGraph,
@@ -234,8 +221,6 @@ fn run_stream(
     let method = match scheme {
         RefineScheme::BoundaryFm => "stream+mlga",
         RefineScheme::ParallelFm => "stream+mlga-pfm",
-        RefineScheme::ParallelFmRescan => "stream+mlga-pfm-rescan",
-        RefineScheme::Sweep => "stream+mlga-sweep",
     };
     let trace = generate(
         graph,
@@ -248,7 +233,7 @@ fn run_stream(
     )
     .expect("churn traces generate on any graph");
     let start = Instant::now();
-    let session = pool(threads)
+    let (session, records) = pool(threads)
         .install(|| {
             let full = partitioners::by_name_with("mlga", scheme).expect("mlga is registered");
             let mut s = DynamicSession::new(
@@ -260,14 +245,13 @@ fn run_stream(
                     ..DynamicConfig::new(PARTS)
                 },
             )?;
-            s.replay(&trace)?;
-            Ok::<_, gapart::core::dynamic::DynamicError>(s)
+            let records = s.replay(&trace)?;
+            Ok::<_, gapart::core::dynamic::DynamicError>((s, records))
         })
         .expect("stream replay cannot fail");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let m = PartitionMetrics::compute(session.graph(), session.partition());
-    let escalations = session
-        .history()
+    let escalations = records
         .iter()
         .filter(|r| r.action == BatchAction::FullRepartition)
         .count();
@@ -535,13 +519,6 @@ fn main() {
             t,
         ));
     }
-    rows.push(run_partitioner(
-        "grid-anchor",
-        &anchor,
-        &*mlga_sweep(),
-        "multilevel",
-        1,
-    ));
     rows.push(run_method("grid-anchor", &anchor, "ibp", "flat", 1));
     rows.push(run_method("grid-anchor", &anchor, "mlrsb", "multilevel", 1));
     lap("grid-anchor", &mut scenario_walls, &mut mark);
@@ -603,11 +580,7 @@ fn main() {
     lap("geometric-anchor", &mut scenario_walls, &mut mark);
 
     let churn_anchor = grid2d(12, 12, GridKind::FourConnected);
-    for scheme in [
-        RefineScheme::BoundaryFm,
-        RefineScheme::ParallelFm,
-        RefineScheme::Sweep,
-    ] {
+    for scheme in [RefineScheme::BoundaryFm, RefineScheme::ParallelFm] {
         rows.push(run_stream("churn-anchor", &churn_anchor, 4, 20, 1, scheme));
     }
     lap("churn-anchor", &mut scenario_walls, &mut mark);
@@ -651,8 +624,8 @@ fn main() {
     // ---- Full-size scenarios (skipped in smoke mode).
     if !smoke {
         // Scenario 1 — large grid, the headline case: multilevel GA
-        // across the full pool sweep, the sweep-refiner ablation, and
-        // flat IBP / multilevel RSB as anchors.
+        // across the full pool sweep, the parallel-FM variant, and flat
+        // IBP / multilevel RSB as anchors.
         let grid = grid2d(320, 320, GridKind::FourConnected);
         println!(
             "grid 320x320: {} nodes, {} edges",
@@ -667,15 +640,6 @@ fn main() {
                 "grid",
                 &grid,
                 &*mlga_pfm(),
-                "multilevel",
-                t,
-            ));
-        }
-        for &t in &cap(&[1, 4]) {
-            rows.push(run_partitioner(
-                "grid",
-                &grid,
-                &*mlga_sweep(),
                 "multilevel",
                 t,
             ));
@@ -724,7 +688,7 @@ fn main() {
         lap("geometric", &mut scenario_walls, &mut mark);
 
         // Scenario 4 — churn stream: localized refinement on the dirty
-        // frontier (FM buckets vs sweep), escalating to full mlga
+        // frontier (FM buckets vs parallel FM), escalating to full mlga
         // solves.
         let sgrid = grid2d(100, 100, GridKind::FourConnected);
         for &t in &cap(&[1, 4]) {
@@ -744,14 +708,6 @@ fn main() {
             150,
             1,
             RefineScheme::ParallelFm,
-        ));
-        rows.push(run_stream(
-            "churn-stream",
-            &sgrid,
-            15,
-            150,
-            1,
-            RefineScheme::Sweep,
         ));
         lap("churn-stream", &mut scenario_walls, &mut mark);
 

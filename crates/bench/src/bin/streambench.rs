@@ -81,18 +81,17 @@ fn main() {
     )
     .expect("initial solve cannot fail");
     let mut stream_batch_secs = Vec::with_capacity(batches);
+    let mut escalations = 0usize;
     for batch in &trace {
         let t = Instant::now();
-        session
+        let record = session
             .apply_batch(batch)
             .expect("generated trace is valid");
         stream_batch_secs.push(t.elapsed().as_secs_f64());
+        if record.action == BatchAction::FullRepartition {
+            escalations += 1;
+        }
     }
-    let escalations = session
-        .history()
-        .iter()
-        .filter(|r| r.action == BatchAction::FullRepartition)
-        .count();
     let stream_cut = session.current_cut();
 
     // Path 2: full mlga recompute after every batch.

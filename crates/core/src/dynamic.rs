@@ -15,11 +15,10 @@
 //!    with the lower composite cost (`Σ I(q) + λ Σ C(q)`, the paper's
 //!    Fitness-1 objective) wins, ties toward the balanced policy.
 //! 2. **Localized refine** — the configured
-//!    [`gapart_graph::refine::RefineScheme`] (boundary FM by default,
-//!    reusing the session's gain-bucket workspace so only the dirty
-//!    frontier's buckets are rebuilt; or the frozen-gain sweep
-//!    [`gapart_graph::refine::refine_kway_local`]) touches only the
-//!    frontier (the mutated nodes plus a configurable BFS halo). The
+//!    [`gapart_graph::refine::RefineScheme`] (boundary FM by default, or
+//!    the parallel FM; either reuses the session's workspace so only the
+//!    dirty frontier's buckets are rebuilt) touches only the frontier
+//!    (the mutated nodes plus a configurable BFS halo). The
 //!    cut is maintained incrementally (batch edge deltas plus the
 //!    refiner's exact gain), so outside escalations a batch costs the
 //!    frontier work plus `O(V)` tallies — never a full edge-set pass.
@@ -33,13 +32,18 @@
 //! Every step is deterministic: replaying the same trace through the
 //! same configuration yields a bit-identical partition, regardless of
 //! thread count (asserted in `tests/stream_contract.rs`).
+//!
+//! A session keeps no per-batch history: memory stays bounded however
+//! long it runs. [`DynamicSession::apply_batch`] and
+//! [`DynamicSession::replay`] hand each [`BatchRecord`] to the caller,
+//! and a `serve` tape already records every batch.
 
 use crate::error::GaError;
 use crate::incremental::{extend_partition_balanced, greedy_neighbor_assign};
 use gapart_graph::dynamic::{apply_batch, Mutation};
 use gapart_graph::fm::{FmRefiner, ParallelFm};
 use gapart_graph::partition::cut_size;
-use gapart_graph::refine::{refine_kway_local, RefineOptions, RefineScheme, RefineStats};
+use gapart_graph::refine::{RefineOptions, RefineScheme, RefineStats};
 use gapart_graph::{CsrGraph, GraphError, Partition, Partitioner, PartitionerError};
 
 /// Errors surfaced by a [`DynamicSession`].
@@ -90,8 +94,8 @@ pub struct DynamicConfig {
     /// Options for the localized refinement pass.
     pub refine: RefineOptions,
     /// Refinement engine for the dirty-frontier pass: the boundary FM
-    /// refiner (default; its gain buckets and degree caches live in the
-    /// session and are reused across batches) or the frozen-gain sweep.
+    /// refiner (default) or the parallel FM. Either engine's workspace
+    /// lives in the session and is reused across batches.
     pub refine_scheme: RefineScheme,
     /// BFS halo around the dirty nodes that the localized refinement may
     /// move (hops; 2 by default). Larger values trade batch latency for
@@ -397,7 +401,7 @@ pub enum BatchAction {
     FullRepartition,
 }
 
-/// Per-batch history record. The `epoch` column makes escalations
+/// What one batch did. The `epoch` column makes escalations
 /// visible: it increments exactly when `action` is
 /// [`BatchAction::FullRepartition`].
 #[derive(Debug, Clone, PartialEq)]
@@ -422,8 +426,8 @@ pub struct BatchRecord {
     pub action: BatchAction,
 }
 
-/// A live dynamic-repartitioning session: current graph + partition,
-/// a full repartitioner for escalations, and the per-batch history.
+/// A live dynamic-repartitioning session: current graph + partition
+/// and a full repartitioner for escalations.
 ///
 /// See the [module docs](self) for the per-batch pipeline.
 pub struct DynamicSession {
@@ -440,7 +444,6 @@ pub struct DynamicSession {
     current_cut: u64,
     epoch: usize,
     batches: usize,
-    history: Vec<BatchRecord>,
     /// Reusable boundary-FM workspace (gain buckets, degree caches):
     /// batch refinement under [`RefineScheme::BoundaryFm`] touches only
     /// the dirty frontier's buckets and allocates nothing steady-state.
@@ -488,7 +491,6 @@ impl DynamicSession {
             current_cut: cut,
             epoch: 1,
             batches: 0,
-            history: Vec::new(),
             fm: FmRefiner::new(),
             pfm: ParallelFm::new(),
         })
@@ -593,7 +595,6 @@ impl DynamicSession {
             current_cut: state.current_cut,
             epoch: state.epoch,
             batches: state.batches,
-            history: Vec::new(),
             fm: FmRefiner::new(),
             pfm: ParallelFm::new(),
         }
@@ -623,11 +624,6 @@ impl DynamicSession {
     /// The session configuration.
     pub fn config(&self) -> &DynamicConfig {
         &self.config
-    }
-
-    /// Per-batch records, oldest first.
-    pub fn history(&self) -> &[BatchRecord] {
-        &self.history
     }
 
     /// Number of full solves so far: the initial solve when the session
@@ -661,8 +657,7 @@ impl DynamicSession {
             .wrapping_add((self.batches as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
-    /// Applies one mutation batch; returns the record it appended (the
-    /// same value [`DynamicSession::history`] retains).
+    /// Applies one mutation batch and returns its record.
     ///
     /// # Errors
     ///
@@ -745,18 +740,9 @@ impl DynamicSession {
                 self.fm
                     .refine_local(&graph, &mut partition, &self.config.refine, seed, &frontier)
             }
-            RefineScheme::ParallelFm | RefineScheme::ParallelFmRescan => {
-                // Same engine, two eval-table modes (identical results);
-                // the persistent workspace serves both.
-                self.pfm.set_full_rescan(matches!(
-                    self.config.refine_scheme,
-                    RefineScheme::ParallelFmRescan
-                ));
+            RefineScheme::ParallelFm => {
                 self.pfm
                     .refine_local(&graph, &mut partition, &self.config.refine, seed, &frontier)
-            }
-            RefineScheme::Sweep => {
-                refine_kway_local(&graph, &mut partition, &self.config.refine, &frontier)
             }
         };
         let mut cut_after = cut_seeded - refine.gain;
@@ -799,22 +785,22 @@ impl DynamicSession {
             refine,
             action,
         };
-        self.history.push(record.clone());
         self.batches += 1;
         Ok(record)
     }
 
-    /// Replays a whole trace, stopping at the first error.
+    /// Replays a whole trace, stopping at the first error; returns one
+    /// record per batch, in order.
     ///
     /// # Errors
     ///
     /// The first [`DynamicError`] any batch raises; batches before it
     /// are applied.
-    pub fn replay(&mut self, batches: &[Vec<Mutation>]) -> Result<(), DynamicError> {
-        for batch in batches {
-            self.apply_batch(batch)?;
-        }
-        Ok(())
+    pub fn replay(&mut self, batches: &[Vec<Mutation>]) -> Result<Vec<BatchRecord>, DynamicError> {
+        batches
+            .iter()
+            .map(|batch| self.apply_batch(batch))
+            .collect()
     }
 }
 
@@ -854,7 +840,7 @@ mod tests {
         assert_eq!(s.epoch(), 1);
         assert_eq!(s.partition().num_nodes(), 150);
         assert_eq!(s.baseline_cut(), s.current_cut());
-        assert!(s.history().is_empty());
+        assert_eq!(s.state().batches, 0);
     }
 
     #[test]
@@ -888,8 +874,10 @@ mod tests {
             },
         )
         .unwrap();
-        s.replay(&trace).unwrap();
-        assert_eq!(s.history().len(), 6);
+        let records = s.replay(&trace).unwrap();
+        assert_eq!(records.len(), 6);
+        assert!(records.iter().enumerate().all(|(i, r)| r.batch == i));
+        assert_eq!(s.state().batches, 6);
         assert_eq!(s.partition().num_nodes(), s.graph().num_nodes());
         s.graph().validate().unwrap();
     }
@@ -919,10 +907,9 @@ mod tests {
             },
         )
         .unwrap();
-        s.replay(&trace).unwrap();
+        let records = s.replay(&trace).unwrap();
         assert_eq!(s.epoch(), 4, "every batch should escalate");
-        assert!(s
-            .history()
+        assert!(records
             .iter()
             .all(|r| r.action == BatchAction::FullRepartition));
 
@@ -991,9 +978,9 @@ mod tests {
         )
         .unwrap();
         let nodes_before = s.graph().num_nodes();
-        s.replay(&trace).unwrap();
+        let records = s.replay(&trace).unwrap();
         assert_eq!(s.graph().num_nodes(), nodes_before);
-        assert!(s.history().iter().all(|r| r.new_nodes == 0));
+        assert!(records.iter().all(|r| r.new_nodes == 0));
     }
 
     #[test]
@@ -1012,7 +999,7 @@ mod tests {
         ));
         assert_eq!(s.graph().num_nodes(), before_nodes);
         assert_eq!(s.partition(), &before_partition);
-        assert!(s.history().is_empty());
+        assert_eq!(s.state().batches, 0);
     }
 
     #[test]
@@ -1072,10 +1059,16 @@ mod tests {
             SessionSpec::parse_kv("parts=2 nodice").unwrap_err(),
             SpecError::Malformed(_)
         ));
-        assert!(matches!(
-            SessionSpec::parse_kv("parts=2 refine=quantum").unwrap_err(),
-            SpecError::BadValue { .. }
-        ));
+        // Unknown engines and the retired sweep refiner alike.
+        for retired in ["quantum", "sweep"] {
+            assert_eq!(
+                SessionSpec::parse_kv(&format!("parts=2 refine={retired}")).unwrap_err(),
+                SpecError::BadValue {
+                    key: "refine".into(),
+                    value: retired.into()
+                }
+            );
+        }
         assert!(matches!(
             SessionSpec::parse_kv("parts=2 threshold=-1").unwrap_err(),
             SpecError::BadValue { .. }
@@ -1131,8 +1124,10 @@ mod tests {
         .unwrap();
         assert_eq!(resumed.state(), live.state());
 
-        live.replay(&trace[3..]).unwrap();
-        resumed.replay(&trace[3..]).unwrap();
+        assert_eq!(
+            resumed.replay(&trace[3..]).unwrap(),
+            live.replay(&trace[3..]).unwrap()
+        );
         assert_eq!(resumed.partition(), live.partition());
         assert_eq!(resumed.state(), live.state());
 
@@ -1166,8 +1161,8 @@ mod tests {
         .unwrap();
         let run = || {
             let mut s = session(150, 4);
-            s.replay(&trace).unwrap();
-            (s.partition().clone(), s.history().to_vec(), s.epoch())
+            let records = s.replay(&trace).unwrap();
+            (s.partition().clone(), records, s.epoch())
         };
         assert_eq!(run(), run());
     }

@@ -8,31 +8,23 @@
 //! sum node/edge weights so a partition of the coarse graph has exactly
 //! the same cost on the fine graph.
 //!
-//! Two matching schemes are provided (see [`MatchScheme`]):
+//! Matching is a **parallel handshake**: every unmatched vertex points,
+//! in parallel, at its best available neighbour under a seeded,
+//! edge-symmetric priority; vertices that point at each other lock in as
+//! a pair; repeat until a round locks nothing new. The fixed point is a
+//! pure function of `(graph, seed)` — never of scheduling or thread
+//! count — because each round's preferences depend only on the matched
+//! set left by earlier rounds.
 //!
-//! * **Parallel handshake matching** (the default): every unmatched
-//!   vertex points, in parallel, at its best available neighbour under a
-//!   seeded, edge-symmetric priority; vertices that point at each other
-//!   lock in as a pair; repeat until a round locks nothing new. The fixed
-//!   point is a pure function of `(graph, seed)` — never of scheduling or
-//!   thread count — because each round's preferences depend only on the
-//!   matched set left by earlier rounds.
-//! * **Sequential randomized HEM**: the original implementation, visiting
-//!   vertices in a seeded random order. Kept as the cross-check reference
-//!   for the parallel scheme (and exercised by proptests).
-//!
-//! Contraction itself (coarse node weights, centroid coordinates, merged
-//! coarse edges) is shared by both schemes and runs as index-ordered
-//! parallel reductions over the coarse vertices, so the whole module is
-//! bit-identical for any worker-pool size.
+//! Contraction (coarse node weights, centroid coordinates, merged coarse
+//! edges) runs as index-ordered parallel reductions over the coarse
+//! vertices, so the whole module is bit-identical for any worker-pool
+//! size.
 
 use crate::csr::{CsrGraph, SmallCsr};
 use crate::fm::{FmRefiner, ParallelFm};
 use crate::geometry::Point2;
 use crate::partition::Partition;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use rayon::prelude::*;
 
 /// Sentinel for "not matched yet" in mate arrays.
@@ -43,17 +35,16 @@ const UNMATCHED: u32 = u32::MAX;
 /// paying thread-spawn overhead.
 const PAR_MIN_LEN: usize = 2048;
 
-/// Which matching algorithm drives a coarsening round.
+/// Which matching algorithm drives a coarsening round. The handshake is
+/// the only one; the type stays because the benchmark harness passes
+/// `MultilevelConfig::match_scheme` to [`coarsen_to_with_arena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MatchScheme {
-    /// Deterministic parallel handshake matching (the default): rounds of
+    /// Deterministic parallel handshake matching: rounds of
     /// mutual-preference locking whose fixed point depends only on
     /// `(graph, seed)`, never on thread count.
     #[default]
     ParallelHandshake,
-    /// The original sequential randomized heavy-edge matching, preserved
-    /// as the cross-check reference for the parallel scheme.
-    SequentialHem,
 }
 
 /// One coarsening level: the coarse graph plus the fine→coarse vertex map.
@@ -242,7 +233,7 @@ fn edge_key(seed: u64, w: u32, v: u32, u: u32) -> (u32, u64, u64) {
 /// weight-first mutual preference is assortative — heavy nodes keep
 /// pairing with each other, collapsing multilevel stacks into a few
 /// hub nodes that stall contraction and wreck coarse-level balance.
-/// [`coarsen_to_with`] supplies the standard `1.5 × total / target` cap;
+/// [`coarsen_to`] supplies the standard `1.5 × total / target` cap;
 /// a single explicit round is uncapped.
 /// The matching is left in `arena.mate`; every buffer it touches is
 /// reinitialized here, so a recycled arena gives the identical result.
@@ -318,44 +309,6 @@ fn match_handshake(graph: &CsrGraph, seed: u64, max_weight: u32, arena: &mut Lev
             *m = v as u32; // singleton
         }
     }
-}
-
-/// The original sequential randomized HEM. Visits vertices in a seeded
-/// random order; each unmatched vertex merges with its unmatched
-/// neighbour of maximum edge weight (ties broken by lower id), or stays
-/// singleton.
-fn match_sequential(graph: &CsrGraph, seed: u64) -> Vec<u32> {
-    let n = graph.num_nodes();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x6865_6d00); // "hem"
-    order.shuffle(&mut rng);
-
-    let mut mate = vec![UNMATCHED; n];
-    for &v in &order {
-        if mate[v as usize] != UNMATCHED {
-            continue;
-        }
-        let mut best: Option<(u32, u32)> = None; // (weight, neighbour)
-        for (&u, &w) in graph.neighbors(v).iter().zip(graph.edge_weights(v)) {
-            if mate[u as usize] == UNMATCHED {
-                let better = match best {
-                    None => true,
-                    Some((bw, bu)) => w > bw || (w == bw && u < bu),
-                };
-                if better {
-                    best = Some((w, u));
-                }
-            }
-        }
-        match best {
-            Some((_, u)) => {
-                mate[v as usize] = u;
-                mate[u as usize] = v;
-            }
-            None => mate[v as usize] = v, // singleton
-        }
-    }
-    mate
 }
 
 /// Contracts `graph` along a complete matching (`mate[v] == v` marks a
@@ -509,49 +462,29 @@ fn contract(graph: &CsrGraph, mate: &[u32], arena: &mut LevelArena) -> Coarsenin
     Coarsening { coarse, map }
 }
 
-/// One round of heavy-edge matching with the default (parallel handshake)
-/// scheme. Deterministic for any worker-pool size: the result is a pure
-/// function of `(graph, seed)`.
+/// One uncapped round of heavy-edge matching. Deterministic for any
+/// worker-pool size: the result is a pure function of `(graph, seed)`.
 ///
 /// The coarse graph is never larger than the fine one and is strictly
 /// smaller whenever any edge has both endpoints unmatched at fixed point.
 pub fn coarsen_hem(graph: &CsrGraph, seed: u64) -> Coarsening {
-    coarsen_hem_with(graph, seed, MatchScheme::default())
+    coarsen_round(graph, seed, u32::MAX, &mut LevelArena::new())
 }
 
-/// One round of heavy-edge matching with an explicit [`MatchScheme`].
-pub fn coarsen_hem_with(graph: &CsrGraph, seed: u64, scheme: MatchScheme) -> Coarsening {
-    coarsen_round(graph, seed, scheme, u32::MAX, &mut LevelArena::new())
-}
-
-/// One matching + contraction round under a merge-weight cap (only the
-/// handshake scheme is capped; the sequential reference is preserved
-/// exactly as it always behaved).
+/// One matching + contraction round under a merge-weight cap.
 fn coarsen_round(
     graph: &CsrGraph,
     seed: u64,
-    scheme: MatchScheme,
     max_weight: u32,
     arena: &mut LevelArena,
 ) -> Coarsening {
-    match scheme {
-        MatchScheme::ParallelHandshake => match_handshake(graph, seed, max_weight, arena),
-        MatchScheme::SequentialHem => arena.mate = match_sequential(graph, seed),
-    }
+    match_handshake(graph, seed, max_weight, arena);
     // Lend the matching out of the arena so `contract` can borrow the
     // rest of it mutably, then hand the buffer back for the next round.
     let mate = std::mem::take(&mut arena.mate);
     let level = contract(graph, &mate, arena);
     arena.mate = mate;
     level
-}
-
-/// The preserved sequential reference: one round of the original
-/// randomized HEM. Identical to
-/// [`coarsen_hem_with`]`(graph, seed, MatchScheme::SequentialHem)`; kept
-/// as a named entry point so tests can cross-check the flag plumbing.
-pub fn coarsen_hem_seq(graph: &CsrGraph, seed: u64) -> Coarsening {
-    coarsen_hem_with(graph, seed, MatchScheme::SequentialHem)
 }
 
 /// Coarsens repeatedly until the graph has at most `target_nodes` nodes or
@@ -563,28 +496,25 @@ pub fn coarsen_hem_seq(graph: &CsrGraph, seed: u64) -> Coarsening {
 /// single-node or empty graph is already at its floor, and a star shrinks
 /// by only one pair per round until the 5% rule stops it.
 pub fn coarsen_to(graph: &CsrGraph, target_nodes: usize, seed: u64) -> Vec<Coarsening> {
-    coarsen_to_with(graph, target_nodes, seed, MatchScheme::default())
+    coarsen_to_with_arena(
+        graph,
+        target_nodes,
+        seed,
+        MatchScheme::default(),
+        &mut LevelArena::new(),
+    )
 }
 
-/// [`coarsen_to`] with an explicit [`MatchScheme`].
-pub fn coarsen_to_with(
-    graph: &CsrGraph,
-    target_nodes: usize,
-    seed: u64,
-    scheme: MatchScheme,
-) -> Vec<Coarsening> {
-    coarsen_to_with_arena(graph, target_nodes, seed, scheme, &mut LevelArena::new())
-}
-
-/// [`coarsen_to_with`] against a caller-owned [`LevelArena`], so repeated
+/// [`coarsen_to`] against a caller-owned [`LevelArena`], so repeated
 /// V-cycles (and `DynamicSession` batches) recycle every per-level scratch
 /// buffer instead of reallocating it each call. Bit-identical to the
-/// fresh-arena path.
+/// fresh-arena path. [`MatchScheme`] has a single variant, so `_scheme`
+/// selects nothing.
 pub fn coarsen_to_with_arena(
     graph: &CsrGraph,
     target_nodes: usize,
     seed: u64,
-    scheme: MatchScheme,
+    _scheme: MatchScheme,
     arena: &mut LevelArena,
 ) -> Vec<Coarsening> {
     assert!(target_nodes > 0, "target must be positive");
@@ -606,7 +536,7 @@ pub fn coarsen_to_with_arena(
         if current.num_edges() == 0 {
             break; // every vertex is isolated; a round would be a no-op
         }
-        let level = coarsen_round(current, seed.wrapping_add(round), scheme, max_weight, arena);
+        let level = coarsen_round(current, seed.wrapping_add(round), max_weight, arena);
         if level.coarse.num_nodes() as f64 > before as f64 * 0.95 {
             break; // diminishing returns (e.g. star graphs)
         }
@@ -637,11 +567,9 @@ mod tests {
     #[test]
     fn coarsening_halves_a_matching_friendly_graph() {
         let g = ring_lattice(16, 1);
-        for scheme in [MatchScheme::ParallelHandshake, MatchScheme::SequentialHem] {
-            let c = coarsen_hem_with(&g, 1, scheme);
-            assert!(c.coarse.num_nodes() <= 12, "got {}", c.coarse.num_nodes());
-            assert!(c.coarse.num_nodes() >= 8);
-        }
+        let c = coarsen_hem(&g, 1);
+        assert!(c.coarse.num_nodes() <= 12, "got {}", c.coarse.num_nodes());
+        assert!(c.coarse.num_nodes() >= 8);
     }
 
     #[test]
@@ -691,19 +619,15 @@ mod tests {
     #[test]
     fn node_weight_is_conserved() {
         let g = paper_graph(144);
-        for scheme in [MatchScheme::ParallelHandshake, MatchScheme::SequentialHem] {
-            let c = coarsen_hem_with(&g, 3, scheme);
-            assert_eq!(c.coarse.total_node_weight(), g.total_node_weight());
-        }
+        let c = coarsen_hem(&g, 3);
+        assert_eq!(c.coarse.total_node_weight(), g.total_node_weight());
     }
 
     #[test]
     fn connectivity_is_preserved() {
         let g = paper_graph(167);
-        for scheme in [MatchScheme::ParallelHandshake, MatchScheme::SequentialHem] {
-            let c = coarsen_hem_with(&g, 5, scheme);
-            assert!(is_connected(&c.coarse));
-        }
+        let c = coarsen_hem(&g, 5);
+        assert!(is_connected(&c.coarse));
     }
 
     #[test]
@@ -711,32 +635,28 @@ mod tests {
         // Key invariant: summed weights mean a coarse partition's cut and
         // loads equal the projected fine partition's cut and loads.
         let g = paper_graph(139);
-        for scheme in [MatchScheme::ParallelHandshake, MatchScheme::SequentialHem] {
-            let c = coarsen_hem_with(&g, 9, scheme);
-            let coarse_p = Partition::round_robin(c.coarse.num_nodes(), 4);
-            let fine_p = c.project(&coarse_p);
-            let mc = PartitionMetrics::compute(&c.coarse, &coarse_p);
-            let mf = PartitionMetrics::compute(&g, &fine_p);
-            assert_eq!(mc.total_cut, mf.total_cut);
-            assert_eq!(mc.part_loads, mf.part_loads);
-        }
+        let c = coarsen_hem(&g, 9);
+        let coarse_p = Partition::round_robin(c.coarse.num_nodes(), 4);
+        let fine_p = c.project(&coarse_p);
+        let mc = PartitionMetrics::compute(&c.coarse, &coarse_p);
+        let mf = PartitionMetrics::compute(&g, &fine_p);
+        assert_eq!(mc.total_cut, mf.total_cut);
+        assert_eq!(mc.part_loads, mf.part_loads);
     }
 
     #[test]
     fn map_covers_every_fine_vertex() {
         let g = paper_graph(98);
-        for scheme in [MatchScheme::ParallelHandshake, MatchScheme::SequentialHem] {
-            let c = coarsen_hem_with(&g, 2, scheme);
-            assert_eq!(c.map.len(), 98);
-            let max = *c.map.iter().max().unwrap() as usize;
-            assert_eq!(max + 1, c.coarse.num_nodes());
-            // Each coarse vertex has 1 or 2 fine preimages after one round.
-            let mut counts = vec![0; c.coarse.num_nodes()];
-            for &cv in &c.map {
-                counts[cv as usize] += 1;
-            }
-            assert!(counts.iter().all(|&k| k == 1 || k == 2));
+        let c = coarsen_hem(&g, 2);
+        assert_eq!(c.map.len(), 98);
+        let max = *c.map.iter().max().unwrap() as usize;
+        assert_eq!(max + 1, c.coarse.num_nodes());
+        // Each coarse vertex has 1 or 2 fine preimages after one round.
+        let mut counts = vec![0; c.coarse.num_nodes()];
+        for &cv in &c.map {
+            counts[cv as usize] += 1;
         }
+        assert!(counts.iter().all(|&k| k == 1 || k == 2));
     }
 
     #[test]
@@ -787,28 +707,15 @@ mod tests {
         // loop forever.
         let edges: Vec<(u32, u32)> = (1..50u32).map(|v| (0, v)).collect();
         let g = from_edges(50, &edges).unwrap();
-        for scheme in [MatchScheme::ParallelHandshake, MatchScheme::SequentialHem] {
-            let levels = coarsen_to_with(&g, 2, 0, scheme);
-            assert!(levels.len() < 60);
-        }
+        let levels = coarsen_to(&g, 2, 0);
+        assert!(levels.len() < 60);
     }
 
     #[test]
     fn deterministic() {
         let g = paper_graph(88);
-        for scheme in [MatchScheme::ParallelHandshake, MatchScheme::SequentialHem] {
-            let a = coarsen_hem_with(&g, 4, scheme);
-            let b = coarsen_hem_with(&g, 4, scheme);
-            assert_eq!(a.coarse, b.coarse);
-            assert_eq!(a.map, b.map);
-        }
-    }
-
-    #[test]
-    fn sequential_flag_matches_the_reference_entry_point() {
-        let g = paper_graph(133);
-        let a = coarsen_hem_with(&g, 21, MatchScheme::SequentialHem);
-        let b = coarsen_hem_seq(&g, 21);
+        let a = coarsen_hem(&g, 4);
+        let b = coarsen_hem(&g, 4);
         assert_eq!(a.coarse, b.coarse);
         assert_eq!(a.map, b.map);
     }
@@ -901,21 +808,19 @@ mod tests {
             Point2::new(6.0, 2.0),
         ]);
         g.vweights = vec![0, 0, 1, 3];
-        for scheme in [MatchScheme::ParallelHandshake, MatchScheme::SequentialHem] {
-            for seed in 0..4u64 {
-                let c = coarsen_hem_with(&g, seed, scheme);
-                let coords = c.coarse.coords().expect("coords survive contraction");
-                for p in coords {
-                    assert!(
-                        p.x.is_finite() && p.y.is_finite(),
-                        "{scheme:?} seed {seed}: non-finite centroid {p:?}"
-                    );
-                }
-                // Wherever {0,1} merged, the centroid is their plain mean.
-                if c.map[0] == c.map[1] {
-                    let p = coords[c.map[0] as usize];
-                    assert_eq!((p.x, p.y), (1.0, 1.0));
-                }
+        for seed in 0..4u64 {
+            let c = coarsen_hem(&g, seed);
+            let coords = c.coarse.coords().expect("coords survive contraction");
+            for p in coords {
+                assert!(
+                    p.x.is_finite() && p.y.is_finite(),
+                    "seed {seed}: non-finite centroid {p:?}"
+                );
+            }
+            // Wherever {0,1} merged, the centroid is their plain mean.
+            if c.map[0] == c.map[1] {
+                let p = coords[c.map[0] as usize];
+                assert_eq!((p.x, p.y), (1.0, 1.0));
             }
         }
     }

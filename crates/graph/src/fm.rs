@@ -1,8 +1,7 @@
 //! Boundary-driven k-way Fiduccia–Mattheyses refinement with gain
 //! buckets.
 //!
-//! This is the heavy-duty counterpart to the frozen-gain sweeps in
-//! [`crate::refine`]: instead of revisiting every vertex per pass, it
+//! Instead of revisiting every vertex per pass, the engine
 //! keeps only the **cut boundary** in an O(1) bucket priority structure
 //! and chains moves — including into locally-worse states — rolling back
 //! to the best prefix seen when a pass ends. This is the standard move of
@@ -28,12 +27,13 @@
 //!   (bounded by a stall limit), logging every move. At pass end the
 //!   partition rolls back to the shortest prefix that achieved the best
 //!   cut seen, so a pass **never worsens the cut** — it merely explores
-//!   past ridges a greedy sweep cannot cross. Each vertex moves at most
+//!   past ridges a greedy pass cannot cross. Each vertex moves at most
 //!   once per pass (the classic FM lock).
 //! * **Balance** — a move must keep the destination within
 //!   `(1 + balance_slack) × avg` load and may never empty its source
-//!   part (same contract as [`crate::refine::refine_kway`], including
-//!   the zero-weight-vertex freedom).
+//!   part — only a part's last vertex is pinned, so a zero-weight
+//!   vertex in a populated part moves freely (it cannot drain any
+//!   load).
 //!
 //! # Determinism
 //!
@@ -96,8 +96,8 @@ const MAX_HALF_RANGE: i64 = 1 << 15;
 /// Passes stop once a pass gains less than `observed cut / this` — the
 /// diminishing-returns cutoff (a pass improving the cut by under ~1.5%
 /// is churn, not progress; measured on the 320×320 grid bench this
-/// keeps ~90% of the quality win of running every pass at the sweep
-/// refiner's wall time). `RefineOptions::max_passes` remains the hard
+/// keeps ~90% of the quality win of running every pass at a greedy
+/// sweep's wall time). `RefineOptions::max_passes` remains the hard
 /// cap.
 const CONVERGENCE_DENOM: u64 = 64;
 
@@ -193,8 +193,8 @@ impl FmRefiner {
     /// candidate, but only the cut boundary enters the buckets.
     ///
     /// Never increases the cut; the reported `gain` is the exact cut
-    /// reduction. Same balance and never-empty-a-part contract as
-    /// [`crate::refine::refine_kway`].
+    /// reduction. A move keeps its destination within the balance cap
+    /// and never empties its source part.
     ///
     /// # Panics
     ///
@@ -374,11 +374,10 @@ impl FmRefiner {
         let in_region =
             |stamp: &[u64], v: u32| -> bool { region.is_none() || stamp[v as usize] == generation };
 
-        // Global load/population tally (same balance model as the sweep
-        // refiner) — taken from the caller when primed (the fused
-        // projection pass already produced it; the loads then also give
-        // the total weight, skipping the O(V) re-sum), tallied here
-        // otherwise.
+        // Global load/population tally — taken from the caller when
+        // primed (the fused projection pass already produced it; the
+        // loads then also give the total weight, skipping the O(V)
+        // re-sum), tallied here otherwise.
         match primed {
             Some((loads, counts)) => {
                 debug_assert_eq!(loads.len(), n_parts);
@@ -888,10 +887,9 @@ fn bucket_remove(
     prev[v as usize] = NONE;
 }
 
-/// Candidates per frozen-evaluation chunk (mirrors the sweep refiner's
-/// scan chunking): candidates are cheap to score, so each worker
-/// invocation gets a sizeable slice and small boundaries run inline
-/// rather than paying thread-spawn overhead.
+/// Candidates per frozen-evaluation chunk: candidates are cheap to
+/// score, so each worker invocation gets a sizeable slice and small
+/// boundaries run inline rather than paying thread-spawn overhead.
 const EVAL_CHUNK: usize = 2048;
 
 /// Deterministic parallel k-way FM: colored, conflict-free move batches
@@ -953,8 +951,6 @@ const EVAL_CHUNK: usize = 2048;
 /// batches to a full re-scan **by construction** — debug builds assert
 /// the table equals a from-scratch scan every round. This turns a pass
 /// from `O(rounds × boundary)` into `O(rounds × touched)`.
-/// [`ParallelFm::full_rescan`] builds a reference engine that re-scans
-/// every round (the pre-incremental behaviour) for cross-checking.
 ///
 /// # Determinism
 ///
@@ -1018,10 +1014,6 @@ pub struct ParallelFm {
     dirty_gen: u64,
     /// Dirty-candidate scratch list, recycled across rounds.
     dirty: Vec<u32>,
-    /// Reference mode: re-scan the whole candidate list every round
-    /// instead of repairing the table incrementally. Bit-identical
-    /// results, pre-incremental (PR 6) cost profile.
-    rescan_every_round: bool,
 }
 
 impl Default for ParallelFm {
@@ -1033,8 +1025,7 @@ impl Default for ParallelFm {
 impl ParallelFm {
     /// An empty engine; buffers grow on first use. Rounds after the
     /// first of each pass reuse the evaluation table incrementally (see
-    /// the type docs); [`ParallelFm::full_rescan`] builds the
-    /// re-scan-every-round reference engine instead.
+    /// the type docs).
     pub fn new() -> Self {
         ParallelFm {
             rstamp: Vec::new(),
@@ -1059,30 +1050,7 @@ impl ParallelFm {
             estale: Vec::new(),
             dirty_gen: 0,
             dirty: Vec::new(),
-            rescan_every_round: false,
         }
-    }
-
-    /// The full-rescan reference engine: every round re-evaluates the
-    /// entire candidate list from scratch instead of repairing the
-    /// table incrementally. Produces bit-identical results to
-    /// [`ParallelFm::new`] (the incremental table is asserted against
-    /// this very scan in debug builds); exists so tests and the CI
-    /// determinism matrix can pin the equivalence at pipeline level.
-    pub fn full_rescan() -> Self {
-        ParallelFm {
-            rescan_every_round: true,
-            ..Self::new()
-        }
-    }
-
-    /// Switches between the incremental default (`false`) and the
-    /// full-rescan reference mode (`true`) on an existing workspace.
-    /// The mode only selects *how* the per-round eval table is produced
-    /// — both produce the same table — so it can be flipped between
-    /// calls without affecting results.
-    pub fn set_full_rescan(&mut self, on: bool) {
-        self.rescan_every_round = on;
     }
 
     /// Parallel boundary-FM refinement over the whole graph. Never
@@ -1391,12 +1359,11 @@ impl ParallelFm {
             // Phase 1 — evaluation, in index order:
             // `(vertex, gain, key, external weight)` per unlocked
             // candidate still on the boundary. Only the pass's first
-            // round (or every round, in the full-rescan reference
-            // engine) pays the full frozen parallel scan; later rounds
+            // round pays the full frozen parallel scan; later rounds
             // reuse the table phase 4 repaired — bit-identical by the
             // staleness argument in the type docs, asserted against a
             // from-scratch scan in debug builds.
-            if first_round || self.rescan_every_round {
+            if first_round {
                 let frozen: &Partition = partition;
                 let locked = &self.locked;
                 evals = cand
@@ -1419,10 +1386,8 @@ impl ParallelFm {
                     .into_iter()
                     .flatten()
                     .collect();
-                if !self.rescan_every_round {
-                    for (i, &(v, ..)) in evals.iter().enumerate() {
-                        self.epos[v as usize] = i as u32;
-                    }
+                for (i, &(v, ..)) in evals.iter().enumerate() {
+                    self.epos[v as usize] = i as u32;
                 }
             } else {
                 #[cfg(debug_assertions)]
@@ -1556,71 +1521,67 @@ impl ParallelFm {
                 break; // the table is rebuilt next pass; skip the repair
             }
 
-            // Phase 4 — table repair (incremental mode). Batch members
-            // are locked now, so their entries leave the table. A cached
-            // entry is a pure function of the labels in its closed 1-hop
-            // neighbourhood, so the *dirty set* — unlocked candidates
-            // adjacent to a label change, which also covers every
-            // candidate phase 3 just appended (each is an unlocked,
-            // pass-stamped neighbour of an applied move) — is exactly
-            // the set of stale entries: evict and re-evaluate those in
-            // parallel against the new frozen labels, carry the rest
-            // over untouched.
-            if !self.rescan_every_round {
-                for &v in &batch {
-                    evict_eval(&mut evals, &mut self.epos, v);
-                }
-                self.dirty_gen += 1;
-                let dgen = self.dirty_gen;
-                let mut dirty = std::mem::take(&mut self.dirty);
-                dirty.clear();
-                for i in moved_start..self.moved.len() {
-                    let v = self.moved[i];
-                    for &u in graph.neighbors(v) {
-                        let ui = u as usize;
-                        if self.locked[ui] != pass_gen
-                            && self.cstamp[ui] == pass_gen
-                            && self.estale[ui] != dgen
-                        {
-                            self.estale[ui] = dgen;
-                            evict_eval(&mut evals, &mut self.epos, u);
-                            dirty.push(u);
-                        }
+            // Phase 4 — table repair. Batch members are locked now, so
+            // their entries leave the table. A cached entry is a pure
+            // function of the labels in its closed 1-hop neighbourhood,
+            // so the *dirty set* — unlocked candidates adjacent to a
+            // label change, which also covers every candidate phase 3
+            // just appended (each is an unlocked, pass-stamped
+            // neighbour of an applied move) — is exactly the set of
+            // stale entries: evict and re-evaluate those in parallel
+            // against the new frozen labels, carry the rest over
+            // untouched.
+            for &v in &batch {
+                evict_eval(&mut evals, &mut self.epos, v);
+            }
+            self.dirty_gen += 1;
+            let dgen = self.dirty_gen;
+            let mut dirty = std::mem::take(&mut self.dirty);
+            dirty.clear();
+            for i in moved_start..self.moved.len() {
+                let v = self.moved[i];
+                for &u in graph.neighbors(v) {
+                    let ui = u as usize;
+                    if self.locked[ui] != pass_gen
+                        && self.cstamp[ui] == pass_gen
+                        && self.estale[ui] != dgen
+                    {
+                        self.estale[ui] = dgen;
+                        evict_eval(&mut evals, &mut self.epos, u);
+                        dirty.push(u);
                     }
                 }
-                let frozen: &Partition = partition;
-                let fresh: Vec<(u32, i64, u64, u64)> = dirty
-                    .par_chunks(EVAL_CHUNK)
-                    .map(|chunk| {
-                        let mut local: Vec<(u32, i64, u64, u64)> = Vec::new();
-                        let mut conn: Vec<(u32, u64)> = Vec::with_capacity(8);
-                        for &v in chunk {
-                            if let Some((g, target, ed)) = best_move(graph, frozen, &mut conn, v) {
-                                let from = frozen.part(v);
-                                local.push((v, g, move_key(seed, v, from, target), ed));
-                            }
-                        }
-                        local
-                    })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .flatten()
-                    .collect();
-                for e in fresh {
-                    self.epos[e.0 as usize] = evals.len() as u32;
-                    evals.push(e);
-                }
-                dirty.clear();
-                self.dirty = dirty;
             }
+            let frozen: &Partition = partition;
+            let fresh: Vec<(u32, i64, u64, u64)> = dirty
+                .par_chunks(EVAL_CHUNK)
+                .map(|chunk| {
+                    let mut local: Vec<(u32, i64, u64, u64)> = Vec::new();
+                    let mut conn: Vec<(u32, u64)> = Vec::with_capacity(8);
+                    for &v in chunk {
+                        if let Some((g, target, ed)) = best_move(graph, frozen, &mut conn, v) {
+                            let from = frozen.part(v);
+                            local.push((v, g, move_key(seed, v, from, target), ed));
+                        }
+                    }
+                    local
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .flatten()
+                .collect();
+            for e in fresh {
+                self.epos[e.0 as usize] = evals.len() as u32;
+                evals.push(e);
+            }
+            dirty.clear();
+            self.dirty = dirty;
         }
         self.cand = cand;
         // Restore the between-pass slot-map invariant (all `NONE`) and
         // park the table buffer for the next pass.
-        if !self.rescan_every_round {
-            for &(v, ..) in &evals {
-                self.epos[v as usize] = NONE;
-            }
+        for &(v, ..) in &evals {
+            self.epos[v as usize] = NONE;
         }
         evals.clear();
         self.evals = evals;
@@ -1698,7 +1659,6 @@ mod tests {
     use crate::builder::from_edges;
     use crate::generators::paper_graph;
     use crate::partition::{cut_size, PartitionMetrics};
-    use crate::refine::refine_kway;
 
     const SEED: u64 = 0x464d; // "FM"
 
@@ -1770,8 +1730,8 @@ mod tests {
 
     #[test]
     fn misplaced_zero_weight_vertex_gets_moved() {
-        // Same fixture as the sweep's regression test: the weightless
-        // vertex 5 belongs in part 1 and draining no load must not pin it.
+        // The weightless vertex 5 belongs in part 1 and draining no load
+        // must not pin it.
         let mut g = from_edges(6, &[(0, 1), (2, 3), (3, 4), (2, 4), (5, 2), (5, 3)]).unwrap();
         g.vweights = vec![2, 2, 2, 2, 2, 0];
         let mut p = Partition::new(vec![0, 0, 1, 1, 1, 0], 2).unwrap();
@@ -1809,29 +1769,6 @@ mod tests {
             let stats = refine_fm(&g, &mut p, &opts(0.2, 10), seed);
             assert_eq!(before - cut_size(&g, &p), stats.gain);
         }
-    }
-
-    #[test]
-    fn at_least_matches_the_sweep_refiner_on_random_partitions() {
-        // FM chains moves through plateaus the greedy sweep cannot cross,
-        // so with an equal pass budget it must never lose — and on these
-        // fixed seeds it strictly wins at least once (a determinism-backed
-        // witness that the hill climbing does something).
-        let g = paper_graph(213);
-        let mut strict_wins = 0;
-        for seed in 0..6u64 {
-            let base = random_partition(213, 4, seed);
-            let mut fm = base.clone();
-            let mut sweep = base.clone();
-            refine_fm(&g, &mut fm, &opts(0.1, 8), SEED);
-            refine_kway(&g, &mut sweep, &opts(0.1, 8));
-            let (cf, cs) = (cut_size(&g, &fm), cut_size(&g, &sweep));
-            assert!(cf <= cs, "seed {seed}: FM cut {cf} worse than sweep {cs}");
-            if cf < cs {
-                strict_wins += 1;
-            }
-        }
-        assert!(strict_wins > 0, "FM never beat the sweep on any seed");
     }
 
     #[test]

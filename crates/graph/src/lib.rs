@@ -25,11 +25,12 @@
 //! * [`multilevel`] — the generic multilevel V-cycle:
 //!   [`multilevel::MultilevelPartitioner`] wraps *any* [`Partitioner`]
 //!   with coarsen → partition → project + refine.
-//! * [`refine`] — the shared k-way greedy sweep refinement plus the
-//!   [`refine::RefineScheme`] dispatch the V-cycle runs after each
-//!   projection.
+//! * [`refine`] — [`refine::RefineScheme`], the choice of refinement
+//!   engine the V-cycle runs after each projection, with its shared
+//!   options and stats.
 //! * [`fm`] — the boundary-driven k-way Fiduccia–Mattheyses refiner
-//!   (gain buckets, hill-climbing rollback), the default scheme.
+//!   (gain buckets, hill-climbing rollback), the default scheme, and its
+//!   deterministic parallel variant.
 //! * [`io`] — METIS-compatible text format with a coordinate extension.
 //!
 //! The representation is deliberately minimal and cache-friendly: node ids

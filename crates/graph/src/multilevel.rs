@@ -9,7 +9,7 @@
 //! ```text
 //! fine graph ──coarsen_hem──► ... ──coarsen_hem──► coarsest graph
 //!     ▲                                                  │
-//!     │ project + refine_kway        inner Partitioner   │
+//!     │ project + FM refine          inner Partitioner   │
 //!     └───────── ... ◄──────────────────────────────────┘
 //! ```
 //!
@@ -18,10 +18,11 @@
 //! 2. **Partition** the coarsest graph with the wrapped algorithm — GA,
 //!    DPGA, RSB, IBP, or anything else implementing the trait.
 //! 3. **Uncoarsen**: project the partition level by level back to the fine
-//!    graph ([`crate::coarsen::Coarsening::project`]), running the
-//!    configured k-way refinement ([`crate::refine::RefineScheme`] — the
-//!    boundary FM engine by default, or the greedy sweep) after every
-//!    projection (and once on the coarsest graph before the first one).
+//!    graph ([`crate::coarsen::Coarsening::project_for_fm`]), running
+//!    the configured k-way refinement ([`crate::refine::RefineScheme`] —
+//!    the boundary FM engine by default, or its parallel variant) after
+//!    every projection (and once on the coarsest graph before the first
+//!    one).
 //!
 //! Because contraction sums node and edge weights, a coarse partition has
 //! *exactly* the same cut and loads as its projection, so every refinement
@@ -40,7 +41,7 @@
 use crate::coarsen::{coarsen_to_with_arena, LevelArena, MatchScheme};
 use crate::csr::CsrGraph;
 use crate::partitioner::{PartitionReport, Partitioner, PartitionerError};
-use crate::refine::{refine_kway, RefineOptions, RefineScheme};
+use crate::refine::{RefineOptions, RefineScheme};
 use std::sync::Mutex;
 
 /// Knobs of the V-cycle itself (the inner algorithm keeps its own).
@@ -50,14 +51,14 @@ pub struct MultilevelConfig {
     /// effective target is never below `2 × num_parts`, so the inner
     /// algorithm always sees more nodes than parts.
     pub coarsen_target: usize,
-    /// Matching algorithm for each coarsening round: the deterministic
-    /// parallel handshake (default) or the preserved sequential HEM
-    /// reference (see [`MatchScheme`]).
+    /// Matching algorithm for each coarsening round. The handshake is
+    /// the only one; the field stays because the benchmark harness
+    /// passes it to [`crate::coarsen::coarsen_to_with_arena`].
     pub match_scheme: MatchScheme,
     /// Per-level refinement options (balance slack and pass budget).
     pub refine: RefineOptions,
     /// Refinement engine run after every projection: the boundary FM
-    /// refiner (default) or the frozen-gain sweep (see [`RefineScheme`]).
+    /// refiner (default) or the parallel FM (see [`RefineScheme`]).
     pub refine_scheme: RefineScheme,
 }
 
@@ -160,10 +161,6 @@ impl Partitioner for MultilevelPartitioner {
                 &mut cold
             }
         };
-        arena.pfm.set_full_rescan(matches!(
-            self.config.refine_scheme,
-            RefineScheme::ParallelFmRescan
-        ));
 
         let levels = coarsen_to_with_arena(graph, target, seed, self.config.match_scheme, arena);
         let coarsest = levels.last().map_or(graph, |l| &l.coarse);
@@ -174,20 +171,17 @@ impl Partitioner for MultilevelPartitioner {
         // (their buffers are sized once at the fine level and reused —
         // and stay warm for the next call).
         match self.config.refine_scheme {
-            RefineScheme::Sweep => {
-                refine_kway(coarsest, &mut partition, opts);
-            }
             RefineScheme::BoundaryFm => {
                 arena.fm.refine(coarsest, &mut partition, opts, seed);
             }
-            RefineScheme::ParallelFm | RefineScheme::ParallelFmRescan => {
+            RefineScheme::ParallelFm => {
                 arena.pfm.refine(coarsest, &mut partition, opts, seed);
             }
         }
 
         // Uncoarsen: project through each level, refining on the finer
-        // graph after every projection. For FM, the fine boundary after
-        // a projection is exactly the preimage of the coarse boundary
+        // graph after every projection. The fine boundary after a
+        // projection is exactly the preimage of the coarse boundary
         // (a cut fine edge maps to a cut coarse edge), and the engine's
         // own [`FmRefiner::last_boundary_superset`] covers the coarse
         // boundary after each refine — so each level masks that
@@ -200,10 +194,6 @@ impl Partitioner for MultilevelPartitioner {
         for (i, level) in levels.iter().enumerate().rev() {
             let fine = if i == 0 { graph } else { &levels[i - 1].coarse };
             match self.config.refine_scheme {
-                RefineScheme::Sweep => {
-                    partition = level.project(&partition);
-                    refine_kway(fine, &mut partition, opts);
-                }
                 RefineScheme::BoundaryFm => {
                     arena.mask.clear();
                     arena.mask.resize(level.coarse.num_nodes(), false);
@@ -223,9 +213,8 @@ impl Partitioner for MultilevelPartitioner {
                     );
                 }
                 // The parallel engine honours the same boundary-superset
-                // contract, so it rides the identical fused fast path
-                // (in either eval-table mode).
-                RefineScheme::ParallelFm | RefineScheme::ParallelFmRescan => {
+                // contract, so it rides the identical fused fast path.
+                RefineScheme::ParallelFm => {
                     arena.mask.clear();
                     arena.mask.resize(level.coarse.num_nodes(), false);
                     for &v in arena.pfm.last_boundary_superset() {
@@ -462,12 +451,12 @@ mod tests {
             Box::new(Blocks),
             MultilevelConfig {
                 coarsen_target: 2,
-                match_scheme: MatchScheme::SequentialHem,
+                match_scheme: MatchScheme::ParallelHandshake,
                 refine: RefineOptions {
                     balance_slack: 0.5,
                     max_passes: 2,
                 },
-                refine_scheme: RefineScheme::Sweep,
+                refine_scheme: RefineScheme::ParallelFm,
             },
         );
         assert_eq!(ml.inner().name(), "blocks");

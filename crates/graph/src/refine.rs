@@ -1,121 +1,68 @@
-//! Shared k-way greedy boundary refinement.
+//! The vocabulary every k-way refiner shares: which engine runs
+//! ([`RefineScheme`]), with which knobs ([`RefineOptions`]), and what it
+//! reports ([`RefineStats`]).
 //!
-//! A light Kernighan–Lin-flavoured delta-gain pass used by the multilevel
-//! V-cycle ([`crate::multilevel`]) after each projection: repeatedly move
-//! the boundary vertex with the best gain (cut-weight reduction) to a
-//! neighbouring part, provided the move does not push load imbalance past
-//! a tolerance. It maintains the same per-part loads that
-//! [`crate::partition::PartitionMetrics`] reports and evaluates each
-//! candidate move in `O(deg(v))` from the vertex's connectivity to the
-//! parts it touches — no full re-tally per move.
+//! The engines themselves live in [`crate::fm`]: the sequential
+//! boundary Fiduccia–Mattheyses refiner ([`crate::fm::FmRefiner`], the
+//! default) and its deterministic parallel counterpart
+//! ([`crate::fm::ParallelFm`]). The multilevel V-cycle
+//! ([`crate::multilevel`]) runs one after each projection, and the
+//! streaming session (`gapart_core::dynamic`) runs one over each batch's
+//! dirty frontier.
 //!
-//! This is the classical cut/balance heuristic every multilevel
+//! This is the classical cut/balance refinement every multilevel
 //! partitioner uses, distinct from the GA's fitness-driven hill climbing
 //! in `gapart-core` (which optimizes the paper's composite objective, not
-//! the cut under a hard balance cap). It works for any number of parts:
-//! a vertex may move to whichever adjacent part it is most connected to.
-//!
-//! Two entry points share one sweep core: [`refine_kway`] visits every
-//! vertex, and [`refine_kway_local`] visits only an explicit region —
-//! the dirty frontier of a streaming update (see
-//! [`crate::dynamic`]), where a full sweep would waste `O(V + E)` work
-//! on untouched parts of the graph.
-//!
-//! # Two-phase parallel sweeps
-//!
-//! Each sweep runs in two phases. The **gain scan** walks every candidate
-//! in parallel against a frozen snapshot of the labels and keeps the ones
-//! with a strictly cut-improving move — the `O(V + E)` bulk of the work,
-//! chunked across workers and reduced in index order. The **apply phase**
-//! then revisits only those (typically few, boundary) winners
-//! sequentially in ascending id order, re-deriving each move against the
-//! live partition so balance, the never-empty-a-part rule, and the
-//! never-worsen-the-cut guarantee hold exactly as they would for a
-//! sequential sweep.
-//!
-//! Determinism: the scan is a pure per-vertex function of the frozen
-//! snapshot collected in index order, and the apply phase is sequential,
-//! so a refinement run is a pure function of
-//! `(graph, partition, options)` (plus the region for the local variant)
-//! — bit-identical for any worker-pool size.
-
-use crate::csr::CsrGraph;
-use crate::partition::Partition;
-use rayon::prelude::*;
-
-/// Candidates per gain-scan chunk: vertices are cheap to score, so give
-/// each worker invocation a sizeable slice and let small regions run
-/// inline rather than paying thread-spawn overhead.
-const SCAN_CHUNK: usize = 2048;
+//! the cut under a hard balance cap).
 
 /// Which refinement engine a caller (the multilevel V-cycle, the
 /// streaming session, the CLI's `--refine` flag) runs after each
 /// projection or batch. Callers dispatch on the variant themselves —
-/// the V-cycle and the streaming session keep a persistent
-/// [`crate::fm::FmRefiner`] workspace across calls, which a stateless
-/// dispatch function could not provide.
+/// the V-cycle and the streaming session keep a persistent engine
+/// workspace across calls, which a stateless dispatch function could
+/// not provide.
 ///
 /// Both schemes share [`RefineOptions`], never increase the cut, respect
 /// the balance cap and the never-empty-a-part rule, report exact gains,
 /// and are bit-identical for any worker-pool size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RefineScheme {
-    /// The frozen-gain greedy sweep in this module ([`refine_kway`]):
-    /// parallel scan of every vertex, sequential apply of the strictly
-    /// improving winners. Cannot chain moves through locally-worse
-    /// states.
-    Sweep,
     /// The boundary-driven Fiduccia–Mattheyses engine
-    /// ([`crate::fm`]): gain buckets over the cut boundary only,
-    /// hill-climbing move chains with rollback to the best prefix,
-    /// seeded tie-breaking. The default — strictly stronger on the
-    /// V-cycle hot path and cheaper per pass on large graphs.
+    /// ([`crate::fm::FmRefiner`]): gain buckets over the cut boundary
+    /// only, hill-climbing move chains with rollback to the best prefix,
+    /// seeded tie-breaking. The default.
     #[default]
     BoundaryFm,
     /// The parallel boundary FM ([`crate::fm::ParallelFm`]): each pass
     /// applies conflict-free batches of edge-disjoint moves selected by
     /// seeded part-pair-colored keys — frozen-label gain evaluation in
     /// parallel, exact sequential apply in index order. Same invariants
-    /// as [`RefineScheme::BoundaryFm`]; scales the last sequential
-    /// V-cycle stage with cores. Rounds after a pass's first reuse an
-    /// incrementally repaired evaluation table (`O(touched)` per round
-    /// instead of `O(boundary)`).
+    /// as [`RefineScheme::BoundaryFm`]; rounds after a pass's first
+    /// reuse an incrementally repaired evaluation table (`O(touched)`
+    /// per round instead of `O(boundary)`).
     ParallelFm,
-    /// The full-rescan reference build of the parallel boundary FM
-    /// ([`crate::fm::ParallelFm::full_rescan`]): re-evaluates the whole
-    /// candidate list every round instead of repairing the table
-    /// incrementally. Bit-identical output to
-    /// [`RefineScheme::ParallelFm`] at the pre-incremental cost profile
-    /// — exists so tests and the CI determinism matrix can pin the
-    /// equivalence at pipeline level, not as a production engine.
-    ParallelFmRescan,
 }
 
 impl RefineScheme {
-    /// CLI name of the scheme (`sweep` / `fm` / `pfm` / `pfm-rescan`).
+    /// CLI name of the scheme (`fm` / `pfm`).
     pub fn name(self) -> &'static str {
         match self {
-            RefineScheme::Sweep => "sweep",
             RefineScheme::BoundaryFm => "fm",
             RefineScheme::ParallelFm => "pfm",
-            RefineScheme::ParallelFmRescan => "pfm-rescan",
         }
     }
 
-    /// Resolves a CLI name (`sweep` / `fm` / `pfm` / `pfm-rescan`);
-    /// `None` for unknown names.
+    /// Resolves a CLI name (`fm` / `pfm`); `None` for unknown names.
     pub fn by_name(name: &str) -> Option<Self> {
         match name {
-            "sweep" => Some(RefineScheme::Sweep),
             "fm" => Some(RefineScheme::BoundaryFm),
             "pfm" => Some(RefineScheme::ParallelFm),
-            "pfm-rescan" => Some(RefineScheme::ParallelFmRescan),
             _ => None,
         }
     }
 }
 
-/// Knobs of a [`refine_kway`] run.
+/// Knobs of a refinement run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefineOptions {
     /// Allowed deviation of any part's load from the ideal average, as a
@@ -123,8 +70,8 @@ pub struct RefineOptions {
     /// admissible only if the destination part stays within
     /// `(1 + balance_slack) × avg` afterwards.
     pub balance_slack: f64,
-    /// Maximum sweeps over the vertices; refinement also stops as soon as
-    /// a full sweep makes no move.
+    /// Maximum passes over the boundary; refinement also stops as soon
+    /// as a pass makes no progress.
     pub max_passes: usize,
 }
 
@@ -146,199 +93,20 @@ pub struct RefineStats {
     pub gain: u64,
 }
 
-/// Refines `partition` in place, greedily and k-way: each sweep scans
-/// every vertex (in parallel, reduced in id order) and applies the best
-/// strictly-improving, balance-respecting move to a part the vertex
-/// already touches. A move is never allowed to empty its source part, so
-/// no part ever ends a refinement without nodes — but a zero-weight
-/// vertex in a populated part is free to move, since it cannot drain any
-/// load.
-///
-/// Never increases the cut; per-part loads are tracked incrementally so a
-/// sweep costs `O(V + E)` regardless of how many moves it makes, and the
-/// result is bit-identical for any worker-pool size.
-///
-/// # Panics
-///
-/// Panics if `partition` covers a different number of nodes than `graph`.
-pub fn refine_kway(
-    graph: &CsrGraph,
-    partition: &mut Partition,
-    opts: &RefineOptions,
-) -> RefineStats {
-    sweep_region(graph, partition, opts, None)
-}
-
-/// Localized variant of [`refine_kway`]: sweeps only the vertices in
-/// `region` (deduplicated and visited in ascending id order regardless of
-/// the order given). Loads and part populations are still tracked
-/// globally, so balance and the never-empty-a-part rule hold for the
-/// whole partition — only the set of candidate moves shrinks.
-///
-/// This is the workhorse of the streaming subsystem: after a mutation
-/// batch, only the dirty frontier needs re-examination, which turns an
-/// `O(V + E)` sweep into `O(|region| + edges(region))` plus one `O(V)`
-/// load tally.
-///
-/// # Panics
-///
-/// Panics if `partition` covers a different number of nodes than `graph`,
-/// or if `region` contains a node id `≥ graph.num_nodes()`.
-pub fn refine_kway_local(
-    graph: &CsrGraph,
-    partition: &mut Partition,
-    opts: &RefineOptions,
-    region: &[u32],
-) -> RefineStats {
-    let mut nodes: Vec<u32> = region.to_vec();
-    nodes.sort_unstable();
-    nodes.dedup();
-    if let Some(&last) = nodes.last() {
-        assert!(
-            (last as usize) < graph.num_nodes(),
-            "region node {last} out of range"
-        );
-    }
-    sweep_region(graph, partition, opts, Some(&nodes))
-}
-
-/// Shared sweep core: `region = None` means every vertex, otherwise a
-/// sorted, duplicate-free candidate list.
-fn sweep_region(
-    graph: &CsrGraph,
-    partition: &mut Partition,
-    opts: &RefineOptions,
-    region: Option<&[u32]>,
-) -> RefineStats {
-    assert_eq!(graph.num_nodes(), partition.num_nodes());
-    let n_parts = partition.num_parts() as usize;
-    let avg = graph.total_node_weight() as f64 / n_parts as f64;
-    let max_load = (avg * (1.0 + opts.balance_slack)).ceil() as u64;
-
-    let mut loads = vec![0u64; n_parts];
-    // Node counts per part back the only-forbid-emptying-the-part guard:
-    // tracking load alone would pin zero-weight vertices forever.
-    let mut counts = vec![0usize; n_parts];
-    for v in 0..graph.num_nodes() as u32 {
-        loads[partition.part(v) as usize] += graph.node_weight(v) as u64;
-        counts[partition.part(v) as usize] += 1;
-    }
-
-    // The candidate list the gain scan chunks over; for a full sweep
-    // that is every vertex, materialized once for the whole run.
-    let all_nodes: Vec<u32>;
-    let candidates: &[u32] = match region {
-        Some(nodes) => nodes,
-        None => {
-            all_nodes = (0..graph.num_nodes() as u32).collect();
-            &all_nodes
-        }
-    };
-
-    let mut stats = RefineStats { moves: 0, gain: 0 };
-    // Connectivity scratch for the apply phase: (part, edge weight into
-    // that part). Boundary vertices touch very few parts, so a flat scan
-    // beats a per-part array of size k.
-    let mut conn: Vec<(u32, u64)> = Vec::with_capacity(8);
-    for _ in 0..opts.max_passes {
-        // Phase 1 — parallel gain scan. Against the frozen labels, keep
-        // every candidate with a strictly cut-improving move (balance is
-        // left to the apply phase: loads shift as moves land, so only
-        // the live state can judge it). Chunked collection preserves
-        // index order, making the winner list thread-count-independent.
-        let winners: Vec<u32> = candidates
-            .par_chunks(SCAN_CHUNK)
-            .map(|chunk| {
-                let mut local: Vec<u32> = Vec::new();
-                let mut cw: Vec<(u32, u64)> = Vec::with_capacity(8);
-                for &v in chunk {
-                    let pv = partition.part(v);
-                    cw.clear();
-                    let mut internal = 0u64;
-                    for (&u, &w) in graph.neighbors(v).iter().zip(graph.edge_weights(v)) {
-                        let pu = partition.part(u);
-                        if pu == pv {
-                            internal += w as u64;
-                        } else {
-                            match cw.iter_mut().find(|(p, _)| *p == pu) {
-                                Some((_, c)) => *c += w as u64,
-                                None => cw.push((pu, w as u64)),
-                            }
-                        }
-                    }
-                    if cw.iter().any(|&(_, c)| c > internal) {
-                        local.push(v);
-                    }
-                }
-                local
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
-            .collect();
-
-        // Phase 2 — sequential apply in ascending id order. Each winner
-        // is re-derived against the live partition (earlier applies may
-        // have moved its neighbours), so every guarantee of the old
-        // fully-sequential sweep holds move by move.
-        let mut moved_this_pass = false;
-        for v in winners {
-            let pv = partition.part(v);
-            conn.clear();
-            let mut internal = 0u64;
-            for (&u, &w) in graph.neighbors(v).iter().zip(graph.edge_weights(v)) {
-                let pu = partition.part(u);
-                if pu == pv {
-                    internal += w as u64;
-                } else {
-                    match conn.iter_mut().find(|(p, _)| *p == pu) {
-                        Some((_, c)) => *c += w as u64,
-                        None => conn.push((pu, w as u64)),
-                    }
-                }
-            }
-            // A move may never empty its source part — an empty part can
-            // never be repopulated by cut-improving moves. Only the last
-            // remaining vertex is pinned: a zero-weight vertex in a
-            // populated part moves freely (it cannot drain any load).
-            if counts[pv as usize] <= 1 {
-                continue;
-            }
-            let wv = graph.node_weight(v) as u64;
-            // Best strictly-improving, balance-respecting move.
-            let mut best: Option<(u32, u64)> = None;
-            for &(p, c) in &conn {
-                if c > internal
-                    && loads[p as usize] + wv <= max_load
-                    && best.is_none_or(|(_, bc)| c > bc)
-                {
-                    best = Some((p, c));
-                }
-            }
-            if let Some((p, c)) = best {
-                loads[pv as usize] -= wv;
-                loads[p as usize] += wv;
-                counts[pv as usize] -= 1;
-                counts[p as usize] += 1;
-                partition.set(v, p);
-                stats.moves += 1;
-                stats.gain += c - internal;
-                moved_this_pass = true;
-            }
-        }
-        if !moved_this_pass {
-            break;
-        }
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
+    //! The contract [`RefineScheme`] promises its callers, checked for
+    //! every scheme through the engine it names.
+
     use super::*;
     use crate::builder::from_edges;
+    use crate::csr::CsrGraph;
+    use crate::fm::{FmRefiner, ParallelFm};
     use crate::generators::paper_graph;
-    use crate::partition::{cut_size, PartitionMetrics};
+    use crate::partition::{cut_size, Partition, PartitionMetrics};
+
+    const SCHEMES: [RefineScheme; 2] = [RefineScheme::BoundaryFm, RefineScheme::ParallelFm];
+    const SEED: u64 = 0x5245_4649; // "REFI"
 
     fn opts(balance_slack: f64, max_passes: usize) -> RefineOptions {
         RefineOptions {
@@ -347,129 +115,163 @@ mod tests {
         }
     }
 
+    /// Runs `scheme`'s engine on a fresh workspace: over the whole
+    /// graph, or only over `region`.
+    fn refine(
+        scheme: RefineScheme,
+        g: &CsrGraph,
+        p: &mut Partition,
+        opts: &RefineOptions,
+        region: Option<&[u32]>,
+    ) -> RefineStats {
+        match (scheme, region) {
+            (RefineScheme::BoundaryFm, None) => FmRefiner::new().refine(g, p, opts, SEED),
+            (RefineScheme::BoundaryFm, Some(r)) => {
+                FmRefiner::new().refine_local(g, p, opts, SEED, r)
+            }
+            (RefineScheme::ParallelFm, None) => ParallelFm::new().refine(g, p, opts, SEED),
+            (RefineScheme::ParallelFm, Some(r)) => {
+                ParallelFm::new().refine_local(g, p, opts, SEED, r)
+            }
+        }
+    }
+
+    #[test]
+    fn names_round_trip_and_nothing_else_resolves() {
+        for scheme in SCHEMES {
+            assert_eq!(RefineScheme::by_name(scheme.name()), Some(scheme));
+        }
+        for retired in ["sweep", "FM", ""] {
+            assert_eq!(RefineScheme::by_name(retired), None, "{retired:?}");
+        }
+    }
+
     #[test]
     fn fixes_an_obviously_misplaced_vertex() {
         // Path 0-1-2-3 with node 0 on the wrong side.
         let g = from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let mut p = Partition::new(vec![1, 0, 1, 1], 2).unwrap();
-        let before = cut_size(&g, &p);
-        let stats = refine_kway(&g, &mut p, &opts(0.6, 4));
-        let after = cut_size(&g, &p);
-        assert!(after < before, "no improvement: {before} -> {after}");
-        assert_eq!(before - after, stats.gain);
-        // A partition with no strictly-improving move stays untouched.
-        let mut fixed = Partition::new(vec![0, 1, 1, 1], 2).unwrap();
-        let s = refine_kway(&g, &mut fixed, &opts(0.0, 4));
-        assert_eq!(s.moves, 0);
+        for scheme in SCHEMES {
+            let mut p = Partition::new(vec![1, 0, 1, 1], 2).unwrap();
+            let before = cut_size(&g, &p);
+            let stats = refine(scheme, &g, &mut p, &opts(0.6, 4), None);
+            let after = cut_size(&g, &p);
+            assert!(
+                after < before,
+                "{scheme:?}: no improvement {before} -> {after}"
+            );
+            assert_eq!(before - after, stats.gain, "{scheme:?}");
+        }
     }
 
     #[test]
     fn never_increases_cut() {
         let g = paper_graph(139);
-        for seed in 0..3u64 {
-            let mut p = random_partition(139, 4, seed);
-            let before = cut_size(&g, &p);
-            refine_kway(&g, &mut p, &opts(0.1, 8));
-            let after = cut_size(&g, &p);
-            assert!(after <= before, "cut increased {before} -> {after}");
+        for scheme in SCHEMES {
+            for seed in 0..3u64 {
+                let mut p = random_partition(139, 4, seed);
+                let before = cut_size(&g, &p);
+                refine(scheme, &g, &mut p, &opts(0.1, 8), None);
+                let after = cut_size(&g, &p);
+                assert!(
+                    after <= before,
+                    "{scheme:?}: cut increased {before} -> {after}"
+                );
+            }
         }
     }
 
     #[test]
     fn respects_balance_slack() {
         let g = paper_graph(144);
-        let mut p = random_partition(144, 4, 9);
-        refine_kway(&g, &mut p, &opts(0.05, 8));
-        let m = PartitionMetrics::compute(&g, &p);
-        let cap = (m.avg_load * 1.05).ceil() as u64;
-        for &l in &m.part_loads {
-            assert!(l <= cap, "load {l} exceeds cap {cap}");
+        for scheme in SCHEMES {
+            let mut p = random_partition(144, 4, 9);
+            refine(scheme, &g, &mut p, &opts(0.05, 8), None);
+            let m = PartitionMetrics::compute(&g, &p);
+            let cap = (m.avg_load * 1.05).ceil() as u64;
+            for &l in &m.part_loads {
+                assert!(l <= cap, "{scheme:?}: load {l} exceeds cap {cap}");
+            }
         }
     }
 
     #[test]
     fn gain_matches_cut_delta_kway() {
         let g = paper_graph(98);
-        let mut p = random_partition(98, 8, 4);
-        let before = cut_size(&g, &p);
-        let stats = refine_kway(&g, &mut p, &opts(0.2, 10));
-        let after = cut_size(&g, &p);
-        assert_eq!(before - after, stats.gain);
+        for scheme in SCHEMES {
+            let mut p = random_partition(98, 8, 4);
+            let before = cut_size(&g, &p);
+            let stats = refine(scheme, &g, &mut p, &opts(0.2, 10), None);
+            assert_eq!(before - cut_size(&g, &p), stats.gain, "{scheme:?}");
+        }
     }
 
     #[test]
     fn deterministic() {
         let g = paper_graph(167);
-        let mut a = random_partition(167, 6, 2);
-        let mut b = a.clone();
-        let sa = refine_kway(&g, &mut a, &opts(0.1, 6));
-        let sb = refine_kway(&g, &mut b, &opts(0.1, 6));
-        assert_eq!(a, b);
-        assert_eq!(sa, sb);
+        for scheme in SCHEMES {
+            let mut a = random_partition(167, 6, 2);
+            let mut b = a.clone();
+            let sa = refine(scheme, &g, &mut a, &opts(0.1, 6), None);
+            let sb = refine(scheme, &g, &mut b, &opts(0.1, 6), None);
+            assert_eq!(a, b, "{scheme:?}");
+            assert_eq!(sa, sb, "{scheme:?}");
+        }
     }
 
     #[test]
     fn never_drains_a_part_to_zero() {
-        // Regression: triangle with node 0 alone in part 0. Moving it to
-        // part 1 improves the cut (2 -> 0) and respects the destination
-        // cap at 100% slack, so the old code emptied part 0.
+        // Triangle with node 0 alone in part 0: moving it to part 1
+        // improves the cut (2 -> 0) and respects the destination cap at
+        // 100% slack, but would empty part 0.
         let g = from_edges(3, &[(0, 1), (1, 2), (0, 2)]).unwrap();
-        let mut p = Partition::new(vec![0, 1, 1], 2).unwrap();
-        let stats = refine_kway(&g, &mut p, &opts(1.0, 4));
-        assert_eq!(stats.moves, 0, "move emptied part 0");
-        assert!(
-            p.part_sizes().iter().all(|&s| s > 0),
-            "{:?}",
-            p.part_sizes()
-        );
+        for scheme in SCHEMES {
+            let mut p = Partition::new(vec![0, 1, 1], 2).unwrap();
+            let stats = refine(scheme, &g, &mut p, &opts(1.0, 4), None);
+            assert_eq!(stats.moves, 0, "{scheme:?}: a move emptied part 0");
+            assert!(p.part_sizes().iter().all(|&s| s > 0), "{scheme:?}");
+        }
         // The guard is per-part, not global: a two-node part may still
         // shed one node.
         let g = from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 2)]).unwrap();
-        let mut p = Partition::new(vec![1, 0, 1, 1], 2).unwrap();
-        refine_kway(&g, &mut p, &opts(1.0, 4));
-        assert!(
-            p.part_sizes().iter().all(|&s| s > 0),
-            "{:?}",
-            p.part_sizes()
-        );
+        for scheme in SCHEMES {
+            let mut p = Partition::new(vec![1, 0, 1, 1], 2).unwrap();
+            refine(scheme, &g, &mut p, &opts(1.0, 4), None);
+            assert!(p.part_sizes().iter().all(|&s| s > 0), "{scheme:?}");
+        }
     }
 
     #[test]
     fn misplaced_zero_weight_vertex_gets_moved() {
-        // Regression: the old drain guard (`loads[pv] <= wv`) pinned
-        // every zero-weight vertex (`0 <= 0`), even though moving one can
-        // only improve the cut and can never drain load. Zero weights are
-        // unreachable through the builder, so construct the CSR directly,
-        // as the streaming layers could.
-        // Parts: {0, 1, 5} and {2, 3, 4}. The weightless vertex 5 has
-        // both its edges into part 1; every weighted vertex is already
-        // where it belongs, so the only improving move is 5 → part 1.
+        // Parts {0, 1, 5} and {2, 3, 4}. The weightless vertex 5 has both
+        // its edges into part 1; draining no load must not pin it. Zero
+        // weights are unreachable through the builder, so construct the
+        // CSR directly, as the streaming layers could.
         let mut g = from_edges(6, &[(0, 1), (2, 3), (3, 4), (2, 4), (5, 2), (5, 3)]).unwrap();
         g.vweights = vec![2, 2, 2, 2, 2, 0];
-        let mut p = Partition::new(vec![0, 0, 1, 1, 1, 0], 2).unwrap();
-        let before = cut_size(&g, &p);
-        let stats = refine_kway(&g, &mut p, &opts(0.2, 4));
-        assert_eq!(p.part(5), 1, "zero-weight vertex stayed pinned");
-        assert!(stats.moves >= 1);
-        assert!(cut_size(&g, &p) < before);
-        // Loads are untouched by the zero-weight move; no part is empty.
-        assert!(p.part_sizes().iter().all(|&s| s > 0));
-
         // The guard still pins the *last* vertex of a part, even a
-        // zero-weight one: emptying a part is never allowed.
-        let mut g = from_edges(3, &[(0, 1), (1, 2), (0, 2)]).unwrap();
-        g.vweights = vec![0, 1, 1];
-        let mut p = Partition::new(vec![0, 1, 1], 2).unwrap();
-        let stats = refine_kway(&g, &mut p, &opts(1.0, 4));
-        assert_eq!(stats.moves, 0, "sole occupant moved out of part 0");
-        assert!(p.part_sizes().iter().all(|&s| s > 0));
+        // zero-weight one.
+        let mut lone = from_edges(3, &[(0, 1), (1, 2), (0, 2)]).unwrap();
+        lone.vweights = vec![0, 1, 1];
+        for scheme in SCHEMES {
+            let mut p = Partition::new(vec![0, 0, 1, 1, 1, 0], 2).unwrap();
+            let before = cut_size(&g, &p);
+            let stats = refine(scheme, &g, &mut p, &opts(0.2, 4), None);
+            assert_eq!(p.part(5), 1, "{scheme:?}: zero-weight vertex stayed pinned");
+            assert!(stats.moves >= 1);
+            assert!(cut_size(&g, &p) < before);
+            assert!(p.part_sizes().iter().all(|&s| s > 0));
+
+            let mut p = Partition::new(vec![0, 1, 1], 2).unwrap();
+            let stats = refine(scheme, &lone, &mut p, &opts(1.0, 4), None);
+            assert_eq!(stats.moves, 0, "{scheme:?}: sole occupant left part 0");
+        }
     }
 
     #[test]
     fn bit_identical_across_thread_counts() {
         let g = paper_graph(611);
-        for seed in 0..2u64 {
-            let base = random_partition(611, 5, seed);
+        for scheme in SCHEMES {
+            let base = random_partition(611, 5, 1);
             let mut reference: Option<(Partition, RefineStats)> = None;
             for threads in [1usize, 2, 4, 8] {
                 let pool = rayon::ThreadPoolBuilder::new()
@@ -477,11 +279,11 @@ mod tests {
                     .build()
                     .unwrap();
                 let mut p = base.clone();
-                let stats = pool.install(|| refine_kway(&g, &mut p, &opts(0.1, 6)));
+                let stats = pool.install(|| refine(scheme, &g, &mut p, &opts(0.1, 6), None));
                 match &reference {
                     None => reference = Some((p, stats)),
                     Some((rp, rs)) => {
-                        assert_eq!(&p, rp, "{threads}-thread refine diverged");
+                        assert_eq!(&p, rp, "{scheme:?}: {threads}-thread refine diverged");
                         assert_eq!(&stats, rs);
                     }
                 }
@@ -493,56 +295,64 @@ mod tests {
     fn local_region_matches_full_sweep_when_region_is_everything() {
         let g = paper_graph(139);
         let all: Vec<u32> = (0..139u32).collect();
-        for seed in 0..3u64 {
-            let mut full = random_partition(139, 4, seed);
-            let mut local = full.clone();
-            let sf = refine_kway(&g, &mut full, &opts(0.1, 8));
-            let sl = refine_kway_local(&g, &mut local, &opts(0.1, 8), &all);
-            assert_eq!(full, local);
-            assert_eq!(sf, sl);
+        for scheme in SCHEMES {
+            for seed in 0..3u64 {
+                let mut full = random_partition(139, 4, seed);
+                let mut local = full.clone();
+                let sf = refine(scheme, &g, &mut full, &opts(0.1, 8), None);
+                let sl = refine(scheme, &g, &mut local, &opts(0.1, 8), Some(&all));
+                assert_eq!(full, local, "{scheme:?}");
+                assert_eq!(sf, sl, "{scheme:?}");
+            }
         }
     }
 
     #[test]
     fn local_region_only_moves_region_nodes() {
         let g = paper_graph(144);
-        let mut p = random_partition(144, 4, 5);
-        let before = p.clone();
         let region: Vec<u32> = (40..80u32).collect();
-        let stats = refine_kway_local(&g, &mut p, &opts(0.2, 6), &region);
-        for v in 0..144u32 {
-            if !region.contains(&v) {
-                assert_eq!(p.part(v), before.part(v), "non-region node {v} moved");
+        for scheme in SCHEMES {
+            let mut p = random_partition(144, 4, 5);
+            let before = p.clone();
+            let stats = refine(scheme, &g, &mut p, &opts(0.2, 6), Some(&region));
+            for v in 0..144u32 {
+                if !region.contains(&v) {
+                    assert_eq!(p.part(v), before.part(v), "{scheme:?}: node {v} moved");
+                }
             }
+            // A random partition always leaves the region something to
+            // improve, and the cut never increases.
+            assert!(stats.moves > 0, "{scheme:?}");
+            assert!(cut_size(&g, &p) <= cut_size(&g, &before));
         }
-        // The restricted sweep still finds *some* improving moves on a
-        // random partition, and never increases the cut.
-        assert!(stats.moves > 0);
-        assert!(cut_size(&g, &p) <= cut_size(&g, &before));
     }
 
     #[test]
     fn local_region_is_order_insensitive_and_dedups() {
         let g = paper_graph(98);
-        let mut a = random_partition(98, 4, 8);
-        let mut b = a.clone();
         let fwd: Vec<u32> = (10..50u32).collect();
         let mut rev: Vec<u32> = fwd.iter().rev().copied().collect();
         rev.extend_from_slice(&fwd); // duplicates too
-        let sa = refine_kway_local(&g, &mut a, &opts(0.2, 6), &fwd);
-        let sb = refine_kway_local(&g, &mut b, &opts(0.2, 6), &rev);
-        assert_eq!(a, b);
-        assert_eq!(sa, sb);
+        for scheme in SCHEMES {
+            let mut a = random_partition(98, 4, 8);
+            let mut b = a.clone();
+            let sa = refine(scheme, &g, &mut a, &opts(0.2, 6), Some(&fwd));
+            let sb = refine(scheme, &g, &mut b, &opts(0.2, 6), Some(&rev));
+            assert_eq!(a, b, "{scheme:?}");
+            assert_eq!(sa, sb, "{scheme:?}");
+        }
     }
 
     #[test]
     fn empty_region_is_a_no_op() {
         let g = paper_graph(78);
-        let mut p = random_partition(78, 4, 1);
-        let before = p.clone();
-        let stats = refine_kway_local(&g, &mut p, &opts(0.1, 4), &[]);
-        assert_eq!(stats, RefineStats { moves: 0, gain: 0 });
-        assert_eq!(p, before);
+        for scheme in SCHEMES {
+            let mut p = random_partition(78, 4, 1);
+            let before = p.clone();
+            let stats = refine(scheme, &g, &mut p, &opts(0.1, 4), Some(&[]));
+            assert_eq!(stats, RefineStats { moves: 0, gain: 0 }, "{scheme:?}");
+            assert_eq!(p, before);
+        }
     }
 
     fn random_partition(n: usize, parts: u32, seed: u64) -> Partition {

@@ -6,14 +6,124 @@
 //! * never violates the balance constraint it is given,
 //! * never drains a part to zero population,
 //! * is bit-identical across 1/2/4/8-thread worker pools.
+//!
+//! It also holds the quality floor FM is measured against: the frozen-gain
+//! greedy sweep ([`sweep`]), which no longer exists outside this file.
 
 use gapart_graph::builder::GraphBuilder;
 use gapart_graph::fm::{refine_fm, refine_fm_local, FmRefiner};
 use gapart_graph::partition::{cut_size, Partition, PartitionMetrics};
-use gapart_graph::refine::{refine_kway, RefineOptions, RefineStats};
+use gapart_graph::refine::{RefineOptions, RefineStats};
+use gapart_graph::CsrGraph;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rayon::prelude::*;
+
+/// Candidates per gain-scan chunk of the [`sweep`] oracle.
+const SCAN_CHUNK: usize = 2048;
+
+/// The frozen-gain greedy k-way sweep, kept verbatim as the oracle FM
+/// must beat. Each pass runs a parallel gain scan over every vertex
+/// against frozen labels (collected in index order), then applies the
+/// strictly cut-improving winners sequentially in ascending id, each
+/// re-derived against the live partition: the best balance-respecting
+/// move to an adjacent part, never emptying the source part. Never
+/// increases the cut; bit-identical for any worker-pool size.
+fn sweep(graph: &CsrGraph, partition: &mut Partition, opts: &RefineOptions) -> RefineStats {
+    assert_eq!(graph.num_nodes(), partition.num_nodes());
+    let n_parts = partition.num_parts() as usize;
+    let avg = graph.total_node_weight() as f64 / n_parts as f64;
+    let max_load = (avg * (1.0 + opts.balance_slack)).ceil() as u64;
+
+    let mut loads = vec![0u64; n_parts];
+    let mut counts = vec![0usize; n_parts];
+    for v in 0..graph.num_nodes() as u32 {
+        loads[partition.part(v) as usize] += graph.node_weight(v) as u64;
+        counts[partition.part(v) as usize] += 1;
+    }
+    let candidates: Vec<u32> = (0..graph.num_nodes() as u32).collect();
+
+    let mut stats = RefineStats { moves: 0, gain: 0 };
+    let mut conn: Vec<(u32, u64)> = Vec::with_capacity(8);
+    for _ in 0..opts.max_passes {
+        let winners: Vec<u32> = candidates
+            .par_chunks(SCAN_CHUNK)
+            .map(|chunk| {
+                let mut local: Vec<u32> = Vec::new();
+                let mut cw: Vec<(u32, u64)> = Vec::with_capacity(8);
+                for &v in chunk {
+                    let pv = partition.part(v);
+                    cw.clear();
+                    let mut internal = 0u64;
+                    for (&u, &w) in graph.neighbors(v).iter().zip(graph.edge_weights(v)) {
+                        let pu = partition.part(u);
+                        if pu == pv {
+                            internal += w as u64;
+                        } else {
+                            match cw.iter_mut().find(|(p, _)| *p == pu) {
+                                Some((_, c)) => *c += w as u64,
+                                None => cw.push((pu, w as u64)),
+                            }
+                        }
+                    }
+                    if cw.iter().any(|&(_, c)| c > internal) {
+                        local.push(v);
+                    }
+                }
+                local
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .flatten()
+            .collect();
+
+        let mut moved_this_pass = false;
+        for v in winners {
+            let pv = partition.part(v);
+            conn.clear();
+            let mut internal = 0u64;
+            for (&u, &w) in graph.neighbors(v).iter().zip(graph.edge_weights(v)) {
+                let pu = partition.part(u);
+                if pu == pv {
+                    internal += w as u64;
+                } else {
+                    match conn.iter_mut().find(|(p, _)| *p == pu) {
+                        Some((_, c)) => *c += w as u64,
+                        None => conn.push((pu, w as u64)),
+                    }
+                }
+            }
+            if counts[pv as usize] <= 1 {
+                continue;
+            }
+            let wv = graph.node_weight(v) as u64;
+            let mut best: Option<(u32, u64)> = None;
+            for &(p, c) in &conn {
+                if c > internal
+                    && loads[p as usize] + wv <= max_load
+                    && best.is_none_or(|(_, bc)| c > bc)
+                {
+                    best = Some((p, c));
+                }
+            }
+            if let Some((p, c)) = best {
+                loads[pv as usize] -= wv;
+                loads[p as usize] += wv;
+                counts[pv as usize] -= 1;
+                counts[p as usize] += 1;
+                partition.set(v, p);
+                stats.moves += 1;
+                stats.gain += c - internal;
+                moved_this_pass = true;
+            }
+        }
+        if !moved_this_pass {
+            break;
+        }
+    }
+    stats
+}
 
 /// Strategy: a random simple weighted graph plus a random partition of
 /// it, as raw ingredients (n, edges, parts, seed).
@@ -29,7 +139,7 @@ fn arb_instance() -> impl Strategy<Value = (usize, Vec<(u32, u32)>, u32, u64)> {
     })
 }
 
-fn build(n: usize, edges: &[(u32, u32)], seed: u64) -> gapart_graph::CsrGraph {
+fn build(n: usize, edges: &[(u32, u32)], seed: u64) -> CsrGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let weighted: Vec<(u32, u32, u32)> = edges
         .iter()
@@ -195,10 +305,10 @@ fn fm_beats_the_sweep_across_structured_instances() {
         for pseed in 0..4u64 {
             let base = random_partition(g.num_nodes(), 4, pseed * 7 + gseed);
             let mut fm = base.clone();
-            let mut sweep = base;
+            let mut swept = base;
             refine_fm(&g, &mut fm, &opts, pseed);
-            refine_kway(&g, &mut sweep, &opts);
-            let (cf, cs) = (cut_size(&g, &fm), cut_size(&g, &sweep));
+            sweep(&g, &mut swept, &opts);
+            let (cf, cs) = (cut_size(&g, &fm), cut_size(&g, &swept));
             assert!(
                 cf <= cs,
                 "g{gseed}/p{pseed}: FM cut {cf} worse than sweep {cs}"
@@ -213,4 +323,34 @@ fn fm_beats_the_sweep_across_structured_instances() {
         wins, total,
         "FM should strictly win every structured instance"
     );
+}
+
+/// FM chains moves through plateaus the greedy sweep cannot cross, so
+/// with an equal pass budget it must never lose — and on these fixed
+/// seeds it strictly wins at least once (a determinism-backed witness
+/// that the hill climbing does something).
+#[test]
+fn at_least_matches_the_sweep_refiner_on_random_partitions() {
+    use gapart_graph::generators::paper_graph;
+    let opts = RefineOptions {
+        balance_slack: 0.1,
+        max_passes: 8,
+    };
+    let g = paper_graph(213);
+    let mut strict_wins = 0;
+    for seed in 0..6u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let labels = (0..213).map(|_| rng.gen_range(0..4)).collect();
+        let base = Partition::new(labels, 4).unwrap();
+        let mut fm = base.clone();
+        let mut swept = base;
+        refine_fm(&g, &mut fm, &opts, 0x464d);
+        sweep(&g, &mut swept, &opts);
+        let (cf, cs) = (cut_size(&g, &fm), cut_size(&g, &swept));
+        assert!(cf <= cs, "seed {seed}: FM cut {cf} worse than sweep {cs}");
+        if cf < cs {
+            strict_wins += 1;
+        }
+    }
+    assert!(strict_wins > 0, "FM never beat the sweep on any seed");
 }

@@ -1,10 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use gapart_graph::builder::GraphBuilder;
-use gapart_graph::coarsen::{
-    coarsen_hem, coarsen_hem_seq, coarsen_hem_with, coarsen_to, coarsen_to_with, project_through,
-    MatchScheme,
-};
+use gapart_graph::coarsen::{coarsen_hem, coarsen_to, project_through};
 use gapart_graph::generators::{gnp, grid2d, jittered_mesh, random_geometric, GridKind};
 use gapart_graph::geometry::{bounding_box, quantize, Point2};
 use gapart_graph::incremental::grow_local;
@@ -134,22 +131,6 @@ proptest! {
         }
     }
 
-    /// The `MatchScheme::SequentialHem` flag must reproduce the preserved
-    /// sequential reference (`coarsen_hem_seq`) exactly, on any graph —
-    /// the cross-check that the flag plumbing selects the reference path
-    /// and that the shared contraction didn't change its semantics.
-    #[test]
-    fn sequential_flag_equals_the_preserved_reference(
-        (n, edges) in arb_graph(),
-        seed in any::<u64>(),
-    ) {
-        let g = GraphBuilder::with_nodes(n).edges(edges.iter().copied()).build().unwrap();
-        let flagged = coarsen_hem_with(&g, seed, MatchScheme::SequentialHem);
-        let reference = coarsen_hem_seq(&g, seed);
-        prop_assert_eq!(&flagged.map, &reference.map);
-        prop_assert_eq!(&flagged.coarse, &reference.coarse);
-    }
-
     /// The parallel handshake matching is a valid contraction on any
     /// graph: every merge group has 1–2 members, merged pairs are
     /// adjacent, node weight is conserved, and the whole stack is
@@ -160,7 +141,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let g = GraphBuilder::with_nodes(n).edges(edges.iter().copied()).build().unwrap();
-        let c = coarsen_hem_with(&g, seed, MatchScheme::ParallelHandshake);
+        let c = coarsen_hem(&g, seed);
         prop_assert!(c.coarse.validate().is_ok());
         prop_assert_eq!(c.coarse.total_node_weight(), g.total_node_weight());
         let mut groups: Vec<Vec<u32>> = vec![Vec::new(); c.coarse.num_nodes()];
@@ -174,10 +155,10 @@ proptest! {
             }
         }
         // Pool-size independence of the full multi-level stack.
-        let reference = coarsen_to_with(&g, 2, seed, MatchScheme::ParallelHandshake);
+        let reference = coarsen_to(&g, 2, seed);
         for threads in [1usize, 4] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let run = pool.install(|| coarsen_to_with(&g, 2, seed, MatchScheme::ParallelHandshake));
+            let run = pool.install(|| coarsen_to(&g, 2, seed));
             prop_assert_eq!(run.len(), reference.len());
             for (a, b) in run.iter().zip(&reference) {
                 prop_assert_eq!(&a.map, &b.map);

@@ -9,12 +9,12 @@
 //! * [`bisect`] — median bisection and the full recursive partitioner,
 //!   supporting any part count (not just powers of two) via proportional
 //!   splits.
-//! * [`multilevel`] — Barnard–Simon-style multilevel RSB, instantiated
-//!   from the generic V-cycle in [`gapart_graph::multilevel`] (coarsen
-//!   with heavy-edge matching, partition the coarsest graph, project back
-//!   with the shared k-way refinement from [`gapart_graph::refine`]).
-//!   This is the "prior graph contraction step" the paper recommends for
-//!   large graphs.
+//! * [`RsbPartitioner`] — RSB behind the workspace's `Partitioner` trait.
+//!
+//! Barnard–Simon-style multilevel RSB — the "prior graph contraction
+//! step" the paper recommends for large graphs — is this partitioner
+//! inside the generic V-cycle of [`gapart_graph::multilevel`]: the
+//! registry's `mlrsb`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,14 +22,14 @@
 pub mod bisect;
 pub mod fiedler;
 pub mod laplacian;
-pub mod multilevel;
+#[cfg(test)]
+mod multilevel;
 pub mod partitioner_impl;
 
 pub use bisect::{rsb_bisect, rsb_partition, RsbOptions};
 pub use fiedler::fiedler_vector;
 pub use laplacian::laplacian;
-pub use multilevel::{multilevel_rsb, MultilevelOptions};
-pub use partitioner_impl::{MultilevelRsbPartitioner, RsbPartitioner};
+pub use partitioner_impl::RsbPartitioner;
 
 /// Errors from the spectral partitioning pipeline.
 #[derive(Debug, Clone, PartialEq)]

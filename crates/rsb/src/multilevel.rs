@@ -1,151 +1,36 @@
 //! Multilevel RSB (Barnard & Simon '92) — the "prior graph contraction
-//! step" the paper recommends before partitioning large graphs.
-//!
-//! Since the generic V-cycle moved into
-//! [`gapart_graph::multilevel::MultilevelPartitioner`], this module is a
-//! thin instantiation: it wraps plain RSB in the shared framework
-//! (coarsen with heavy-edge matching, spectral-partition the coarsest
-//! graph, project back with k-way greedy refinement per level) and merely
-//! translates its historical options/error types.
-
-use crate::bisect::{rsb_partition, RsbOptions};
-use crate::RsbError;
-use gapart_graph::coarsen::MatchScheme;
-use gapart_graph::multilevel::{MultilevelConfig, MultilevelPartitioner};
-use gapart_graph::partitioner::{PartitionReport, Partitioner, PartitionerError};
-use gapart_graph::refine::{RefineOptions, RefineScheme};
-use gapart_graph::{CsrGraph, Partition};
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// Options for [`multilevel_rsb`].
-#[derive(Debug, Clone)]
-pub struct MultilevelOptions {
-    /// Stop coarsening once the graph has at most this many nodes.
-    pub coarsen_target: usize,
-    /// Balance slack passed to the per-level refinement.
-    pub balance_slack: f64,
-    /// Refinement passes per level.
-    pub refine_passes: usize,
-    /// Per-level refinement engine (boundary FM by default).
-    pub refine_scheme: RefineScheme,
-    /// Seed for coarsening and the spectral solves.
-    pub seed: u64,
-}
-
-impl Default for MultilevelOptions {
-    /// V-cycle knobs come from [`MultilevelConfig::default`] — a single
-    /// source — plus RSB's historical default seed.
-    fn default() -> Self {
-        let config = MultilevelConfig::default();
-        MultilevelOptions {
-            coarsen_target: config.coarsen_target,
-            balance_slack: config.refine.balance_slack,
-            refine_passes: config.refine.max_passes,
-            refine_scheme: config.refine_scheme,
-            seed: 0x4d4c_5253, // "MLRS"
-        }
-    }
-}
-
-impl MultilevelOptions {
-    /// The generic [`MultilevelConfig`] these options describe (everything
-    /// except the seed, which the framework takes per call).
-    pub fn to_config(&self) -> MultilevelConfig {
-        MultilevelConfig {
-            coarsen_target: self.coarsen_target,
-            match_scheme: MatchScheme::default(),
-            refine: RefineOptions {
-                balance_slack: self.balance_slack,
-                max_passes: self.refine_passes,
-            },
-            refine_scheme: self.refine_scheme,
-        }
-    }
-}
-
-/// Partitions `graph` into `num_parts` parts via the shared multilevel
-/// V-cycle with plain RSB on the coarsest graph.
-///
-/// For graphs already at or below `coarsen_target` nodes this degenerates
-/// to plain RSB plus one refinement pass.
-///
-/// # Errors
-///
-/// Same error conditions as [`crate::bisect::rsb_partition`].
-pub fn multilevel_rsb(
-    graph: &CsrGraph,
-    num_parts: u32,
-    opts: &MultilevelOptions,
-) -> Result<Partition, RsbError> {
-    let n = graph.num_nodes();
-    if num_parts == 0 || num_parts as usize > n {
-        return Err(RsbError::BadPartCount {
-            num_parts,
-            num_nodes: n,
-        });
-    }
-    // The framework's error type flattens to a message; to keep this
-    // function's typed `RsbError` contract without re-parsing Display
-    // output, the inner partitioner stashes the concrete error before
-    // flattening it.
-    struct CapturingRsb {
-        captured: Rc<RefCell<Option<RsbError>>>,
-    }
-    impl Partitioner for CapturingRsb {
-        fn name(&self) -> &'static str {
-            "rsb"
-        }
-        fn partition(
-            &self,
-            graph: &CsrGraph,
-            num_parts: u32,
-            seed: u64,
-        ) -> Result<PartitionReport, PartitionerError> {
-            let rsb_opts = RsbOptions { seed };
-            match rsb_partition(graph, num_parts, &rsb_opts) {
-                Ok(p) => Ok(PartitionReport::new(self.name(), graph, p)),
-                Err(e) => {
-                    let flat = PartitionerError::new(&e);
-                    *self.captured.borrow_mut() = Some(e);
-                    Err(flat)
-                }
-            }
-        }
-    }
-
-    let captured = Rc::new(RefCell::new(None));
-    let ml = MultilevelPartitioner::with_config(
-        "mlrsb",
-        Box::new(CapturingRsb {
-            captured: Rc::clone(&captured),
-        }),
-        opts.to_config(),
-    );
-    ml.partition(graph, num_parts, opts.seed)
-        .map(|report| report.partition)
-        .map_err(|e| {
-            captured
-                .borrow_mut()
-                .take()
-                // Unreachable today (the only inner error source is
-                // rsb_partition, captured above), but a typed fallback
-                // beats a panic if the framework ever errors itself.
-                .unwrap_or_else(|| RsbError::Eigensolver(e.message().to_string()))
-        })
-}
+//! step" the paper recommends before partitioning large graphs — is
+//! [`crate::RsbPartitioner`] on the coarsest graph of the generic V-cycle
+//! in [`gapart_graph::multilevel`], which is how the registry builds
+//! `mlrsb`. This module holds the tests of that composition.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::bisect::{rsb_partition, RsbOptions};
+    use crate::RsbPartitioner;
     use gapart_graph::generators::{jittered_mesh, paper_graph};
+    use gapart_graph::multilevel::{MultilevelConfig, MultilevelPartitioner};
     use gapart_graph::partition::PartitionMetrics;
+    use gapart_graph::{CsrGraph, Partition, Partitioner};
+
+    /// The seed multilevel RSB defaulted to before it became a plain
+    /// registry composition ("MLRS").
+    const ML_SEED: u64 = 0x4d4c_5253;
+
+    /// RSB inside the default V-cycle, exactly as the registry builds
+    /// `mlrsb`.
+    fn mlrsb() -> MultilevelPartitioner {
+        MultilevelPartitioner::new("mlrsb", Box::new(RsbPartitioner::default()))
+    }
+
+    fn mlrsb_partition(g: &CsrGraph, parts: u32) -> Partition {
+        mlrsb().partition(g, parts, ML_SEED).unwrap().partition
+    }
 
     #[test]
     fn small_graph_degenerates_to_rsb_quality() {
         let g = paper_graph(144);
-        let p = multilevel_rsb(&g, 4, &MultilevelOptions::default()).unwrap();
+        let p = mlrsb_partition(&g, 4);
         let m = PartitionMetrics::compute(&g, &p);
         assert_eq!(m.part_loads.iter().sum::<u64>(), 144);
         assert!(m.total_cut > 0);
@@ -154,10 +39,10 @@ mod tests {
     #[test]
     fn large_mesh_is_partitioned_with_bounded_imbalance() {
         let g = jittered_mesh(2000, 11);
-        let opts = MultilevelOptions::default();
-        let p = multilevel_rsb(&g, 8, &opts).unwrap();
+        let p = mlrsb_partition(&g, 8);
         let m = PartitionMetrics::compute(&g, &p);
-        let cap = (m.avg_load * (1.0 + opts.balance_slack)).ceil() as u64;
+        let slack = MultilevelConfig::default().refine.balance_slack;
+        let cap = (m.avg_load * (1.0 + slack)).ceil() as u64;
         for &l in &m.part_loads {
             assert!(l <= cap + 1, "load {l} vs cap {cap}");
         }
@@ -175,7 +60,7 @@ mod tests {
     fn comparable_to_flat_rsb_on_medium_mesh() {
         let g = jittered_mesh(600, 3);
         let flat = rsb_partition(&g, 4, &RsbOptions::default()).unwrap();
-        let ml = multilevel_rsb(&g, 4, &MultilevelOptions::default()).unwrap();
+        let ml = mlrsb_partition(&g, 4);
         let mf = PartitionMetrics::compute(&g, &flat);
         let mm = PartitionMetrics::compute(&g, &ml);
         // Multilevel should be in the same quality class (within 2x).
@@ -190,18 +75,13 @@ mod tests {
     #[test]
     fn rejects_bad_part_counts() {
         let g = paper_graph(78);
-        assert!(multilevel_rsb(&g, 0, &MultilevelOptions::default()).is_err());
-        assert!(matches!(
-            multilevel_rsb(&g, 100, &MultilevelOptions::default()),
-            Err(RsbError::BadPartCount { .. })
-        ));
+        assert!(mlrsb().partition(&g, 0, ML_SEED).is_err());
+        assert!(mlrsb().partition(&g, 100, ML_SEED).is_err());
     }
 
     #[test]
     fn deterministic() {
         let g = paper_graph(213);
-        let a = multilevel_rsb(&g, 8, &MultilevelOptions::default()).unwrap();
-        let b = multilevel_rsb(&g, 8, &MultilevelOptions::default()).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(mlrsb_partition(&g, 8), mlrsb_partition(&g, 8));
     }
 }

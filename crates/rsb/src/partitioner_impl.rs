@@ -1,15 +1,15 @@
-//! [`Partitioner`] implementations for plain and multilevel RSB.
+//! [`Partitioner`] implementation for RSB.
 
 use crate::bisect::{rsb_partition, RsbOptions};
-use crate::multilevel::MultilevelOptions;
-use gapart_graph::multilevel::MultilevelPartitioner;
 use gapart_graph::partitioner::{PartitionReport, Partitioner, PartitionerError};
 use gapart_graph::CsrGraph;
 
 /// Recursive spectral bisection as a [`Partitioner`].
 ///
 /// The trait's `seed` argument overrides [`RsbOptions::seed`] per call, so
-/// a single instance serves any number of seeded runs.
+/// a single instance serves any number of seeded runs. Wrapped in
+/// [`gapart_graph::multilevel::MultilevelPartitioner`] it is the
+/// registry's multilevel RSB, `mlrsb`.
 #[derive(Debug, Clone, Default)]
 pub struct RsbPartitioner {
     /// Template options; the per-call seed replaces `options.seed`.
@@ -34,49 +34,19 @@ impl Partitioner for RsbPartitioner {
     }
 }
 
-/// Multilevel RSB as a [`Partitioner`]: the generic
-/// [`MultilevelPartitioner`] V-cycle with plain RSB on the coarsest
-/// graph. This is the single construction path the registry's `mlrsb`
-/// name resolves to; [`crate::multilevel::multilevel_rsb`] is the
-/// `RsbError`-typed convenience over the same pipeline.
-#[derive(Debug, Clone, Default)]
-pub struct MultilevelRsbPartitioner {
-    /// Template V-cycle options; the per-call seed replaces
-    /// `options.seed`.
-    pub options: MultilevelOptions,
-}
-
-impl Partitioner for MultilevelRsbPartitioner {
-    fn name(&self) -> &'static str {
-        "mlrsb"
-    }
-
-    fn partition(
-        &self,
-        graph: &CsrGraph,
-        num_parts: u32,
-        seed: u64,
-    ) -> Result<PartitionReport, PartitionerError> {
-        let ml = MultilevelPartitioner::with_config(
-            self.name(),
-            Box::new(RsbPartitioner::default()),
-            self.options.to_config(),
-        );
-        ml.partition(graph, num_parts, seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gapart_graph::generators::jittered_mesh;
+    use gapart_graph::multilevel::MultilevelPartitioner;
 
     #[test]
     fn both_implementations_satisfy_the_contract() {
         let g = jittered_mesh(80, 3);
+        let mlrsb = MultilevelPartitioner::new("mlrsb", Box::new(RsbPartitioner::default()));
         for p in [
             Box::new(RsbPartitioner::default()) as Box<dyn Partitioner>,
-            Box::new(MultilevelRsbPartitioner::default()),
+            Box::new(mlrsb),
         ] {
             let a = p.partition(&g, 4, 11).unwrap();
             let b = p.partition(&g, 4, 11).unwrap();

@@ -1,9 +1,10 @@
 //! Property-based tests for the spectral bisection pipeline.
 
 use gapart_graph::generators::jittered_mesh;
+use gapart_graph::multilevel::MultilevelPartitioner;
 use gapart_graph::partition::{cut_size, Partition, PartitionMetrics};
-use gapart_graph::refine::{refine_kway, RefineOptions};
-use gapart_rsb::{fiedler_vector, laplacian, multilevel_rsb, rsb_partition, RsbOptions};
+use gapart_graph::Partitioner;
+use gapart_rsb::{fiedler_vector, laplacian, rsb_partition, RsbOptions, RsbPartitioner};
 use proptest::prelude::*;
 
 proptest! {
@@ -70,46 +71,14 @@ proptest! {
         prop_assert_eq!(p, rsb_partition(&g, parts, &opts).unwrap());
     }
 
-    /// Greedy refinement is monotone in cut and respects the slack cap.
-    #[test]
-    fn greedy_refine_monotone(
-        n in 8usize..150,
-        parts in 2u32..6,
-        seed in any::<u64>(),
-        slack in 0.0f64..0.5,
-    ) {
-        use rand::{Rng, SeedableRng};
-        let g = jittered_mesh(n, seed);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 2);
-        let labels: Vec<u32> = (0..n).map(|_| rng.gen_range(0..parts)).collect();
-        let mut p = Partition::new(labels, parts).unwrap();
-        let before = cut_size(&g, &p);
-        let loads_before: Vec<u64> = PartitionMetrics::compute(&g, &p).part_loads;
-        let stats = refine_kway(
-            &g,
-            &mut p,
-            &RefineOptions {
-                balance_slack: slack,
-                max_passes: 6,
-            },
-        );
-        let after = cut_size(&g, &p);
-        prop_assert!(after <= before);
-        prop_assert_eq!(before - after, stats.gain);
-        // Moves never push a part above the cap (unless it started above).
-        let m = PartitionMetrics::compute(&g, &p);
-        let cap = (m.avg_load * (1.0 + slack)).ceil() as u64;
-        for (q, &l) in m.part_loads.iter().enumerate() {
-            prop_assert!(l <= cap.max(loads_before[q]), "part {q}: {l} > cap {cap}");
-        }
-    }
-
     /// Multilevel RSB returns covering partitions of the right shape on
     /// meshes big enough to actually coarsen.
     #[test]
     fn multilevel_rsb_covers(n in 150usize..400, seed in any::<u64>()) {
         let g = jittered_mesh(n, seed);
-        let p = multilevel_rsb(&g, 4, &Default::default()).unwrap();
+        let mlrsb = MultilevelPartitioner::new("mlrsb", Box::new(RsbPartitioner::default()));
+        // The seed multilevel RSB defaulted to ("MLRS").
+        let p = mlrsb.partition(&g, 4, 0x4d4c_5253).unwrap().partition;
         prop_assert_eq!(p.num_nodes(), n);
         let m = PartitionMetrics::compute(&g, &p);
         prop_assert_eq!(m.part_loads.iter().sum::<u64>(), n as u64);

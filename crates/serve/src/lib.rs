@@ -35,7 +35,7 @@ use gapart_graph::io::{attach_coords, coords_from_text, from_metis};
 use gapart_graph::CsrGraph;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 
 pub mod protocol;
@@ -375,6 +375,12 @@ fn status_kv(session: &ManagedSession) -> String {
     )
 }
 
+/// The longest protocol line the daemon reads, in bytes, newline
+/// excluded. The longest legal command, an `open` with two paths, is far
+/// below it; a longer line is a transport error, so a stream without
+/// newlines cannot make the daemon buffer without bound.
+pub const MAX_LINE: usize = 64 * 1024;
+
 /// Runs the daemon over any line stream: one command per input line,
 /// one reply per command. Blank lines and `#` comments are skipped
 /// without a reply. Every reply is flushed before the next command is
@@ -383,7 +389,8 @@ fn status_kv(session: &ManagedSession) -> String {
 /// # Errors
 ///
 /// Only transport IO errors; command failures become `err` replies and
-/// are tallied in the summary.
+/// are tallied in the summary. A line that is not UTF-8 or is longer
+/// than [`MAX_LINE`] is an [`std::io::ErrorKind::InvalidData`] error.
 pub fn serve<R: BufRead, W: Write>(
     daemon: &mut Daemon,
     input: R,
@@ -398,12 +405,30 @@ pub fn serve<R: BufRead, W: Write>(
 /// connection ran before a transport error still count.
 fn serve_into<R: BufRead, W: Write>(
     daemon: &mut Daemon,
-    input: R,
+    mut input: R,
     output: &mut W,
     summary: &mut ServeSummary,
 ) -> Result<(), std::io::Error> {
-    for line in input.lines() {
-        let line = line?;
+    let invalid = |why: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, why);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells a full-length line from a longer one.
+        input
+            .by_ref()
+            .take(MAX_LINE as u64 + 1)
+            .read_until(b'\n', &mut buf)?;
+        if buf.is_empty() {
+            break; // EOF
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > MAX_LINE {
+            return Err(invalid(&format!(
+                "protocol line longer than {MAX_LINE} bytes"
+            )));
+        }
+        let line = std::str::from_utf8(&buf).map_err(|_| invalid("protocol line is not UTF-8"))?;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
@@ -425,8 +450,9 @@ fn serve_into<R: BufRead, W: Write>(
 /// (one session protocol stream at a time — determinism over
 /// throughput). Each connection runs [`serve`]; the daemon (and its
 /// open sessions) persists across connections. A transport error on a
-/// connection, such as a client that hangs up before reading its reply
-/// or a line that is not UTF-8, ends only that connection: it is
+/// connection, such as a client that hangs up before reading its reply,
+/// a line that is not UTF-8 or one longer than [`MAX_LINE`], ends only
+/// that connection: it is
 /// reported on stderr and the daemon goes on accepting. A `shutdown`
 /// command ends the accept loop and removes the socket file.
 ///
@@ -607,6 +633,31 @@ mod tests {
                 "{line} -> {reply}"
             );
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_line_past_the_cap_is_a_transport_error_with_no_reply() {
+        let dir = temp_dir("longline");
+        let mut d = Daemon::new(ServeConfig::new(dir.join("tapes")), resolve).unwrap();
+        // A MiB without a newline: the reader stops one byte past the cap.
+        let flood = std::io::BufReader::new(std::io::repeat(b'a').take(1 << 20));
+        let mut out = Vec::new();
+        let err = serve(&mut d, flood, &mut out).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(out.is_empty(), "replied to an over-long line");
+
+        // A line of exactly MAX_LINE bytes is still read and answered,
+        // and so is a last line without a newline.
+        let mut script = vec![b'x'; MAX_LINE];
+        script.extend_from_slice(b"\nsessions");
+        let mut out = Vec::new();
+        let summary = serve(&mut d, &script[..], &mut out).unwrap();
+        assert_eq!(summary.commands, 2);
+        let out = String::from_utf8(out).unwrap();
+        let replies: Vec<&str> = out.lines().collect();
+        assert!(replies[0].starts_with("err protocol"), "{out}");
+        assert_eq!(replies[1], "ok sessions=0 names=");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

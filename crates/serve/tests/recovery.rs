@@ -205,3 +205,33 @@ fn double_crash_still_converges() {
     assert_eq!(s.labels_hash(), want);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A tape whose open record names a retired refiner (`sweep`, or the
+/// `pfm-rescan` reference mode) no longer recovers: `open` replies
+/// `err spec`, and the daemon keeps serving every other session.
+#[test]
+fn tapes_naming_a_retired_refiner_fail_cleanly() {
+    use gapart_serve::{Daemon, ServeConfig};
+    let dir = temp_dir("retired");
+    let spec = SessionSpec::parse_kv("parts=4 seed=11 refine=pfm").unwrap();
+    let live = dir.join("live.tape");
+    drop(ManagedSession::open(spec, base_graph(), &live, resolve).unwrap());
+    let text = std::fs::read_to_string(&live).unwrap();
+    assert!(text.contains(" refine=pfm "), "{text}");
+    for retired in ["sweep", "pfm-rescan"] {
+        let forged = text.replace(" refine=pfm ", &format!(" refine={retired} "));
+        std::fs::write(dir.join(format!("{retired}.tape")), forged).unwrap();
+    }
+
+    let mut d = Daemon::new(ServeConfig::new(&dir), resolve).unwrap();
+    for retired in ["sweep", "pfm-rescan"] {
+        let (reply, errored, _) = d.execute(&format!("open {retired}"));
+        assert!(errored, "{reply}");
+        assert!(reply.starts_with("err spec"), "{reply}");
+        assert!(reply.contains(&format!("'{retired}'")), "{reply}");
+    }
+    let (reply, errored, _) = d.execute("open live");
+    assert!(!errored, "{reply}");
+    assert_eq!(d.execute("sessions").0, "ok sessions=1 names=live");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -133,17 +133,14 @@ USAGE:
   gapart-cli partition GRAPH.metis --parts P
              [--method dpga|ga|rsb|ibp|mldpga|mlga|mlrsb|mlibp]
              [--fitness total|worst] [--gens G] [--pop SIZE] [--seed S]
-             [--refine fm|pfm|pfm-rescan|sweep] [--coords G.xy]
+             [--refine fm|pfm] [--coords G.xy]
              [--out labels.part] [--svg view.svg]
              (ml* methods are the multilevel V-cycle; mlga/mldpga honour
               --fitness and default --gens/--pop to the coarse-level
               sizing, applying them only when given explicitly.
               --refine picks the per-level refinement engine of the ml*
               methods: the boundary FM refiner with gain buckets, the
-              default; its parallel colored-batch variant, pfm;
-              pfm-rescan, the same engine rebuilding its gain table
-              every round — the bit-identical reference for pfm's
-              incremental rounds; or the frozen-gain greedy sweep)
+              default, or its parallel colored-batch variant, pfm)
   gapart-cli eval GRAPH.metis LABELS.part --parts P [--coords G.xy]
              [--svg view.svg]
   gapart-cli grow GRAPH.metis --coords G.xy --add K [--seed S]
@@ -155,7 +152,7 @@ USAGE:
              (mesh-growth needs --coords; ops is mutations per batch)
   gapart-cli stream GRAPH.metis --trace trace.txt --parts P
              [--coords G.xy] [--method mlga|mldpga|mlrsb|...]
-             [--refine fm|pfm|pfm-rescan|sweep] [--threshold 1.5]
+             [--refine fm|pfm] [--threshold 1.5]
              [--hops 2] [--seed S]
              [--labels-out labels.part] [--graph-out final.metis]
              [--coords-out final.xy]
@@ -259,9 +256,8 @@ pub fn labels_from_text(text: &str, num_parts: u32) -> Result<Partition, CliErro
 fn parse_refine(args: &Args) -> Result<RefineScheme, CliError> {
     match args.flag("refine") {
         None => Ok(RefineScheme::default()),
-        Some(s) => RefineScheme::by_name(s).ok_or_else(|| {
-            CliError::Usage(format!("--refine {s}: expected fm|pfm|pfm-rescan|sweep"))
-        }),
+        Some(s) => RefineScheme::by_name(s)
+            .ok_or_else(|| CliError::Usage(format!("--refine {s}: expected fm|pfm"))),
     }
 }
 
@@ -665,13 +661,21 @@ fn cmd_stream(args: &Args) -> Result<String, CliError> {
         "{:>5} {:>6} {:>9} {:>9} {:>8} {:>7} {:>6}  action",
         "batch", "muts", "frontier", "cut-seed", "cut", "moves", "epoch"
     );
+    let mut escalations = 0usize;
     for batch in &trace {
         let rec = session
             .apply_batch(batch)
             .map_err(|e| CliError::Failed(e.to_string()))?;
+        let action = match rec.action {
+            BatchAction::Incremental => "incremental",
+            BatchAction::FullRepartition => {
+                escalations += 1;
+                "FULL"
+            }
+        };
         let _ = writeln!(
             out,
-            "{:>5} {:>6} {:>9} {:>9} {:>8} {:>7} {:>6}  {}",
+            "{:>5} {:>6} {:>9} {:>9} {:>8} {:>7} {:>6}  {action}",
             rec.batch,
             rec.mutations,
             rec.frontier,
@@ -679,17 +683,8 @@ fn cmd_stream(args: &Args) -> Result<String, CliError> {
             rec.cut_after,
             rec.refine.moves,
             rec.epoch,
-            match rec.action {
-                BatchAction::Incremental => "incremental",
-                BatchAction::FullRepartition => "FULL",
-            }
         );
     }
-    let escalations = session
-        .history()
-        .iter()
-        .filter(|r| r.action == BatchAction::FullRepartition)
-        .count();
     let _ = writeln!(
         out,
         "replayed {} batches: {escalations} escalation(s), final graph {} nodes",
@@ -1061,7 +1056,7 @@ mod tests {
         .unwrap();
 
         // Every engine runs on an ml* method; each report carries metrics.
-        for scheme in ["fm", "pfm", "sweep"] {
+        for scheme in ["fm", "pfm"] {
             let out = run(&argv(&format!(
                 "partition {gs} --parts 4 --method mlrsb --refine {scheme}"
             )))
@@ -1082,12 +1077,15 @@ mod tests {
         .unwrap();
         assert_eq!(default_labels, std::fs::read_to_string(&labels).unwrap());
 
-        // Unknown engine and flat-method misuse are usage errors.
-        let err = run(&argv(&format!(
-            "partition {gs} --parts 4 --method mlrsb --refine turbo"
-        )))
-        .unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        // Unknown and retired engines and flat-method misuse are usage
+        // errors.
+        for scheme in ["turbo", "sweep"] {
+            let err = run(&argv(&format!(
+                "partition {gs} --parts 4 --method mlrsb --refine {scheme}"
+            )))
+            .unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{scheme}: {err}");
+        }
         let err = run(&argv(&format!(
             "partition {gs} --parts 4 --method rsb --refine fm"
         )))

@@ -18,7 +18,7 @@ use crate::graph::multilevel::{MultilevelConfig, MultilevelPartitioner};
 use crate::graph::partitioner::Partitioner;
 use crate::graph::refine::RefineScheme;
 use crate::ibp::IbpPartitioner;
-use crate::rsb::{MultilevelOptions, MultilevelRsbPartitioner, RsbPartitioner};
+use crate::rsb::RsbPartitioner;
 
 /// Names accepted by [`by_name`], in documentation order: the flat
 /// algorithms first, then their multilevel wrappers.
@@ -62,14 +62,11 @@ pub fn by_name_with(name: &str, scheme: RefineScheme) -> Option<Box<dyn Partitio
             Box::new(GaPartitioner::new(GaConfig::coarse_defaults(2))),
             ml_config,
         )),
-        // `mlrsb` resolves to the rsb crate's own framework instantiation
-        // so its `MultilevelOptions` stay the one source of V-cycle knobs.
-        "mlrsb" => Some(Box::new(MultilevelRsbPartitioner {
-            options: MultilevelOptions {
-                refine_scheme: scheme,
-                ..MultilevelOptions::default()
-            },
-        })),
+        "mlrsb" => Some(multilevel_with(
+            "mlrsb",
+            Box::new(RsbPartitioner::default()),
+            ml_config,
+        )),
         "mlibp" => Some(multilevel_with(
             "mlibp",
             Box::new(IbpPartitioner::default()),
@@ -135,12 +132,7 @@ mod tests {
         use crate::graph::generators::jittered_mesh;
         let g = jittered_mesh(120, 7);
         for name in NAMES {
-            for scheme in [
-                RefineScheme::Sweep,
-                RefineScheme::BoundaryFm,
-                RefineScheme::ParallelFm,
-                RefineScheme::ParallelFmRescan,
-            ] {
+            for scheme in [RefineScheme::BoundaryFm, RefineScheme::ParallelFm] {
                 let p = by_name_with(name, scheme).unwrap();
                 assert_eq!(p.name(), name);
                 // Flat methods ignore the scheme; ml* must still satisfy

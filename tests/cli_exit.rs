@@ -28,6 +28,43 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn retired_refine_engines_are_usage_errors() {
+    let dir = std::env::temp_dir().join(format!("gapart-exit-refine-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let g = dir.join("g.metis");
+    let gs = g.to_str().unwrap();
+    let trace = dir.join("g.trace");
+    let ok = cli()
+        .args(["gen", "--kind", "mesh", "--nodes", "40", "--out", gs])
+        .output()
+        .unwrap();
+    assert!(ok.status.success());
+    std::fs::write(&trace, "commit\n").unwrap();
+    let ts = trace.to_str().unwrap();
+
+    // The sweep refiner and pfm's full-rescan reference mode are gone
+    // from both surfaces that take --refine.
+    for engine in ["sweep", "pfm-rescan"] {
+        for args in [
+            vec!["partition", gs, "--parts", "2", "--method", "mlga"],
+            vec!["stream", gs, "--trace", ts, "--parts", "2"],
+        ] {
+            let out = cli()
+                .args(&args)
+                .args(["--refine", engine])
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(2), "{args:?} --refine {engine}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains(&format!("--refine {engine}")), "{err}");
+            assert!(err.contains("USAGE"), "{err}");
+            assert!(!err.contains("panicked"), "{err}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn failed_operations_exit_1_without_panicking() {
     let dir = std::env::temp_dir().join(format!("gapart-exit-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

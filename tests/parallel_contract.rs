@@ -1,14 +1,15 @@
 //! Thread-count determinism contract for the parallel multilevel
-//! pipeline: coarsening, full and local refinement, and an end-to-end
-//! `mlga` solve must be bit-identical under forced 1/2/4/8-thread pools
-//! (same pattern as `tests/stream_contract.rs`). This is the invariant
-//! that makes `--threads` a pure wall-time knob: scheduling may never
-//! leak into results.
+//! pipeline: coarsening, full and local parallel-FM refinement, and an
+//! end-to-end `mlga` solve must be bit-identical under forced
+//! 1/2/4/8-thread pools (same pattern as `tests/stream_contract.rs`).
+//! This is the invariant that makes `--threads` a pure wall-time knob:
+//! scheduling may never leak into results.
 
 use gapart::graph::coarsen::{coarsen_hem, coarsen_to, Coarsening};
+use gapart::graph::fm::ParallelFm;
 use gapart::graph::generators::{grid2d, jittered_mesh, GridKind};
 use gapart::graph::partition::Partition;
-use gapart::graph::refine::{refine_kway, refine_kway_local, RefineOptions, RefineStats};
+use gapart::graph::refine::{RefineOptions, RefineStats};
 use gapart::partitioners;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,7 +63,9 @@ fn full_refinement_is_bit_identical_across_pools() {
     let mut reference: Option<(Partition, RefineStats)> = None;
     for threads in POOLS {
         let mut p = base.clone();
-        let stats = with_pool(threads, || refine_kway(&g, &mut p, &opts));
+        let stats = with_pool(threads, || {
+            ParallelFm::new().refine(&g, &mut p, &opts, SEED)
+        });
         match &reference {
             None => reference = Some((p, stats)),
             Some((rp, rs)) => {
@@ -87,7 +90,9 @@ fn local_refinement_is_bit_identical_across_pools() {
     let mut reference: Option<(Partition, RefineStats)> = None;
     for threads in POOLS {
         let mut p = base.clone();
-        let stats = with_pool(threads, || refine_kway_local(&g, &mut p, &opts, &region));
+        let stats = with_pool(threads, || {
+            ParallelFm::new().refine_local(&g, &mut p, &opts, SEED, &region)
+        });
         match &reference {
             None => reference = Some((p, stats)),
             Some((rp, rs)) => {

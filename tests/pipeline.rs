@@ -13,7 +13,7 @@ use gapart::graph::generators::{paper_graph, PAPER_SIZES};
 use gapart::graph::incremental::grow_local;
 use gapart::graph::partition::{cut_size, PartitionMetrics};
 use gapart::ibp::{ibp_partition, IbpOptions};
-use gapart::rsb::{multilevel_rsb, rsb_partition, RsbOptions};
+use gapart::rsb::{rsb_partition, RsbOptions};
 
 fn quick_ga(parts: u32, gens: usize) -> GaConfig {
     GaConfig::paper_defaults(parts)
@@ -131,7 +131,9 @@ fn heterogeneous_islands_never_lose_the_seed() {
 fn multilevel_rsb_agrees_with_flat_rsb_quality_class() {
     let g = paper_graph(309);
     let flat = rsb_partition(&g, 8, &RsbOptions::default()).unwrap();
-    let ml = multilevel_rsb(&g, 8, &Default::default()).unwrap();
+    // The registry's `mlrsb` at the seed multilevel RSB defaulted to.
+    let mlrsb = gapart::partitioners::by_name("mlrsb").unwrap();
+    let ml = mlrsb.partition(&g, 8, 0x4d4c_5253).unwrap().partition;
     let cf = cut_size(&g, &flat);
     let cm = cut_size(&g, &ml);
     assert!(cm <= cf * 2, "multilevel cut {cm} vs flat {cf}");

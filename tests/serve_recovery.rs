@@ -208,9 +208,10 @@ fn killed_daemon_recovers_to_the_uninterrupted_hash() {
 }
 
 /// A client that hangs up before reading its reply (the reply write hits
-/// EPIPE), and one that sends a line that is not UTF-8, each end only
-/// their own connection: the socket daemon keeps its sessions in memory
-/// and serves the next client.
+/// EPIPE), one that sends a line that is not UTF-8, and one that sends
+/// 128 KiB without a newline (past the daemon's 64 KiB line cap) each
+/// end only their own connection: the socket daemon keeps its sessions
+/// in memory and serves the next client.
 #[test]
 fn socket_daemon_outlives_clients_that_drop_their_connection() {
     use std::os::unix::net::UnixStream;
@@ -266,7 +267,16 @@ fn socket_daemon_outlives_clients_that_drop_their_connection() {
     let _ = std::io::Read::read_to_end(&mut garbage, &mut rest);
     assert!(rest.is_empty(), "no reply to a line that is not UTF-8");
 
-    // Client 3 finds client 1's session.
+    // Client 3 streams 128 KiB with no newline. The daemon stops reading
+    // past the cap and drops the connection, so the tail of the write may
+    // fail.
+    let mut flood = connect();
+    let _ = flood.write_all(&vec![b'a'; 128 * 1024]);
+    let mut rest = Vec::new();
+    let _ = std::io::Read::read_to_end(&mut flood, &mut rest);
+    assert!(rest.is_empty(), "no reply to an over-long line");
+
+    // Client 4 finds client 1's session.
     let client = connect();
     let mut replies = BufReader::new(client.try_clone().unwrap());
     let mut ask = |command: &str| {
@@ -290,8 +300,8 @@ fn socket_daemon_outlives_clients_that_drop_their_connection() {
     );
     assert_eq!(
         stderr.matches("dropped a connection").count(),
-        2,
-        "both broken connections reported:\n{stderr}"
+        3,
+        "every broken connection reported:\n{stderr}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

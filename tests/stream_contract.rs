@@ -4,7 +4,7 @@
 //! counts, including through GA-backed escalations — and every scenario
 //! generator must produce a replayable trace.
 
-use gapart::core::dynamic::{BatchAction, DynamicConfig, DynamicSession};
+use gapart::core::dynamic::{BatchAction, BatchRecord, DynamicConfig, DynamicSession};
 use gapart::core::GaConfig;
 use gapart::graph::dynamic::scenario::{generate, Scenario, TraceSpec};
 use gapart::graph::dynamic::trace::{parse_trace, trace_to_text};
@@ -30,11 +30,13 @@ fn mlga() -> Box<dyn Partitioner> {
     ))
 }
 
+/// Replays `trace` through a fresh `mlga` session; returns the session
+/// and the record of every batch.
 fn replay(
     graph: &CsrGraph,
     trace: &[Vec<gapart::graph::Mutation>],
     escalate_ratio: f64,
-) -> DynamicSession {
+) -> (DynamicSession, Vec<BatchRecord>) {
     let mut s = DynamicSession::new(
         graph.clone(),
         mlga(),
@@ -45,8 +47,8 @@ fn replay(
         },
     )
     .unwrap();
-    s.replay(trace).unwrap();
-    s
+    let records = s.replay(trace).unwrap();
+    (s, records)
 }
 
 #[test]
@@ -73,8 +75,8 @@ fn replay_is_bit_identical_between_a_forced_pool_and_a_direct_run() {
             .num_threads(4)
             .build()
             .unwrap();
-        let pooled = pool.install(|| replay(&graph, &trace, 1.02));
-        let direct = replay(&graph, &trace, 1.02);
+        let (pooled, pooled_records) = pool.install(|| replay(&graph, &trace, 1.02));
+        let (direct, direct_records) = replay(&graph, &trace, 1.02);
         assert_eq!(
             pooled.partition(),
             direct.partition(),
@@ -82,9 +84,9 @@ fn replay_is_bit_identical_between_a_forced_pool_and_a_direct_run() {
             scenario.name()
         );
         assert_eq!(
-            pooled.history(),
-            direct.history(),
-            "{}: histories differ",
+            pooled_records,
+            direct_records,
+            "{}: batch records differ",
             scenario.name()
         );
         assert_eq!(pooled.epoch(), direct.epoch(), "{}", scenario.name());
@@ -111,8 +113,8 @@ fn replay_with_parallel_fm_is_bit_identical_between_a_forced_pool_and_a_direct_r
             },
         )
         .unwrap();
-        s.replay(trace).unwrap();
-        s
+        let records = s.replay(trace).unwrap();
+        (s, records)
     };
     let mut escalations = 0usize;
     for scenario in [
@@ -134,8 +136,8 @@ fn replay_with_parallel_fm_is_bit_identical_between_a_forced_pool_and_a_direct_r
             .num_threads(4)
             .build()
             .unwrap();
-        let pooled = pool.install(|| replay_pfm(&trace));
-        let direct = replay_pfm(&trace);
+        let (pooled, pooled_records) = pool.install(|| replay_pfm(&trace));
+        let (direct, direct_records) = replay_pfm(&trace);
         assert_eq!(
             pooled.partition(),
             direct.partition(),
@@ -143,14 +145,13 @@ fn replay_with_parallel_fm_is_bit_identical_between_a_forced_pool_and_a_direct_r
             scenario.name()
         );
         assert_eq!(
-            pooled.history(),
-            direct.history(),
-            "{}: pfm histories differ",
+            pooled_records,
+            direct_records,
+            "{}: pfm batch records differ",
             scenario.name()
         );
         assert_eq!(pooled.epoch(), direct.epoch(), "{}", scenario.name());
-        escalations += pooled
-            .history()
+        escalations += pooled_records
             .iter()
             .filter(|r| r.action == BatchAction::FullRepartition)
             .count();
@@ -180,7 +181,7 @@ fn every_scenario_maintains_a_valid_partition() {
             },
         )
         .unwrap();
-        let s = replay(&graph, &trace, 1.5);
+        let (s, records) = replay(&graph, &trace, 1.5);
         let name = scenario.name();
         s.graph().validate().unwrap();
         assert_eq!(
@@ -197,7 +198,7 @@ fn every_scenario_maintains_a_valid_partition() {
             "{name}: a part was drained empty: {:?}",
             s.partition().part_sizes()
         );
-        assert_eq!(s.history().len(), 6, "{name}");
+        assert_eq!(records.len(), 6, "{name}");
     }
 }
 
@@ -218,10 +219,10 @@ fn trace_text_round_trip_replays_identically() {
     .unwrap();
     let reparsed = parse_trace(&trace_to_text(&trace)).unwrap();
     assert_eq!(trace, reparsed);
-    let a = replay(&graph, &trace, 1.5);
-    let b = replay(&graph, &reparsed, 1.5);
+    let (a, a_records) = replay(&graph, &trace, 1.5);
+    let (b, b_records) = replay(&graph, &reparsed, 1.5);
     assert_eq!(a.partition(), b.partition());
-    assert_eq!(a.history(), b.history());
+    assert_eq!(a_records, b_records);
 }
 
 #[test]
@@ -237,9 +238,8 @@ fn escalations_are_recorded_as_epochs() {
         },
     )
     .unwrap();
-    let s = replay(&graph, &trace, 1.0);
-    let escalations = s
-        .history()
+    let (s, records) = replay(&graph, &trace, 1.0);
+    let escalations = records
         .iter()
         .filter(|r| r.action == BatchAction::FullRepartition)
         .count();
