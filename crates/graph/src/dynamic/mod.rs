@@ -195,9 +195,11 @@ impl DirtyRegion {
 /// the [`DirtyRegion`] it touched.
 ///
 /// The rebuild merges per row instead of re-sorting the whole edge list:
-/// untouched adjacency rows are copied, touched rows merge their (sorted)
-/// additions in one pass, and node weights/coordinates are extended in
-/// place — `O(V + E + |batch|)` overall.
+/// each run of untouched adjacency rows is copied as one span with
+/// shifted offsets, touched rows merge their (sorted) additions in one
+/// pass, and node weights/coordinates are extended in place —
+/// `O(V + E + |batch| log |batch|)` overall, with the `O(V + E)` part at
+/// memory-copy speed.
 ///
 /// # Errors
 ///
@@ -209,6 +211,8 @@ impl DirtyRegion {
 /// * [`GraphError::MissingCoordinates`] — the graph carries coordinates
 ///   but an added node has no `pos`.
 /// * [`GraphError::TooManyNodes`] — the batch would overflow `u32` ids.
+/// * [`GraphError::AdjacencyOverflow`] — the mutated graph would hold
+///   more than `u32::MAX` adjacency entries.
 pub fn apply_batch(
     graph: &CsrGraph,
     batch: &[Mutation],
@@ -295,83 +299,89 @@ pub fn apply_batch(
     });
 
     // Split additions into reinforcements of existing edges (weight
-    // bumps, no structural change) and genuinely new adjacency entries.
+    // bumps, no structural change) and genuinely new adjacency entries,
+    // one `(row, neighbour, weight)` per direction, sorted by row.
     let mut bumps: Vec<(u32, u32, u32)> = Vec::new();
-    let mut inserts_at: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_cur];
+    let mut inserts: Vec<(u32, u32, u32)> = Vec::with_capacity(2 * added_edges.len());
     for &(u, v, w) in &added_edges {
         if (v as usize) < n_old && graph.has_edge(u, v) {
             bumps.push((u, v, w));
         } else {
-            inserts_at[u as usize].push((v, w));
-            inserts_at[v as usize].push((u, w));
+            inserts.push((u, v, w));
+            inserts.push((v, u, w));
         }
+    }
+    inserts.sort_unstable_by_key(|&(row, nbr, _)| (row, nbr));
+
+    let entries = graph.adjncy().len() + inserts.len();
+    if u32::try_from(entries).is_err() {
+        return Err(GraphError::AdjacencyOverflow { entries });
     }
 
-    // Pass 2: assemble the new CSR arrays with one merge per touched row.
-    let total_adj = graph.adjncy().len() + added_edges.len() * 2 - bumps.len() * 2; // bumps reuse existing slots
-    let mut xadj = Vec::with_capacity(n_cur + 1);
-    let mut adjncy = Vec::with_capacity(total_adj);
-    let mut eweights = Vec::with_capacity(total_adj);
-    xadj.push(0usize);
-    for vtx in 0..n_cur as u32 {
-        let inserts = &mut inserts_at[vtx as usize];
-        if (vtx as usize) < n_old {
-            let nbrs = graph.neighbors(vtx);
-            let ws = graph.edge_weights(vtx);
-            if inserts.is_empty() {
-                adjncy.extend_from_slice(nbrs);
-                eweights.extend_from_slice(ws);
-            } else {
-                inserts.sort_unstable_by_key(|&(nbr, _)| nbr);
-                let mut i = 0usize;
-                for (&nbr, &w) in nbrs.iter().zip(ws) {
-                    while i < inserts.len() && inserts[i].0 < nbr {
-                        adjncy.push(inserts[i].0);
-                        eweights.push(inserts[i].1);
-                        i += 1;
-                    }
-                    adjncy.push(nbr);
-                    eweights.push(w);
+    // Pass 2: assemble the new CSR arrays. Each run of rows no insert
+    // touches is copied as one span, its offsets shifted by the inserts
+    // placed before it; only a touched row is merged entry by entry.
+    let mut rows = Rows {
+        xadj: Vec::with_capacity(n_cur + 1),
+        adjncy: Vec::with_capacity(entries),
+        eweights: Vec::with_capacity(entries),
+    };
+    rows.xadj.push(0);
+    let mut next = 0usize;
+    for row_inserts in inserts.chunk_by(|a, b| a.0 == b.0) {
+        let row = row_inserts[0].0 as usize;
+        rows.copy_untouched(graph, next, row);
+        let mut pending = row_inserts.iter().peekable();
+        if row < n_old {
+            let v = row as u32;
+            for (&nbr, &w) in graph.neighbors(v).iter().zip(graph.edge_weights(v)) {
+                while let Some(&(_, ins, iw)) = pending.next_if(|e| e.1 < nbr) {
+                    rows.push(ins, iw);
                 }
-                for &(nbr, w) in &inserts[i..] {
-                    adjncy.push(nbr);
-                    eweights.push(w);
-                }
-            }
-        } else {
-            // Brand-new node: its row is exactly its sorted inserts.
-            inserts.sort_unstable_by_key(|&(nbr, _)| nbr);
-            for &(nbr, w) in inserts.iter() {
-                adjncy.push(nbr);
-                eweights.push(w);
+                rows.push(nbr, w);
             }
         }
-        xadj.push(adjncy.len());
+        for &(_, ins, iw) in pending {
+            rows.push(ins, iw);
+        }
+        rows.end_row();
+        next = row + 1;
     }
+    rows.copy_untouched(graph, next, n_cur);
+    let Rows {
+        xadj,
+        adjncy,
+        mut eweights,
+    } = rows;
 
     // Apply weight bumps for reinforced edges (both directions).
     for &(u, v, w) in &bumps {
         for (a, b) in [(u, v), (v, u)] {
-            let row = &adjncy[xadj[a as usize]..xadj[a as usize + 1]];
-            let idx = row.binary_search(&b).expect("bumped edge exists");
-            let slot = xadj[a as usize] + idx;
-            eweights[slot] = eweights[slot].saturating_add(w);
+            let start = xadj[a as usize] as usize;
+            let row = &adjncy[start..xadj[a as usize + 1] as usize];
+            // A bump is an edge `has_edge` found, so the search hits.
+            if let Ok(idx) = row.binary_search(&b) {
+                let slot = start + idx;
+                eweights[slot] = eweights[slot].saturating_add(w);
+            }
         }
     }
 
-    let mut vweights = graph.node_weights().to_vec();
+    let mut vweights = Vec::with_capacity(n_cur);
+    vweights.extend_from_slice(graph.node_weights());
     vweights.extend_from_slice(&new_weights);
     for &(node, w) in &weight_sets {
         vweights[node as usize] = w;
     }
     let coords = graph.coords().map(|c| {
-        let mut all = c.to_vec();
+        let mut all = Vec::with_capacity(n_cur);
+        all.extend_from_slice(c);
         all.extend_from_slice(&new_coords);
         all
     });
 
     let mutated = CsrGraph {
-        topo: SmallCsr::from_usize_offsets(xadj, adjncy, eweights)?,
+        topo: SmallCsr::from_u32_offsets(xadj, adjncy, eweights),
         vweights,
         coords,
     };
@@ -380,6 +390,46 @@ pub fn apply_batch(
     dirty.sort_unstable();
     dirty.dedup();
     Ok((mutated, DirtyRegion { nodes: dirty }))
+}
+
+/// The CSR arrays [`apply_batch`] assembles, row by row. Offsets are
+/// `u32` from the start: the caller checked the final entry count
+/// against `u32::MAX`, and every offset is at most that count.
+struct Rows {
+    xadj: Vec<u32>,
+    adjncy: Vec<u32>,
+    eweights: Vec<u32>,
+}
+
+impl Rows {
+    /// Appends rows `from..to`, which no insert touches: rows of `old`
+    /// keep their entries, copied as one span with shifted offsets; rows
+    /// past `old`'s last are new and empty.
+    fn copy_untouched(&mut self, old: &CsrGraph, from: usize, to: usize) {
+        let old_to = to.min(old.num_nodes());
+        if from < old_to {
+            let old_xadj = old.xadj();
+            let (a, b) = (old_xadj[from], old_xadj[old_to]);
+            let shift = self.adjncy.len() as u32 - a;
+            self.adjncy
+                .extend_from_slice(&old.adjncy()[a as usize..b as usize]);
+            self.eweights
+                .extend_from_slice(&old.eweights()[a as usize..b as usize]);
+            self.xadj
+                .extend(old_xadj[from + 1..=old_to].iter().map(|&x| x + shift));
+        }
+        let end = self.adjncy.len() as u32;
+        self.xadj.resize(to + 1, end);
+    }
+
+    fn push(&mut self, nbr: u32, w: u32) {
+        self.adjncy.push(nbr);
+        self.eweights.push(w);
+    }
+
+    fn end_row(&mut self) {
+        self.xadj.push(self.adjncy.len() as u32);
+    }
 }
 
 /// Applies several batches in sequence, returning the final graph and the

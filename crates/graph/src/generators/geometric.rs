@@ -39,42 +39,96 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> CsrGraph {
     if count == 1 {
         return g;
     }
-
-    // Connect components by repeatedly linking the globally closest pair of
-    // nodes in different components (greedy; components are few in practice).
-    let mut extra: Vec<(u32, u32)> = Vec::new();
-    let mut comp = comp;
-    let mut remaining = count;
-    while remaining > 1 {
-        let mut best: Option<(f64, u32, u32)> = None;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if comp[i] != comp[j] {
-                    let d = pts[i].dist2(&pts[j]);
-                    if best.is_none_or(|(bd, _, _)| d < bd) {
-                        best = Some((d, i as u32, j as u32));
-                    }
-                }
-            }
-        }
-        let (_, a, bnode) = best.expect("multiple components imply a crossing pair");
-        extra.push((a, bnode));
-        // Merge component labels.
-        let (ca, cb) = (comp[a as usize], comp[bnode as usize]);
-        for c in comp.iter_mut() {
-            if *c == cb {
-                *c = ca;
-            }
-        }
-        remaining -= 1;
-    }
-
+    let extra = component_links(&pts, &comp, count, radius);
     GraphBuilder::with_nodes(n)
         .edges(edges.iter().copied())
         .edges(extra.iter().copied())
         .coords(pts)
         .build()
         .expect("geometric generator emits valid edges")
+}
+
+/// The links that connect `count` components (`comp[i]` is point `i`'s
+/// component): repeatedly the globally closest pair of points in
+/// different components, the first by `(squared distance, i, j)` with
+/// `i < j`. That greedy is Kruskal's algorithm over all cross-component
+/// pairs in that order, which is what runs here — without enumerating
+/// every pair.
+///
+/// Each round gathers the cross-component pairs within a radius through
+/// a bucket grid and runs Kruskal over them; the radius doubles from
+/// round to round until one component is left. Every pair within the
+/// radius is gathered, so all of them sort before any pair beyond it and
+/// each round's links are final. Pairs inside one component never link
+/// anything, so only points outside the current largest component are
+/// probed.
+fn component_links(pts: &[Point2], comp: &[u32], count: usize, radius: f64) -> Vec<(u32, u32)> {
+    // Union-find over component ids.
+    fn find(parent: &mut [u32], mut c: u32) -> u32 {
+        while parent[c as usize] != c {
+            let up = parent[parent[c as usize] as usize];
+            parent[c as usize] = up;
+            c = up;
+        }
+        c
+    }
+    let mut parent: Vec<u32> = (0..count as u32).collect();
+    let mut links = Vec::with_capacity(count - 1);
+    let mut reach = radius;
+    while links.len() + 1 < count {
+        reach *= 2.0;
+        let label: Vec<u32> = comp.iter().map(|&c| find(&mut parent, c)).collect();
+        let mut size = vec![0usize; count];
+        for &l in &label {
+            size[l as usize] += 1;
+        }
+        let largest = (0..count).max_by_key(|&c| size[c]).unwrap_or(0) as u32;
+        // Gather only pairs strictly inside the radius: their bucket
+        // keys differ by at most one even after rounding, so the 3 x 3
+        // block probed holds all of them. Pairs at the very edge wait
+        // for the next round.
+        let within = (reach * (1.0 - 1e-9)).powi(2);
+        let key = |p: &Point2| ((p.x / reach) as i64, (p.y / reach) as i64);
+        let mut grid: std::collections::BTreeMap<(i64, i64), Vec<u32>> =
+            std::collections::BTreeMap::new();
+        for (i, p) in pts.iter().enumerate() {
+            grid.entry(key(p)).or_default().push(i as u32);
+        }
+        let mut pairs: Vec<(f64, u32, u32)> = Vec::new();
+        for (i, p) in pts.iter().enumerate() {
+            if label[i] == largest {
+                continue;
+            }
+            let (kx, ky) = key(p);
+            for dx in -1..=1 {
+                for dy in -1..=1 {
+                    for &j in grid.get(&(kx + dx, ky + dy)).into_iter().flatten() {
+                        if label[j as usize] == label[i] {
+                            continue;
+                        }
+                        let (a, b) = ((i as u32).min(j), (i as u32).max(j));
+                        let d = pts[a as usize].dist2(&pts[b as usize]);
+                        if d <= within {
+                            pairs.push((d, a, b));
+                        }
+                    }
+                }
+            }
+        }
+        pairs.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then((x.1, x.2).cmp(&(y.1, y.2))));
+        pairs.dedup_by_key(|&mut (_, a, b)| (a, b));
+        for (_, a, b) in pairs {
+            let (ra, rb) = (
+                find(&mut parent, comp[a as usize]),
+                find(&mut parent, comp[b as usize]),
+            );
+            if ra != rb {
+                parent[rb as usize] = ra;
+                links.push((a, b));
+            }
+        }
+    }
+    links
 }
 
 /// All point pairs closer than `√r2`, via a uniform-grid spatial index
@@ -210,4 +264,99 @@ mod tests {
     }
 
     const PINNED_300_008_11: u64 = 7092425353875542881;
+
+    /// The links as the all-pairs scan chose them: each round, the
+    /// closest pair of points in different components, the first by
+    /// `(squared distance, i, j)`.
+    fn all_pairs_links(pts: &[Point2], comp: &[u32]) -> Vec<(u32, u32)> {
+        let mut comp = comp.to_vec();
+        let mut links = Vec::new();
+        loop {
+            let mut best: Option<(f64, u32, u32)> = None;
+            for i in 0..pts.len() {
+                for j in (i + 1)..pts.len() {
+                    if comp[i] != comp[j] {
+                        let d = pts[i].dist2(&pts[j]);
+                        if best.is_none_or(|(bd, _, _)| d < bd) {
+                            best = Some((d, i as u32, j as u32));
+                        }
+                    }
+                }
+            }
+            let Some((_, a, b)) = best else {
+                return links;
+            };
+            links.push((a, b));
+            let (ca, cb) = (comp[a as usize], comp[b as usize]);
+            for c in comp.iter_mut() {
+                if *c == cb {
+                    *c = ca;
+                }
+            }
+        }
+    }
+
+    /// Clustered points leave gaps of every size between components, so
+    /// links are chosen in every round of the doubling radius; the
+    /// grid-gathered Kruskal must choose the scan's links in its order.
+    #[test]
+    fn links_match_the_all_pairs_scan() {
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let clusters: Vec<Point2> = (0..1 + seed % 6)
+                .map(|_| Point2::new(rng.gen::<f64>(), rng.gen::<f64>()))
+                .collect();
+            let spread = [0.002, 0.02, 0.2][seed as usize % 3];
+            let pts: Vec<Point2> = (0..150)
+                .map(|i| {
+                    let c = clusters[i % clusters.len()];
+                    let x = (c.x + spread * (rng.gen::<f64>() - 0.5)).clamp(0.0, 0.999);
+                    let y = (c.y + spread * (rng.gen::<f64>() - 0.5)).clamp(0.0, 0.999);
+                    Point2::new(x, y)
+                })
+                .collect();
+            let radius = [0.001, 0.005, 0.02][seed as usize / 3 % 3];
+            let n = pts.len();
+            let disk = GraphBuilder::with_nodes(n)
+                .edges(disk_edges(&pts, radius * radius, radius, 0..n as u32))
+                .build()
+                .unwrap();
+            let (comp, count) = crate::traversal::connected_components(&disk);
+            let want = all_pairs_links(&pts, &comp);
+            assert_eq!(want.len() + 1, count);
+            let got = if count == 1 {
+                Vec::new()
+            } else {
+                component_links(&pts, &comp, count, radius)
+            };
+            assert_eq!(got, want, "seed {seed}");
+        }
+    }
+
+    /// Pins instances whose disk graphs fall into hundreds of
+    /// components, recorded when every link came from a scan over all
+    /// point pairs: linking through the bucket grid must pick the same
+    /// links.
+    #[test]
+    fn multi_component_links_are_pinned() {
+        for (n, radius, seed, components, pinned) in [
+            (600, 0.03, 5, 261, 15724538265611803452u64),
+            (2500, 0.02, 7, 374, 7192526818348717627),
+            (4000, 0.015, 3, 742, 16198466535789286986),
+        ] {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x6765_6f6d);
+            let pts: Vec<Point2> = (0..n)
+                .map(|_| Point2::new(rng.gen::<f64>(), rng.gen::<f64>()))
+                .collect();
+            let disk = GraphBuilder::with_nodes(n)
+                .edges(disk_edges(&pts, radius * radius, radius, 0..n as u32))
+                .build()
+                .unwrap();
+            let (_, count) = crate::traversal::connected_components(&disk);
+            assert_eq!(count, components, "n={n}");
+            let g = random_geometric(n, radius, seed);
+            assert_eq!(g.num_edges(), disk.num_edges() + components - 1);
+            assert_eq!(graph_hash(&g), pinned, "n={n}");
+        }
+    }
 }

@@ -16,35 +16,94 @@ use std::fmt::Write as _;
 /// Serializes the graph in METIS format. Emits vertex weights iff any is
 /// non-unit and edge weights iff any is non-unit.
 pub fn to_metis(graph: &CsrGraph) -> String {
+    let mut out = String::with_capacity(metis_len_bound(graph, "\n"));
+    write_metis(graph, &mut out, "\n");
+    out
+}
+
+/// Appends the METIS text of `graph` (the exact bytes of [`to_metis`]) to
+/// `out`, ending every line with `eol` instead of `"\n"`. The serve tape
+/// passes the JSON escape `"\\n"` and so writes a graph straight into a
+/// record's string value. Size `out` with [`metis_len_bound`] first and
+/// the call never reallocates.
+pub fn write_metis(graph: &CsrGraph, out: &mut String, eol: &str) {
     let has_vw = graph.node_weights().iter().any(|&w| w != 1);
     let has_ew = graph.eweights().iter().any(|&w| w != 1);
-    let mut out = String::new();
-    let fmt = match (has_vw, has_ew) {
+    push_decimal(out, graph.num_nodes() as u64);
+    out.push(' ');
+    push_decimal(out, graph.num_edges() as u64);
+    out.push_str(match (has_vw, has_ew) {
         (false, false) => "",
         (false, true) => " 001",
         (true, false) => " 010",
         (true, true) => " 011",
-    };
-    let _ = writeln!(out, "{} {}{}", graph.num_nodes(), graph.num_edges(), fmt);
-    for v in 0..graph.num_nodes() as u32 {
-        let mut first = true;
+    });
+    out.push_str(eol);
+    let (adjncy, eweights) = (graph.adjncy(), graph.eweights());
+    let mut start = 0usize;
+    for (&end, &vw) in graph.xadj().iter().skip(1).zip(graph.node_weights()) {
+        let end = end as usize;
+        let nbrs = adjncy.get(start..end).unwrap_or_default();
+        let ws = eweights.get(start..end).unwrap_or_default();
+        start = end;
+        let mut sep = "";
         if has_vw {
-            let _ = write!(out, "{}", graph.node_weight(v));
-            first = false;
+            push_decimal(out, vw.into());
+            sep = " ";
         }
-        for (&u, &w) in graph.neighbors(v).iter().zip(graph.edge_weights(v)) {
-            if !first {
-                out.push(' ');
-            }
-            let _ = write!(out, "{}", u + 1);
+        for (&u, &w) in nbrs.iter().zip(ws) {
+            out.push_str(sep);
+            push_decimal(out, u64::from(u) + 1);
             if has_ew {
-                let _ = write!(out, " {}", w);
+                out.push(' ');
+                push_decimal(out, w.into());
             }
-            first = false;
+            sep = " ";
         }
-        out.push('\n');
+        out.push_str(eol);
     }
-    out
+}
+
+/// An upper bound on the bytes [`write_metis`] appends for `graph` and
+/// `eol`: every id and weight is counted at the width of the largest.
+pub fn metis_len_bound(graph: &CsrGraph, eol: &str) -> usize {
+    let n = graph.num_nodes();
+    let counts = decimal_len(n as u64) + 1 + decimal_len(graph.num_edges() as u64);
+    let header = counts + " 011".len() + eol.len();
+    let row = weight_width(graph.node_weights()) + eol.len();
+    let entry = decimal_len(n as u64) + 1 + weight_width(graph.eweights());
+    header + n * row + graph.adjncy().len() * entry
+}
+
+/// Bytes one written weight of `weights` takes at most, its separator
+/// included: 0 when all are 1, because unit weights are not written.
+fn weight_width(weights: &[u32]) -> usize {
+    let written = weights.iter().any(|&w| w != 1);
+    match weights.iter().max() {
+        Some(&w) if written => decimal_len(w.into()) + 1,
+        _ => 0,
+    }
+}
+
+/// Number of decimal digits of `value`: the bytes [`push_decimal`] appends.
+pub fn decimal_len(value: u64) -> usize {
+    value.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Appends the decimal digits of `value` to `out` without going through
+/// `fmt`: the writer behind [`to_metis`] and the serve tape's numbers.
+pub fn push_decimal(out: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut len = 0usize;
+    for slot in digits.iter_mut() {
+        *slot = b'0' + (value % 10) as u8;
+        len += 1;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend(digits.iter().take(len).rev().map(|&d| char::from(d)));
 }
 
 /// Parses a METIS-format document produced by [`to_metis`] (or by METIS
@@ -264,11 +323,21 @@ pub fn attach_coords(graph: &CsrGraph, coords: Vec<Point2>) -> Result<CsrGraph, 
 
 /// Serializes vertex coordinates, one `x y` pair per line.
 pub fn coords_to_text(coords: &[Point2]) -> String {
-    let mut out = String::new();
+    // `x y\n` with both axes at full f64 precision: a typical line.
+    const TYPICAL_LINE: usize = 40;
+    let mut out = String::with_capacity(coords.len() * TYPICAL_LINE);
+    write_coords(&mut out, coords);
+    out
+}
+
+/// Appends the [`coords_to_text`] lines of `coords` to `out`. The text is
+/// a concatenation of per-point lines, so a growing point set can extend
+/// its text instead of formatting every point again; the serve daemon
+/// keeps each session's coordinate text this way.
+pub fn write_coords(out: &mut String, coords: &[Point2]) {
     for p in coords {
         let _ = writeln!(out, "{} {}", p.x, p.y);
     }
-    out
 }
 
 /// Parses a coordinate document produced by [`coords_to_text`].

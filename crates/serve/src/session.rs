@@ -18,12 +18,14 @@ use gapart_core::dynamic::{
 };
 use gapart_graph::dynamic::wire;
 use gapart_graph::dynamic::Mutation;
-use gapart_graph::io::{attach_coords, coords_from_text, coords_to_text, from_metis, to_metis};
+use gapart_graph::io::{
+    attach_coords, coords_from_text, coords_to_text, from_metis, to_metis, write_coords,
+};
 use gapart_graph::partition::{hash_labels, Partition};
 use gapart_graph::CsrGraph;
 use std::path::Path;
 
-use crate::tape::{read_tape, Record, Snapshot, TapeWriter};
+use crate::tape::{scan_tape, LiveSnapshot, Record, Snapshot, TapeWriter};
 use crate::ServeError;
 
 /// A live named session: the dynamic-repartitioning engine, its spec,
@@ -32,6 +34,12 @@ use crate::ServeError;
 pub struct ManagedSession {
     spec: SessionSpec,
     inner: DynamicSession,
+    /// The graph's coordinate text ([`coords_to_text`] of its
+    /// coordinates), when it has coordinates. No mutation moves or
+    /// removes a node, so the text only grows: each applied batch
+    /// appends the lines of the nodes it added, and a snapshot copies
+    /// the text instead of formatting every coordinate again.
+    coords_text: Option<String>,
     tape: TapeWriter,
     pending: Vec<Mutation>,
     /// `batches` value at the last snapshot on the tape (or 0 when only
@@ -48,7 +56,7 @@ fn parse_labels(text: &str, parts: u32) -> Result<Partition, ServeError> {
     Partition::new(labels, parts).map_err(|e| ServeError::State(format!("snapshot labels: {e}")))
 }
 
-fn restore_graph(metis: &str, coords: Option<&String>) -> Result<CsrGraph, ServeError> {
+fn restore_graph(metis: &str, coords: Option<&str>) -> Result<CsrGraph, ServeError> {
     let g = from_metis(metis).map_err(|e| ServeError::State(format!("tape graph: {e}")))?;
     match coords {
         None => Ok(g),
@@ -58,6 +66,21 @@ fn restore_graph(metis: &str, coords: Option<&String>) -> Result<CsrGraph, Serve
             attach_coords(&g, coords).map_err(|e| ServeError::State(format!("tape coords: {e}")))
         }
     }
+}
+
+/// Applies one batch to `inner` and appends the coordinate lines of the
+/// nodes it added to `coords_text`.
+fn absorb(
+    inner: &mut DynamicSession,
+    coords_text: &mut Option<String>,
+    batch: &[Mutation],
+) -> Result<BatchRecord, ServeError> {
+    let before = inner.graph().num_nodes();
+    let record = inner.apply_batch(batch).map_err(ServeError::Session)?;
+    if let (Some(text), Some(coords)) = (coords_text.as_mut(), inner.graph().coords()) {
+        write_coords(text, coords.get(before..).unwrap_or_default());
+    }
+    Ok(record)
 }
 
 impl ManagedSession {
@@ -70,17 +93,18 @@ impl ManagedSession {
         resolver: MethodResolver,
     ) -> Result<Self, ServeError> {
         let metis = to_metis(&graph);
-        let coords = graph.coords().map(coords_to_text);
+        let coords_text = graph.coords().map(coords_to_text);
         let inner = spec.open(graph, resolver).map_err(ServeError::Session)?;
         let mut tape = TapeWriter::create(tape_path)?;
         tape.append(&Record::Open {
             spec: spec.to_kv(),
             metis,
-            coords,
+            coords: coords_text.clone(),
         })?;
         Ok(ManagedSession {
             spec,
             inner,
+            coords_text,
             tape,
             pending: Vec::new(),
             last_snapshot: 0,
@@ -91,43 +115,52 @@ impl ManagedSession {
     /// the open record's initial graph), then replay every batch record
     /// past it. Returns the session and how many tail batches were
     /// replayed.
+    ///
+    /// The tape is read one line at a time. Only the spec, the latest
+    /// restore point (the open record, then each snapshot in turn) and
+    /// the batch records after it are kept, so recovery needs memory for
+    /// one checkpoint and its tail, not for the whole tape.
     pub fn recover(
         tape_path: &Path,
         resolver: MethodResolver,
     ) -> Result<(Self, usize), ServeError> {
-        let (records, _dropped_tail) = read_tape(tape_path)?;
-        let mut records = records.into_iter();
-        let Some(Record::Open {
-            spec,
-            metis,
-            coords,
-        }) = records.next()
-        else {
-            // read_tape guarantees the first record is Open.
-            return Err(ServeError::State("tape has no open record".into()));
-        };
-        let spec = SessionSpec::parse_kv(&spec).map_err(ServeError::Spec)?;
-
-        // Find the latest snapshot and the batch records after it.
+        let mut spec_text: Option<String> = None;
+        // The open record's graph, dropped once a snapshot supersedes it.
+        let mut base: Option<(String, Option<String>)> = None;
         let mut snapshot: Option<Snapshot> = None;
         let mut tail: Vec<(usize, String)> = Vec::new();
-        for record in records {
+        scan_tape(tape_path, |record| {
             match record {
-                Record::Snapshot(s) => {
-                    tail.clear();
-                    snapshot = Some(s);
+                Record::Open {
+                    spec,
+                    metis,
+                    coords,
+                } if spec_text.is_none() => {
+                    spec_text = Some(spec);
+                    base = Some((metis, coords));
                 }
-                Record::Batch { seq, muts } => tail.push((seq, muts)),
                 Record::Open { .. } => {
                     return Err(ServeError::State("second open record on tape".into()))
                 }
+                Record::Snapshot(s) => {
+                    tail.clear();
+                    base = None;
+                    snapshot = Some(s);
+                }
+                Record::Batch { seq, muts } => tail.push((seq, muts)),
                 Record::Close { .. } => {}
             }
-        }
+            Ok(())
+        })?;
+        // scan_tape visits records only when the first is an open.
+        let Some(spec_text) = spec_text else {
+            return Err(ServeError::State("tape has no open record".into()));
+        };
+        let spec = SessionSpec::parse_kv(&spec_text).map_err(ServeError::Spec)?;
 
-        let mut inner = match &snapshot {
-            Some(s) => {
-                let graph = restore_graph(&s.metis, s.coords.as_ref())?;
+        let (mut inner, mut coords_text, last_snapshot) = match (snapshot, base) {
+            (Some(s), _) => {
+                let graph = restore_graph(&s.metis, s.coords.as_deref())?;
                 let partition = parse_labels(&s.labels, spec.parts)?;
                 let state = SessionState {
                     batches: s.batches,
@@ -135,14 +168,18 @@ impl ManagedSession {
                     baseline_cut: s.baseline_cut,
                     current_cut: s.cut,
                 };
-                spec.resume(graph, partition, state, resolver)
-                    .map_err(ServeError::Session)?
+                let inner = spec
+                    .resume(graph, partition, state, resolver)
+                    .map_err(ServeError::Session)?;
+                (inner, s.coords, s.batches)
             }
             // No snapshot yet: redo the deterministic opening solve.
-            None => {
-                let graph = restore_graph(&metis, coords.as_ref())?;
-                spec.open(graph, resolver).map_err(ServeError::Session)?
+            (None, Some((metis, coords))) => {
+                let graph = restore_graph(&metis, coords.as_deref())?;
+                let inner = spec.open(graph, resolver).map_err(ServeError::Session)?;
+                (inner, coords, 0)
             }
+            (None, None) => return Err(ServeError::State("tape has no open record".into())),
         };
 
         // Replay the tail. Batches at or before the snapshot's counter
@@ -161,16 +198,16 @@ impl ManagedSession {
             }
             let batch = wire::parse_batch(&muts)
                 .map_err(|e| ServeError::State(format!("tape batch {seq}: {e}")))?;
-            inner.apply_batch(&batch).map_err(ServeError::Session)?;
+            absorb(&mut inner, &mut coords_text, &batch)?;
             replayed += 1;
         }
 
-        let last_snapshot = snapshot.map_or(0, |s| s.batches);
         let tape = TapeWriter::append_to(tape_path)?;
         Ok((
             ManagedSession {
                 spec,
                 inner,
+                coords_text,
                 tape,
                 pending: Vec::new(),
                 last_snapshot,
@@ -187,6 +224,13 @@ impl ManagedSession {
     /// The underlying dynamic session.
     pub fn inner(&self) -> &DynamicSession {
         &self.inner
+    }
+
+    /// The graph's coordinate text as the next snapshot will write it:
+    /// always [`coords_to_text`] of the graph's coordinates, `None` when
+    /// the graph has none.
+    pub fn coords_text(&self) -> Option<&str> {
+        self.coords_text.as_deref()
     }
 
     /// Number of buffered, not-yet-committed mutations.
@@ -220,10 +264,7 @@ impl ManagedSession {
     pub fn commit(&mut self, snapshot_every: usize) -> Result<BatchRecord, ServeError> {
         let batch = std::mem::take(&mut self.pending);
         let seq = self.inner.state().batches;
-        let record = self
-            .inner
-            .apply_batch(&batch)
-            .map_err(ServeError::Session)?;
+        let record = absorb(&mut self.inner, &mut self.coords_text, &batch)?;
         self.tape.append(&Record::Batch {
             seq,
             muts: wire::format_batch(&batch),
@@ -252,25 +293,16 @@ impl ManagedSession {
         Ok(applied)
     }
 
-    /// Appends a full checkpoint to the tape.
+    /// Appends a full checkpoint to the tape, rendered straight from the
+    /// live session.
     pub fn snapshot(&mut self) -> Result<(), ServeError> {
         let state = self.inner.state();
-        let labels: Vec<String> = self
-            .inner
-            .partition()
-            .labels()
-            .iter()
-            .map(u32::to_string)
-            .collect();
-        self.tape.append(&Record::Snapshot(Snapshot {
-            batches: state.batches,
-            epoch: state.epoch,
-            baseline_cut: state.baseline_cut,
-            cut: state.current_cut,
-            labels: labels.join(" "),
-            metis: to_metis(self.inner.graph()),
-            coords: self.inner.graph().coords().map(coords_to_text),
-        }))?;
+        self.tape.append_snapshot(&LiveSnapshot {
+            state,
+            labels: self.inner.partition().labels(),
+            graph: self.inner.graph(),
+            coords: self.coords_text.as_deref(),
+        })?;
         self.last_snapshot = state.batches;
         Ok(())
     }

@@ -11,16 +11,17 @@
 use gapart_core::dynamic::SessionSpec;
 use gapart_core::engine::GaConfig;
 use gapart_core::partitioner_impl::GaPartitioner;
+use gapart_graph::dynamic::scenario::{generate, Scenario, TraceSpec};
 use gapart_graph::dynamic::Mutation;
 use gapart_graph::generators::jittered_mesh;
-use gapart_graph::io::{from_metis, to_metis};
+use gapart_graph::io::{coords_to_text, from_metis, to_metis};
 use gapart_graph::multilevel::MultilevelPartitioner;
 use gapart_graph::refine::RefineScheme;
 use gapart_graph::{CsrGraph, Partitioner};
 use gapart_serve::session::ManagedSession;
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn resolve(name: &str, _scheme: RefineScheme) -> Option<Box<dyn Partitioner>> {
     (name == "mlga").then(|| {
@@ -233,5 +234,106 @@ fn tapes_naming_a_retired_refiner_fail_cleanly() {
     let (reply, errored, _) = d.execute("open live");
     assert!(!errored, "{reply}");
     assert_eq!(d.execute("sessions").0, "ok sessions=1 names=live");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// The session's cached coordinate text is what formatting every
+/// coordinate of its graph again gives.
+fn assert_coords_cached(session: &ManagedSession, context: &str) {
+    let graph = session.inner().graph();
+    let want = graph.coords().map(coords_to_text);
+    assert!(
+        want.is_some(),
+        "{context}: the pinned graph carries coordinates"
+    );
+    assert_eq!(session.coords_text(), want.as_deref(), "{context}");
+}
+
+/// The pinned session: a jittered mesh with coordinates grown by a
+/// mesh-growth trace, a snapshot every 2 batches, then `close`. Checks
+/// the coordinate cache after every commit.
+fn run_pinned_session(tape: &Path) -> Vec<Vec<Mutation>> {
+    let mesh = jittered_mesh(150, 23);
+    let spec = TraceSpec {
+        batches: 7,
+        ops_per_batch: 5,
+        seed: 3,
+    };
+    let trace = generate(&mesh, Scenario::MeshGrowth, &spec).unwrap();
+    let spec = SessionSpec::parse_kv("parts=4 seed=11").unwrap();
+    let mut session = ManagedSession::open(spec, mesh, tape, resolve).unwrap();
+    assert_coords_cached(&session, "after open");
+    for (i, batch) in trace.iter().enumerate() {
+        for m in batch {
+            session.push_mutation(m.clone());
+        }
+        session.commit(2).unwrap();
+        assert_coords_cached(&session, &format!("after commit {i}"));
+    }
+    session.close().unwrap();
+    trace
+}
+
+/// The tape's bytes are pinned: the snapshot writer renders from live
+/// session state and the coordinate text is cached, and neither may
+/// change a byte of what the formatting writer produced. The value was
+/// recorded with that writer.
+#[test]
+fn pinned_session_writes_the_recorded_tape_bytes() {
+    const PINNED_TAPE: u64 = 0x812f_cc33_fdf9_2ad2;
+    let dir = temp_dir("pinned");
+    let tape = dir.join("pinned.tape");
+    run_pinned_session(&tape);
+    let bytes = std::fs::read(&tape).unwrap();
+    assert_eq!(bytes.len(), 55_017);
+    assert_eq!(fnv1a(&bytes), PINNED_TAPE);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every recovery path seeds the coordinate cache with the text the
+/// graph's coordinates format to: from a snapshot, from the open record
+/// alone, and from a torn tape; replayed batches extend it.
+#[test]
+fn recovery_restores_the_coordinate_cache() {
+    let dir = temp_dir("coords");
+    let full_tape = dir.join("full.tape");
+    let trace = run_pinned_session(&full_tape);
+    let full = std::fs::read_to_string(&full_tape).unwrap();
+
+    // (kept batches, torn tail): from the open record alone (0 batches,
+    // and 1 batch before the first snapshot), from a snapshot plus a
+    // tail, from the final snapshot, and torn variants of each.
+    for (keep, tear) in [
+        (0, false),
+        (1, false),
+        (3, false),
+        (7, false),
+        (1, true),
+        (5, true),
+    ] {
+        let tape = dir.join(format!("crash-{keep}-{tear}.tape"));
+        std::fs::write(&tape, truncate_tape(&full, keep, tear)).unwrap();
+        let (mut session, _) = ManagedSession::recover(&tape, resolve).unwrap();
+        let context = format!("recovered with {keep} batches, torn={tear}");
+        assert_eq!(session.inner().state().batches, keep, "{context}");
+        assert_coords_cached(&session, &context);
+        for batch in trace.iter().skip(keep) {
+            for m in batch {
+                session.push_mutation(m.clone());
+            }
+            session.commit(2).unwrap();
+            assert_coords_cached(&session, &context);
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
