@@ -8,7 +8,7 @@
 use crate::chromosome::Chromosome;
 use crate::error::GaError;
 use crate::fitness::{EvalScratch, FitnessEvaluator, FitnessKind};
-use crate::hillclimb::{hill_climb, swap_climb};
+use crate::hillclimb::{hill_climb_in, swap_climb_in};
 use crate::history::ConvergenceHistory;
 use crate::ops::crossover::{CrossoverCtx, CrossoverOp};
 use crate::ops::mutation::mutate;
@@ -321,11 +321,19 @@ pub struct GaEngine<'g> {
     rng: StdRng,
     population: Population,
     /// Best individual ever seen (elitism is per-generation; this is
-    /// global).
+    /// global). Reassigned only through [`GaEngine::set_best`].
     best_ever: Individual,
+    /// `best_ever`'s reported cut.
+    best_cut: u64,
+    /// Whether the elite polish already ran on `best_ever` and found
+    /// nothing better. The polish is a pure function of its input genes,
+    /// so until `best_ever` is reassigned it would find nothing again.
+    best_polished: bool,
     /// The KNUX/DKNUX reference solution `I`.
     reference: Vec<u32>,
     history: ConvergenceHistory,
+    /// Evaluation and climb buffers for the sequential path, the elite
+    /// polish and `FinalBest`.
     scratch: EvalScratch,
     generations_run: usize,
 }
@@ -361,6 +369,8 @@ impl<'g> GaEngine<'g> {
             rng,
             population,
             best_ever,
+            best_cut,
+            best_polished: false,
             reference,
             history,
             scratch: EvalScratch::default(),
@@ -380,8 +390,20 @@ impl<'g> GaEngine<'g> {
 
     /// Reported cut of the best individual found so far.
     pub fn best_cut(&self) -> u64 {
-        self.evaluator
-            .reported_cut(self.best_ever.chromosome.genes())
+        self.best_cut
+    }
+
+    /// Makes `ind` the best individual ever seen: caches its reported cut,
+    /// marks it unpolished and, under DKNUX, re-targets the reference.
+    fn set_best(&mut self, ind: Individual) {
+        let genes = ind.chromosome.genes();
+        self.best_cut = self.evaluator.reported_cut(genes);
+        self.best_polished = false;
+        if self.config.crossover.is_dynamic() {
+            self.reference.clear();
+            self.reference.extend_from_slice(genes);
+        }
+        self.best_ever = ind;
     }
 
     /// Convergence history so far (index 0 = initial population).
@@ -415,10 +437,7 @@ impl<'g> GaEngine<'g> {
     pub fn immigrate(&mut self, incoming: Vec<Individual>) {
         for ind in &incoming {
             if ind.fitness > self.best_ever.fitness {
-                self.best_ever = ind.clone();
-                if self.config.crossover.is_dynamic() {
-                    self.reference = ind.chromosome.genes().to_vec();
-                }
+                self.set_best(ind.clone());
             }
         }
         self.population.replace_worst(incoming);
@@ -495,7 +514,7 @@ impl<'g> GaEngine<'g> {
         let eval_one = |scratch: &mut EvalScratch, mut genes: Vec<u32>| {
             let fitness = match climb {
                 HillClimbMode::Offspring { passes } => {
-                    hill_climb(evaluator, &mut genes, passes).fitness
+                    hill_climb_in(evaluator, &mut genes, passes, scratch).fitness
                 }
                 _ => evaluator.evaluate_with(&genes, scratch),
             };
@@ -526,36 +545,31 @@ impl<'g> GaEngine<'g> {
         // Track global best; DKNUX continually re-targets it.
         let best_idx = self.population.best_index();
         if self.population.individuals[best_idx].fitness > self.best_ever.fitness {
-            self.best_ever = self.population.individuals[best_idx].clone();
-            if self.config.crossover.is_dynamic() {
-                self.reference = self.best_ever.chromosome.genes().to_vec();
-            }
+            self.set_best(self.population.individuals[best_idx].clone());
         }
 
-        // Elite polish: one swap-climb of the global best per generation.
-        if self.config.elite_swap_passes > 0 {
+        // Elite polish: one swap-climb of the global best per generation,
+        // skipped while it is the same best that a polish left unchanged.
+        if self.config.elite_swap_passes > 0 && !self.best_polished {
             let mut genes = self.best_ever.chromosome.genes().to_vec();
+            let passes = self.config.elite_swap_passes;
             let fitness =
-                swap_climb(&self.evaluator, &mut genes, self.config.elite_swap_passes).fitness;
+                swap_climb_in(&self.evaluator, &mut genes, passes, &mut self.scratch).fitness;
             if fitness > self.best_ever.fitness {
-                self.best_ever = Individual {
+                self.set_best(Individual {
                     chromosome: Chromosome::new(genes),
                     fitness,
-                };
-                if self.config.crossover.is_dynamic() {
-                    self.reference = self.best_ever.chromosome.genes().to_vec();
-                }
+                });
                 // Feed the improvement back into the gene pool.
                 self.population.replace_worst(vec![self.best_ever.clone()]);
+            } else {
+                self.best_polished = true;
             }
         }
-        let best_cut = self
-            .evaluator
-            .reported_cut(self.best_ever.chromosome.genes());
         self.history.push(
             self.best_ever.fitness,
             self.population.mean_fitness(),
-            best_cut,
+            self.best_cut,
         );
         self.best_ever.fitness
     }
@@ -580,17 +594,15 @@ impl<'g> GaEngine<'g> {
     pub fn finish(mut self) -> GaResult {
         if let HillClimbMode::FinalBest { passes } = self.config.hill_climb {
             let mut genes = self.best_ever.chromosome.genes().to_vec();
-            let fitness = hill_climb(&self.evaluator, &mut genes, passes).fitness;
+            let fitness =
+                hill_climb_in(&self.evaluator, &mut genes, passes, &mut self.scratch).fitness;
             if fitness > self.best_ever.fitness {
-                self.best_ever = Individual {
+                self.set_best(Individual {
                     chromosome: Chromosome::new(genes),
                     fitness,
-                };
+                });
             }
         }
-        let best_cut = self
-            .evaluator
-            .reported_cut(self.best_ever.chromosome.genes());
         let best_partition = self
             .best_ever
             .chromosome
@@ -600,7 +612,7 @@ impl<'g> GaEngine<'g> {
         GaResult {
             best_partition,
             best_fitness: self.best_ever.fitness,
-            best_cut,
+            best_cut: self.best_cut,
             best_metrics,
             history: self.history,
             generations_run: self.generations_run,

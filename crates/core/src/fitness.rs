@@ -9,6 +9,7 @@
 //! contributes to two parts in the Fitness-1 sum). Node/edge weights
 //! generalize `|B(q)|` to weighted loads exactly as §2 defines.
 
+use crate::hillclimb::PartSums;
 use gapart_graph::CsrGraph;
 
 /// Which of the paper's two objectives to optimize.
@@ -30,11 +31,57 @@ impl std::fmt::Display for FitnessKind {
     }
 }
 
-/// Reusable scratch buffers for [`FitnessEvaluator::evaluate_with`].
+/// Reusable buffers for [`FitnessEvaluator::evaluate_with`] and the hill
+/// climbs: per-part loads and cuts, the boundary marks and one vertex's
+/// per-part edge sums. The GA engine keeps one per worker, so once the
+/// buffers have grown neither an evaluation nor a climb allocates.
 #[derive(Debug, Default, Clone)]
 pub struct EvalScratch {
     loads: Vec<u64>,
     cuts: Vec<u64>,
+    /// The vertices the last tally found with a neighbour in another part.
+    /// The climbs keep this a superset of the boundary as they move
+    /// vertices.
+    pub(crate) marks: Marks,
+    /// The hill climbs' per-part edge sums.
+    pub(crate) sums: PartSums,
+}
+
+/// A set of vertices, one bit each: the hill climbs' boundary marks.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Marks {
+    words: Vec<u64>,
+}
+
+impl Marks {
+    /// Adds `v`; a vertex beyond the sized range is ignored.
+    #[inline]
+    pub(crate) fn insert(&mut self, v: u32) {
+        if let Some(word) = self.words.get_mut(v as usize / 64) {
+            *word |= 1 << (v % 64);
+        }
+    }
+
+    /// Removes `v`.
+    #[inline]
+    pub(crate) fn remove(&mut self, v: u32) {
+        if let Some(word) = self.words.get_mut(v as usize / 64) {
+            *word &= !(1 << (v % 64));
+        }
+    }
+
+    /// The smallest member that is at least `from`. A sweep that calls
+    /// this after each vertex sees members added above its position.
+    #[inline]
+    pub(crate) fn next_from(&self, from: usize) -> Option<u32> {
+        let mut i = from / 64;
+        let mut word = self.words.get(i)? & (!0u64 << (from % 64));
+        while word == 0 {
+            i += 1;
+            word = *self.words.get(i)?;
+        }
+        Some((i * 64) as u32 + word.trailing_zeros())
+    }
 }
 
 /// Evaluates chromosomes against a graph. Borrowing the graph keeps
@@ -135,32 +182,51 @@ impl<'g> FitnessEvaluator<'g> {
         }
     }
 
+    /// The one `O(V + E)` tally: per-part loads and cuts into `scratch`,
+    /// and into `scratch.marks` every vertex with a neighbour in another
+    /// part.
     fn tally<'s>(&self, genes: &[u32], scratch: &'s mut EvalScratch) -> (&'s [u64], &'s [u64]) {
-        let n = self.graph.num_nodes();
-        assert_eq!(genes.len(), n, "chromosome length != node count");
+        let g = self.graph;
+        assert_eq!(
+            genes.len(),
+            g.num_nodes(),
+            "chromosome length != node count"
+        );
         let p = self.num_parts as usize;
-        scratch.loads.clear();
-        scratch.loads.resize(p, 0);
-        scratch.cuts.clear();
-        scratch.cuts.resize(p, 0);
-        for v in 0..n as u32 {
-            let pv = genes[v as usize];
+        let EvalScratch {
+            loads, cuts, marks, ..
+        } = scratch;
+        loads.clear();
+        loads.resize(p, 0);
+        cuts.clear();
+        cuts.resize(p, 0);
+        // The marks are built a word at a time.
+        marks.words.clear();
+        let mut word = 0u64;
+        let (adjncy, eweights) = (g.adjncy(), g.eweights());
+        let rows = g.xadj().windows(2);
+        for (v, ((&pv, &wv), row)) in genes.iter().zip(g.node_weights()).zip(rows).enumerate() {
             debug_assert!(pv < self.num_parts, "gene out of range");
-            scratch.loads[pv as usize] += self.graph.node_weight(v) as u64;
+            let (lo, hi) = (row[0] as usize, row[1] as usize);
+            loads[pv as usize] += wv as u64;
             let mut out = 0u64;
-            for (&u, &w) in self
-                .graph
-                .neighbors(v)
-                .iter()
-                .zip(self.graph.edge_weights(v))
-            {
-                if genes[u as usize] != pv {
-                    out += w as u64;
-                }
+            let mut boundary = false;
+            for (&u, &w) in adjncy[lo..hi].iter().zip(&eweights[lo..hi]) {
+                let cut = genes[u as usize] != pv;
+                out += if cut { w as u64 } else { 0 };
+                boundary |= cut;
             }
-            scratch.cuts[pv as usize] += out;
+            cuts[pv as usize] += out;
+            word |= u64::from(boundary) << (v % 64);
+            if v % 64 == 63 {
+                marks.words.push(word);
+                word = 0;
+            }
         }
-        (&scratch.loads, &scratch.cuts)
+        if !genes.len().is_multiple_of(64) {
+            marks.words.push(word);
+        }
+        (loads, cuts)
     }
 }
 
@@ -194,15 +260,32 @@ pub struct PartitionState<'g> {
 impl<'g> PartitionState<'g> {
     /// Builds the state for `genes` (one full `O(V + E)` tally).
     pub fn new(evaluator: FitnessEvaluator<'g>, genes: Vec<u32>) -> Self {
-        let mut scratch = EvalScratch::default();
-        let (loads, cuts) = evaluator.tally(&genes, &mut scratch);
-        let (loads, cuts) = (loads.to_vec(), cuts.to_vec());
+        Self::new_in(evaluator, genes, &mut EvalScratch::default())
+    }
+
+    /// [`PartitionState::new`] in `scratch`'s buffers: the state takes the
+    /// loads and cuts, and the tally leaves the boundary marks in
+    /// `scratch.marks`. [`PartitionState::into_labels_in`] hands the
+    /// buffers back.
+    // gapart-lint: allow(panic-reach) -- crate-internal: the climbs pass only chromosomes of the graph's length with every label below num_parts, so every index is a node or a part
+    pub(crate) fn new_in(
+        evaluator: FitnessEvaluator<'g>,
+        genes: Vec<u32>,
+        scratch: &mut EvalScratch,
+    ) -> Self {
+        evaluator.tally(&genes, scratch);
         PartitionState {
             evaluator,
             labels: genes,
-            loads,
-            cuts,
+            loads: std::mem::take(&mut scratch.loads),
+            cuts: std::mem::take(&mut scratch.cuts),
         }
+    }
+
+    /// The graph being partitioned.
+    #[inline]
+    pub(crate) fn graph(&self) -> &'g CsrGraph {
+        self.evaluator.graph
     }
 
     /// Current labels.
@@ -213,6 +296,14 @@ impl<'g> PartitionState<'g> {
 
     /// Consumes the state, returning the label vector.
     pub fn into_labels(self) -> Vec<u32> {
+        self.labels
+    }
+
+    /// Consumes the state, returning the label vector and handing its
+    /// loads and cuts back to `scratch` for the next state.
+    pub(crate) fn into_labels_in(self, scratch: &mut EvalScratch) -> Vec<u32> {
+        scratch.loads = self.loads;
+        scratch.cuts = self.cuts;
         self.labels
     }
 

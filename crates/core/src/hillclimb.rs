@@ -8,8 +8,16 @@
 //! refinement keeps per boundary vertex (Karypis & Kumar, JPDC 1998): a
 //! gain costs `O(1)`, or `O(P)` under Fitness 2, and never rescans an
 //! adjacency list.
+//!
+//! The sweeps visit only *marked* vertices. The tally that builds the
+//! state marks the boundary, a scan that finds a vertex interior clears
+//! its mark, and every kept move (a single move, or either half of an
+//! accepted pair swap) marks the mover's neighbours, so the marks stay a
+//! superset of the boundary. An unmarked vertex has no neighbour
+//! in another part, hence no candidate move: skipping it changes no move,
+//! no order and no gain.
 
-use crate::fitness::{FitnessEvaluator, MoveCounts, PartitionState};
+use crate::fitness::{EvalScratch, FitnessEvaluator, Marks, MoveCounts, PartitionState};
 use gapart_graph::CsrGraph;
 
 /// Statistics from a hill-climbing run.
@@ -34,24 +42,37 @@ pub struct ClimbStats {
 /// Only parts that actually appear among a vertex's neighbours are
 /// candidate destinations ("the appropriate neighboring part"). One scan
 /// of a vertex's adjacency gathers its edge weight into each of them, and
-/// every candidate gain and the applied move reuse those sums, so a pass
-/// costs `O(V + E)`.
+/// every candidate gain and the applied move reuse those sums. Building
+/// the state costs one `O(V + E)` tally; a pass then costs `O(deg)` per
+/// marked vertex.
 pub fn hill_climb(
     evaluator: &FitnessEvaluator<'_>,
     genes: &mut Vec<u32>,
     max_passes: usize,
 ) -> ClimbStats {
-    let mut state = PartitionState::new(evaluator.clone(), std::mem::take(genes));
+    hill_climb_in(evaluator, genes, max_passes, &mut EvalScratch::default())
+}
+
+/// [`hill_climb`] in `scratch`'s buffers, which it leaves grown for the
+/// next climb.
+// gapart-lint: allow(panic-reach) -- crate-internal: the engine climbs only chromosomes of the graph's length with every label below num_parts, so every index is a node or a part
+pub(crate) fn hill_climb_in(
+    evaluator: &FitnessEvaluator<'_>,
+    genes: &mut Vec<u32>,
+    max_passes: usize,
+    scratch: &mut EvalScratch,
+) -> ClimbStats {
+    let mut state = PartitionState::new_in(evaluator.clone(), std::mem::take(genes), scratch);
     let mut stats = ClimbStats::default();
-    let mut weights = PartWeights::new(evaluator.graph(), evaluator.num_parts());
+    scratch.sums.reset(evaluator.num_parts());
     for _ in 0..max_passes {
         stats.passes += 1;
-        if !single_move_sweep(&mut state, &mut weights, 0.0, 1e-12, &mut stats) {
+        if !single_move_sweep(&mut state, scratch, 0.0, 1e-12, &mut stats) {
             break;
         }
     }
     stats.fitness = state.fitness();
-    *genes = state.into_labels();
+    *genes = state.into_labels_in(scratch);
     stats
 }
 
@@ -66,34 +87,47 @@ pub fn hill_climb(
 /// boundary vertices and buckets them by part, so a counter-move gain is
 /// `O(1)` (`O(P)` under Fitness 2). A tentative move scans the bucket of
 /// its destination, `O(B / P)` vertices on a balanced partition, and
-/// updates its neighbours' rows in `O(deg)`. A pass thus costs `O(V + E)`
-/// for the single moves plus `O(B² / P)` for the swaps — fine for
-/// polishing elites, too slow for every offspring.
+/// updates its neighbours' rows in `O(deg)`. A pass thus costs the
+/// single moves' sweep over the marked vertices plus `O(B² / P)` for the
+/// swaps — fine for polishing elites, too slow for every offspring.
 pub fn swap_climb(
     evaluator: &FitnessEvaluator<'_>,
     genes: &mut Vec<u32>,
     max_passes: usize,
 ) -> ClimbStats {
+    swap_climb_in(evaluator, genes, max_passes, &mut EvalScratch::default())
+}
+
+/// [`swap_climb`] in `scratch`'s buffers, which it leaves grown for the
+/// next climb.
+// gapart-lint: allow(panic-reach) -- crate-internal: the engine climbs only chromosomes of the graph's length with every label below num_parts, so every index is a node or a part
+pub(crate) fn swap_climb_in(
+    evaluator: &FitnessEvaluator<'_>,
+    genes: &mut Vec<u32>,
+    max_passes: usize,
+    scratch: &mut EvalScratch,
+) -> ClimbStats {
     let graph = evaluator.graph();
-    let mut state = PartitionState::new(evaluator.clone(), std::mem::take(genes));
+    let mut state = PartitionState::new_in(evaluator.clone(), std::mem::take(genes), scratch);
     let mut stats = ClimbStats::default();
-    let mut weights = PartWeights::new(graph, evaluator.num_parts());
+    scratch.sums.reset(evaluator.num_parts());
     for _ in 0..max_passes {
         stats.passes += 1;
 
         // Phase 1: greedy single moves (cheap).
-        let mut improved = single_move_sweep(&mut state, &mut weights, 1e-12, 0.0, &mut stats);
+        let mut improved = single_move_sweep(&mut state, scratch, 1e-12, 0.0, &mut stats);
 
         // Phase 2: boundary pair swaps. For each boundary vertex v with a
         // neighbouring part q, tentatively move v → q, then look for the
         // best counter-move u → p among q's boundary vertices.
-        let mut rows = SwapRows::new(graph, state.labels(), evaluator.num_parts());
+        let EvalScratch { marks, sums, .. } = &mut *scratch;
+        let mut rows = SwapRows::new(graph, state.labels(), evaluator.num_parts(), marks);
         for i in 0..rows.vertices.len() {
             let v = rows.vertices[i];
             let p = state.labels()[v as usize];
             // v's neighbouring parts, in adjacency order.
-            weights.scan(state.labels(), v);
-            for &q in &weights.parts {
+            sums.scan(graph, state.labels(), v);
+            for &q in sums.parts() {
                 // v may have moved in an earlier successful swap; always
                 // work relative to its current part.
                 let cur = state.labels()[v as usize];
@@ -117,6 +151,8 @@ pub fn swap_climb(
                         rows.apply(&mut state, u, cur);
                         rows.rebucket(v, cur, q);
                         rows.rebucket(u, q, cur);
+                        mark_neighbours(marks, graph, v);
+                        mark_neighbours(marks, graph, u);
                         stats.moves += 2;
                         stats.gain += g1 + g2;
                         improved = true;
@@ -133,103 +169,135 @@ pub fn swap_climb(
         }
     }
     stats.fitness = state.fitness();
-    *genes = state.into_labels();
+    *genes = state.into_labels_in(scratch);
     stats
 }
 
-/// One sweep over every vertex in id order, moving each to its
-/// neighbouring part of largest gain `g`. A candidate must beat the best
-/// so far by more than `slack`, and the best starts at `floor`.
-/// `hill_climb` passes `(0, 1e-12)` and `swap_climb`'s single moves
-/// `(1e-12, 0)`: the pair decides near-ties, so every label depends on
-/// it. Returns whether any vertex moved.
+/// The one single-move sweep: visits the marked vertices in ascending id
+/// and moves each to its neighbouring part of largest gain `g`. A
+/// candidate must beat the best so far by more than `slack`, and the best
+/// starts at `floor`. `hill_climb` passes `(0, 1e-12)` and `swap_climb`'s
+/// single moves `(1e-12, 0)`: the pair decides near-ties, so every label
+/// depends on it. A scan that finds a vertex interior clears its mark, and
+/// a move marks the mover's neighbours; those above the mover are visited
+/// later in the same sweep. Returns whether any vertex moved.
 fn single_move_sweep(
     state: &mut PartitionState<'_>,
-    weights: &mut PartWeights<'_>,
+    scratch: &mut EvalScratch,
     floor: f64,
     slack: f64,
     stats: &mut ClimbStats,
 ) -> bool {
+    let graph = state.graph();
+    let EvalScratch { marks, sums, .. } = scratch;
     let mut moved = false;
-    for v in 0..weights.graph.num_nodes() as u32 {
+    let mut next = marks.next_from(0);
+    while let Some(v) = next {
         let pv = state.labels()[v as usize];
-        weights.scan(state.labels(), v);
+        sums.scan(graph, state.labels(), v);
+        let mut boundary = false;
         let mut best_gain = floor;
         let mut best_part = pv;
-        for &q in &weights.parts {
+        for &q in sums.parts() {
             if q != pv {
-                let g = state.gain_with(v, q, weights.counts(pv, q));
+                boundary = true;
+                let g = state.gain_with(v, q, sums.counts(pv, q));
                 if g > best_gain + slack {
                     best_gain = g;
                     best_part = q;
                 }
             }
         }
-        if best_part != pv {
-            state.apply_with(v, best_part, weights.counts(pv, best_part));
+        if !boundary {
+            marks.remove(v);
+        } else if best_part != pv {
+            state.apply_with(v, best_part, sums.counts(pv, best_part));
+            mark_neighbours(marks, graph, v);
             stats.moves += 1;
             stats.gain += best_gain;
             moved = true;
         }
+        next = marks.next_from(v as usize + 1);
     }
     moved
 }
 
+/// Marks every neighbour of `v`, whose move may have put them on the
+/// boundary.
+fn mark_neighbours(marks: &mut Marks, graph: &CsrGraph, v: u32) {
+    for &u in graph.neighbors(v) {
+        marks.insert(u);
+    }
+}
+
 /// One vertex's edge weight into each part, from one scan of its
 /// adjacency.
-struct PartWeights<'g> {
-    graph: &'g CsrGraph,
-    /// Edge weight into each part; zero outside `parts`.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct PartSums {
+    /// Edge weight into each part; zero outside the listed parts.
     weight: Vec<u64>,
     /// The parts of the vertex's neighbours, in order of first appearance
-    /// in its adjacency list.
-    parts: Vec<u32>,
+    /// in its adjacency list, are `list[..len]`. The scan writes every
+    /// edge's part at `list[len]` and advances `len` only for a new one,
+    /// so the list has one slot more than there are parts.
+    list: Vec<u32>,
+    len: usize,
     /// Weighted degree.
     deg_w: u64,
-    /// Scans so far; `seen[q] == scans` marks `q` as listed in `parts`,
-    /// which is cheaper than searching the list for every edge.
+    /// Scans so far; `seen[q] == scans` marks `q` as listed, which is
+    /// cheaper than searching the list for every edge.
     scans: u64,
     seen: Vec<u64>,
 }
 
-impl<'g> PartWeights<'g> {
-    fn new(graph: &'g CsrGraph, num_parts: u32) -> Self {
-        PartWeights {
-            graph,
-            weight: vec![0; num_parts as usize],
-            parts: Vec::with_capacity(num_parts as usize),
-            deg_w: 0,
-            scans: 0,
-            seen: vec![0; num_parts as usize],
-        }
+impl PartSums {
+    /// Sizes the sums for `num_parts` parts, all zero.
+    fn reset(&mut self, num_parts: u32) {
+        let p = num_parts as usize;
+        self.weight.clear();
+        self.weight.resize(p, 0);
+        self.list.clear();
+        self.list.resize(p + 1, 0);
+        self.len = 0;
+        // Every entry stays at most `scans`, so no part reads as listed.
+        self.seen.resize(p, 0);
     }
 
-    /// Replaces the sums with `v`'s under `labels`.
-    fn scan(&mut self, labels: &[u32], v: u32) {
-        let PartWeights {
-            graph,
+    /// Replaces the sums with `v`'s under `labels`. Branch-free per edge:
+    /// which parts are new depends on the labels, so a branch on it would
+    /// mispredict.
+    fn scan(&mut self, graph: &CsrGraph, labels: &[u32], v: u32) {
+        let PartSums {
             weight,
-            parts,
+            list,
+            len,
             deg_w,
             scans,
             seen,
         } = self;
-        for &q in parts.iter() {
+        for &q in &list[..*len] {
             weight[q as usize] = 0;
         }
-        parts.clear();
         *scans += 1;
+        let mut listed = 0;
         let mut total = 0u64;
         for (&u, &w) in graph.neighbors(v).iter().zip(graph.edge_weights(v)) {
             let q = labels[u as usize];
-            if seen[q as usize] != *scans {
-                seen[q as usize] = *scans;
-                parts.push(q);
-            }
+            let new = seen[q as usize] != *scans;
+            seen[q as usize] = *scans;
+            list[listed] = q;
+            listed += usize::from(new);
             weight[q as usize] += w as u64;
             total += w as u64;
         }
+        *len = listed;
         *deg_w = total;
+    }
+
+    /// The scanned vertex's neighbouring parts, in order of first
+    /// appearance in its adjacency list.
+    fn parts(&self) -> &[u32] {
+        &self.list[..self.len]
     }
 
     /// The scanned vertex's counts for a move from `from` to `to`.
@@ -268,7 +336,9 @@ struct SwapRows<'g> {
 }
 
 impl<'g> SwapRows<'g> {
-    fn new(graph: &'g CsrGraph, labels: &[u32], num_parts: u32) -> Self {
+    /// Rows for the boundary vertices among `marks`, which hold a
+    /// superset of the boundary.
+    fn new(graph: &'g CsrGraph, labels: &[u32], num_parts: u32, marks: &Marks) -> Self {
         let p = num_parts as usize;
         let mut rows = SwapRows {
             graph,
@@ -279,7 +349,9 @@ impl<'g> SwapRows<'g> {
             deg_w: Vec::new(),
             buckets: vec![Vec::new(); p],
         };
-        for v in 0..graph.num_nodes() as u32 {
+        let mut next = marks.next_from(0);
+        while let Some(v) = next {
+            next = marks.next_from(v as usize + 1);
             let pv = labels[v as usize];
             if graph.neighbors(v).iter().all(|&u| labels[u as usize] == pv) {
                 continue; // interior vertex

@@ -1,7 +1,9 @@
 //! End-to-end pins of GA engine paths that no BENCH anchor covers: the
 //! CLI's flat `dpga` (DKNUX, offspring hill climbing, boundary mutation)
-//! under both fitness kinds, and `GaConfig::coarse_defaults` (the `mlga`
-//! inner solve) on a graph with non-unit node and edge weights.
+//! under both fitness kinds, `GaConfig::coarse_defaults` (the `mlga`
+//! inner solve) on a graph with non-unit node and edge weights, the same
+//! with multi-pass offspring climbs and a two-pass elite polish, and a
+//! `FinalBest` run that a `target_cut` stops early.
 //!
 //! Each pin is the best labels' hash plus the whole convergence history:
 //! the per-generation best cut as a list, and the best/mean fitness as a
@@ -149,4 +151,78 @@ fn coarse_defaults_on_a_weighted_graph_is_pinned() {
             digest,
         );
     }
+}
+
+#[test]
+fn multi_pass_climbs_and_polish_on_a_weighted_graph_are_pinned() {
+    let g = weighted_mesh();
+    for (kind, hash, cuts, digest) in [
+        (
+            FitnessKind::TotalCut,
+            "3c55c58586d70d47",
+            &[
+                719, 218, 203, 203, 203, 203, 203, 203, 203, 203, 185, 185, 185, 185, 168, 168,
+                168, 168, 168, 168, 168, 168, 149, 149, 147, 147, 147, 147, 147, 132, 132, 118,
+                118, 118, 118, 118, 118, 118, 118, 118, 118, 118, 118, 118, 118, 118, 118, 118,
+                118, 118, 118, 118, 118, 118, 118, 118, 118, 118, 118, 118, 118,
+            ][..],
+            "2e68e1b4d4f2c208",
+        ),
+        (
+            FitnessKind::WorstCut,
+            "faf5f1c17951d4b7",
+            &[
+                391, 177, 164, 147, 137, 132, 132, 132, 132, 132, 132, 132, 132, 132, 132, 132,
+                132, 132, 132, 132, 132, 132, 132, 132, 132, 132, 132, 132, 132, 132, 126, 126,
+                126, 126, 126, 126, 126, 126, 126, 126, 126, 126, 126, 112, 112, 112, 112, 112,
+                112, 105, 105, 105, 105, 105, 105, 105, 105, 105, 105, 105, 105,
+            ][..],
+            "b69e4503521588b5",
+        ),
+    ] {
+        let mut config = GaConfig::coarse_defaults(4)
+            .with_fitness(kind)
+            .with_seed(9)
+            .with_hill_climb(HillClimbMode::Offspring { passes: 3 });
+        config.elite_swap_passes = 2;
+        let r = GaEngine::new(&g, config).unwrap().run();
+        assert_pin(
+            &format!("offspring passes 3, polish passes 2, {kind}"),
+            r.best_partition.labels(),
+            &r.history,
+            hash,
+            cuts,
+            digest,
+        );
+    }
+}
+
+/// Fitness 2 improves in steps with long plateaus here, so the polish
+/// meets an unchanged best many times before the cut reaches the target
+/// at generation 20 of 60.
+#[test]
+fn final_best_run_stopped_by_target_cut_is_pinned() {
+    let g = paper_graph(144);
+    let mut config = GaConfig::paper_defaults(4)
+        .with_fitness(FitnessKind::WorstCut)
+        .with_population_size(64)
+        .with_generations(60)
+        .with_seed(1)
+        .with_hill_climb(HillClimbMode::FinalBest { passes: 10 });
+    config.boundary_mutation_rate = 0.05;
+    config.target_cut = Some(72);
+    let r = GaEngine::new(&g, config).unwrap().run();
+    assert_eq!(r.generations_run, 20);
+    assert_eq!(r.best_cut, 72);
+    assert_pin(
+        "final best with target cut",
+        r.best_partition.labels(),
+        &r.history,
+        "b82214487ad44f35",
+        &[
+            144, 134, 134, 111, 111, 111, 111, 111, 111, 111, 111, 77, 77, 77, 77, 77, 77, 77, 77,
+            77, 72,
+        ],
+        "94c96ad6b3f66083",
+    );
 }

@@ -228,7 +228,7 @@ proptest! {
         parts in 2u32..=8,
         kind in 0usize..2,
         lambda in 0usize..3,
-        passes in 1usize..=3,
+        passes in 1usize..=10,
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
