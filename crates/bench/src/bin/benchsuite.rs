@@ -2,9 +2,7 @@
 //! schema'd JSON document per PR.
 //!
 //! Runs large-grid / geometric / churn-stream scenarios across a sweep of
-//! forced worker-pool sizes, flat and multilevel methods side by side —
-//! including the refinement-engine comparison (`mlga` vs `mlga-pfm`, and
-//! their `stream+` twins) — and
+//! forced worker-pool sizes, flat and multilevel methods side by side, and
 //! writes `BENCH_7.json` (see `--out`) with per-row wall time, cut
 //! metrics, peak-RSS memory telemetry, and an FNV-1a hash of the final
 //! labels — the witness that every thread count produced the
@@ -32,10 +30,8 @@ use gapart::core::dynamic::{BatchAction, DynamicConfig, DynamicSession};
 use gapart::core::GaConfig;
 use gapart::graph::dynamic::scenario::{generate, Scenario, TraceSpec};
 use gapart::graph::generators::{grid2d, random_geometric, GridKind};
-use gapart::graph::multilevel::MultilevelConfig;
 use gapart::graph::partition::PartitionMetrics;
 use gapart::graph::partitioner::Partitioner;
-use gapart::graph::refine::RefineScheme;
 use gapart::graph::CsrGraph;
 use gapart::partitioners;
 use gapart_bench::json::{self, hash_labels, TRAJECTORY_SCHEMA};
@@ -109,22 +105,9 @@ fn pool(threads: usize) -> rayon::ThreadPool {
         .expect("shim pools are infallible")
 }
 
-/// The registry `mlga` with the parallel colored-batch FM — the
-/// thread-scaling refinement the anchor scenarios track against `mlga`.
-fn mlga_pfm() -> Box<dyn Partitioner> {
-    partitioners::multilevel_with(
-        "mlga-pfm",
-        partitioners::tuned_ga(GaConfig::coarse_defaults(2)),
-        MultilevelConfig {
-            refine_scheme: RefineScheme::ParallelFm,
-            ..MultilevelConfig::default()
-        },
-    )
-}
-
 /// One partitioner run under a forced pool: returns the row plus prints a
-/// progress line. Registry methods resolve by name; ablations (trimmed
-/// flat GA, `mlga-pfm`) pass their instance via `run_partitioner`.
+/// progress line. Registry methods resolve by name; ablations (the
+/// trimmed flat GA) pass their instance via `run_partitioner`.
 fn run_method(
     scenario: &'static str,
     graph: &CsrGraph,
@@ -208,20 +191,15 @@ fn run_partitioner_reps(
 }
 
 /// A churn-stream scenario: replay a mutation trace through a dynamic
-/// session (mlga escalation) under a forced pool, with the chosen
-/// refinement engine on both the frontier and the escalation path.
+/// session (mlga escalation) under a forced pool.
 fn run_stream(
     scenario: &'static str,
     graph: &CsrGraph,
     batches: usize,
     ops: usize,
     threads: usize,
-    scheme: RefineScheme,
 ) -> Row {
-    let method = match scheme {
-        RefineScheme::BoundaryFm => "stream+mlga",
-        RefineScheme::ParallelFm => "stream+mlga-pfm",
-    };
+    let method = "stream+mlga";
     let trace = generate(
         graph,
         Scenario::RandomChurn,
@@ -235,13 +213,12 @@ fn run_stream(
     let start = Instant::now();
     let (session, records) = pool(threads)
         .install(|| {
-            let full = partitioners::by_name_with("mlga", scheme).expect("mlga is registered");
+            let full = partitioners::by_name("mlga").expect("mlga is registered");
             let mut s = DynamicSession::new(
                 graph.clone(),
                 full,
                 DynamicConfig {
                     seed: SEED,
-                    refine_scheme: scheme,
                     ..DynamicConfig::new(PARTS)
                 },
             )?;
@@ -510,15 +487,6 @@ fn main() {
     for &t in &cap(&[1, 2]) {
         rows.push(run_method("grid-anchor", &anchor, "mlga", "multilevel", t));
     }
-    for &t in &cap(&[1, 2]) {
-        rows.push(run_partitioner(
-            "grid-anchor",
-            &anchor,
-            &*mlga_pfm(),
-            "multilevel",
-            t,
-        ));
-    }
     rows.push(run_method("grid-anchor", &anchor, "ibp", "flat", 1));
     rows.push(run_method("grid-anchor", &anchor, "mlrsb", "multilevel", 1));
     lap("grid-anchor", &mut scenario_walls, &mut mark);
@@ -563,13 +531,6 @@ fn main() {
         "multilevel",
         1,
     ));
-    rows.push(run_partitioner(
-        "geometric-anchor",
-        &geo_anchor,
-        &*mlga_pfm(),
-        "multilevel",
-        1,
-    ));
     rows.push(run_method(
         "geometric-anchor",
         &geo_anchor,
@@ -580,9 +541,7 @@ fn main() {
     lap("geometric-anchor", &mut scenario_walls, &mut mark);
 
     let churn_anchor = grid2d(12, 12, GridKind::FourConnected);
-    for scheme in [RefineScheme::BoundaryFm, RefineScheme::ParallelFm] {
-        rows.push(run_stream("churn-anchor", &churn_anchor, 4, 20, 1, scheme));
-    }
+    rows.push(run_stream("churn-anchor", &churn_anchor, 4, 20, 1));
     lap("churn-anchor", &mut scenario_walls, &mut mark);
 
     // ---- Million-node anchor: the scale path, in both smoke and full
@@ -604,14 +563,6 @@ fn main() {
         1,
         1,
     ));
-    rows.push(run_partitioner_reps(
-        "grid-1m-anchor",
-        &grid_1m,
-        &*mlga_pfm(),
-        "multilevel",
-        1,
-        1,
-    ));
     drop(grid_1m);
     let secs_1m = lap("grid-1m-anchor", &mut scenario_walls, &mut mark);
     if smoke {
@@ -624,8 +575,8 @@ fn main() {
     // ---- Full-size scenarios (skipped in smoke mode).
     if !smoke {
         // Scenario 1 — large grid, the headline case: multilevel GA
-        // across the full pool sweep, the parallel-FM variant, and flat
-        // IBP / multilevel RSB as anchors.
+        // across the full pool sweep, and flat IBP / multilevel RSB as
+        // anchors.
         let grid = grid2d(320, 320, GridKind::FourConnected);
         println!(
             "grid 320x320: {} nodes, {} edges",
@@ -634,15 +585,6 @@ fn main() {
         );
         for &t in &cap(&[1, 2, 4, 8]) {
             rows.push(run_method("grid", &grid, "mlga", "multilevel", t));
-        }
-        for &t in &cap(&[1, 4]) {
-            rows.push(run_partitioner(
-                "grid",
-                &grid,
-                &*mlga_pfm(),
-                "multilevel",
-                t,
-            ));
         }
         for &t in &cap(&[1, 4]) {
             rows.push(run_method("grid", &grid, "ibp", "flat", t));
@@ -687,28 +629,12 @@ fn main() {
         }
         lap("geometric", &mut scenario_walls, &mut mark);
 
-        // Scenario 4 — churn stream: localized refinement on the dirty
-        // frontier (FM buckets vs parallel FM), escalating to full mlga
-        // solves.
+        // Scenario 4 — churn stream: localized FM refinement on the
+        // dirty frontier, escalating to full mlga solves.
         let sgrid = grid2d(100, 100, GridKind::FourConnected);
         for &t in &cap(&[1, 4]) {
-            rows.push(run_stream(
-                "churn-stream",
-                &sgrid,
-                15,
-                150,
-                t,
-                RefineScheme::BoundaryFm,
-            ));
+            rows.push(run_stream("churn-stream", &sgrid, 15, 150, t));
         }
-        rows.push(run_stream(
-            "churn-stream",
-            &sgrid,
-            15,
-            150,
-            1,
-            RefineScheme::ParallelFm,
-        ));
         lap("churn-stream", &mut scenario_walls, &mut mark);
 
         // Scenario 5 — ten-million-node grid, full mode only: the
@@ -725,14 +651,6 @@ fn main() {
             "grid-10m",
             &grid_10m,
             &*partitioners::by_name("mlga").expect("mlga is registered"),
-            "multilevel",
-            1,
-            1,
-        ));
-        rows.push(run_partitioner_reps(
-            "grid-10m",
-            &grid_10m,
-            &*mlga_pfm(),
             "multilevel",
             1,
             1,

@@ -146,12 +146,13 @@ impl ThreadPool {
 /// `min_len` items — spawning a scoped thread costs tens of
 /// microseconds, so tiny batches run inline instead.
 fn effective_threads(num_items: usize, min_len: usize) -> usize {
-    let threads = current_num_threads();
-    let nested = IN_WORKER.with(Cell::get);
-    if nested {
+    // Nested calls run inline. Check that first: a worker has no pool
+    // override, so `current_num_threads` would fall through to
+    // `available_parallelism`, a syscall, on every nested call.
+    if IN_WORKER.with(Cell::get) {
         return 1;
     }
-    threads.min(num_items / min_len.max(1)).max(1)
+    current_num_threads().min(num_items / min_len.max(1)).max(1)
 }
 
 fn join_unwinding<R>(handle: std::thread::ScopedJoinHandle<'_, R>) -> R {

@@ -14,11 +14,10 @@
 //!    ([`crate::incremental::greedy_neighbor_assign`]); the candidate
 //!    with the lower composite cost (`Σ I(q) + λ Σ C(q)`, the paper's
 //!    Fitness-1 objective) wins, ties toward the balanced policy.
-//! 2. **Localized refine** — the configured
-//!    [`gapart_graph::refine::RefineScheme`] (boundary FM by default, or
-//!    the parallel FM; either reuses the session's workspace so only the
-//!    dirty frontier's buckets are rebuilt) touches only the frontier
-//!    (the mutated nodes plus a configurable BFS halo). The
+//! 2. **Localized refine** — the boundary FM refiner
+//!    ([`gapart_graph::fm::FmRefiner`], reusing the session's workspace
+//!    so only the dirty frontier's buckets are rebuilt) touches only the
+//!    frontier (the mutated nodes plus a configurable BFS halo). The
 //!    cut is maintained incrementally (batch edge deltas plus the
 //!    refiner's exact gain), so outside escalations a batch costs the
 //!    frontier work plus `O(V)` tallies — never a full edge-set pass.
@@ -41,9 +40,9 @@
 use crate::error::GaError;
 use crate::incremental::{extend_partition_balanced, greedy_neighbor_assign};
 use gapart_graph::dynamic::{apply_batch, Mutation};
-use gapart_graph::fm::{FmRefiner, ParallelFm};
+use gapart_graph::fm::FmRefiner;
 use gapart_graph::partition::cut_size;
-use gapart_graph::refine::{RefineOptions, RefineScheme, RefineStats};
+use gapart_graph::refine::{RefineOptions, RefineStats};
 use gapart_graph::{CsrGraph, GraphError, Partition, Partitioner, PartitionerError};
 
 /// Errors surfaced by a [`DynamicSession`].
@@ -93,10 +92,6 @@ pub struct DynamicConfig {
     pub seed: u64,
     /// Options for the localized refinement pass.
     pub refine: RefineOptions,
-    /// Refinement engine for the dirty-frontier pass: the boundary FM
-    /// refiner (default) or the parallel FM. Either engine's workspace
-    /// lives in the session and is reused across batches.
-    pub refine_scheme: RefineScheme,
     /// BFS halo around the dirty nodes that the localized refinement may
     /// move (hops; 2 by default). Larger values trade batch latency for
     /// cut quality.
@@ -117,7 +112,6 @@ impl Default for DynamicConfig {
             num_parts: 2,
             seed: 0x5354_5245, // "STRE"
             refine: RefineOptions::default(),
-            refine_scheme: RefineScheme::default(),
             frontier_hops: 2,
             escalate_ratio: 1.5,
             lambda: 1.0,
@@ -181,14 +175,14 @@ impl std::error::Error for SpecError {}
 ///
 /// [`SessionSpec`] lives below the partitioner registry (the facade
 /// crate), so callers inject the lookup: the CLI and the serve daemon
-/// pass `gapart::partitioners::by_name_with`, tests pass a closure over
+/// pass `gapart::partitioners::by_name`, tests pass a function over
 /// whatever partitioner they build. Returning `None` surfaces as
 /// [`DynamicError::UnknownMethod`].
-pub type MethodResolver = fn(&str, RefineScheme) -> Option<Box<dyn Partitioner>>;
+pub type MethodResolver = fn(&str) -> Option<Box<dyn Partitioner>>;
 
 /// Everything that identifies a dynamic session, in one validated
-/// value: part count, escalation method, refinement scheme, seed,
-/// escalation threshold, and frontier size.
+/// value: part count, escalation method, seed, escalation threshold,
+/// and frontier size.
 ///
 /// This is the *single* parse/validate path for session parameters.
 /// The CLI `stream` flags, the serve protocol's `open` command, and the
@@ -201,7 +195,10 @@ pub type MethodResolver = fn(&str, RefineScheme) -> Option<Box<dyn Partitioner>>
 ///
 /// [`SessionSpec::to_kv`] renders that canonical form and
 /// [`SessionSpec::parse_kv`] reads it back; the two round-trip exactly
-/// (including `threshold=inf`).
+/// (including `threshold=inf`). The `refine` key names the refiner,
+/// which is always boundary FM: it accepts only `fm`, and `to_kv`
+/// keeps writing `refine=fm` so every tape's `open` record stays
+/// byte-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSpec {
     /// Number of parts to maintain (`parts=`, mandatory, > 0).
@@ -210,8 +207,6 @@ pub struct SessionSpec {
     /// and escalations (`method=`, default `mlga`). Validated at open
     /// time by the injected [`MethodResolver`].
     pub method: String,
-    /// Dirty-frontier refinement engine (`refine=`, default `fm`).
-    pub refine: RefineScheme,
     /// RNG seed (`seed=`, decimal or `0x`-hex; default
     /// [`DEFAULT_SESSION_SEED`]).
     pub seed: u64,
@@ -228,7 +223,6 @@ impl SessionSpec {
         SessionSpec {
             parts,
             method: "mlga".to_string(),
-            refine: RefineScheme::default(),
             seed: DEFAULT_SESSION_SEED,
             threshold: 1.5,
             hops: 2,
@@ -255,7 +249,9 @@ impl SessionSpec {
                 self.method = value.to_string();
             }
             "refine" => {
-                self.refine = RefineScheme::by_name(value).ok_or_else(bad)?;
+                if value != "fm" {
+                    return Err(bad());
+                }
             }
             "seed" => {
                 let parsed = match value
@@ -310,13 +306,8 @@ impl SessionSpec {
     /// record so a recovery reconstructs the exact configuration.
     pub fn to_kv(&self) -> String {
         format!(
-            "parts={} method={} refine={} seed={} threshold={} hops={}",
-            self.parts,
-            self.method,
-            self.refine.name(),
-            self.seed,
-            self.threshold,
-            self.hops
+            "parts={} method={} refine=fm seed={} threshold={} hops={}",
+            self.parts, self.method, self.seed, self.threshold, self.hops
         )
     }
 
@@ -325,7 +316,6 @@ impl SessionSpec {
         DynamicConfig {
             num_parts: self.parts,
             seed: self.seed,
-            refine_scheme: self.refine,
             frontier_hops: self.hops,
             escalate_ratio: self.threshold,
             ..DynamicConfig::default()
@@ -344,7 +334,7 @@ impl SessionSpec {
         graph: CsrGraph,
         resolver: MethodResolver,
     ) -> Result<DynamicSession, DynamicError> {
-        let full = resolver(&self.method, self.refine)
+        let full = resolver(&self.method)
             .ok_or_else(|| DynamicError::UnknownMethod(self.method.clone()))?;
         DynamicSession::new(graph, full, self.config())
     }
@@ -365,7 +355,7 @@ impl SessionSpec {
         state: SessionState,
         resolver: MethodResolver,
     ) -> Result<DynamicSession, DynamicError> {
-        let full = resolver(&self.method, self.refine)
+        let full = resolver(&self.method)
             .ok_or_else(|| DynamicError::UnknownMethod(self.method.clone()))?;
         DynamicSession::resume(graph, partition, full, self.config(), state)
     }
@@ -445,13 +435,9 @@ pub struct DynamicSession {
     epoch: usize,
     batches: usize,
     /// Reusable boundary-FM workspace (gain buckets, degree caches):
-    /// batch refinement under [`RefineScheme::BoundaryFm`] touches only
-    /// the dirty frontier's buckets and allocates nothing steady-state.
+    /// batch refinement touches only the dirty frontier's buckets and
+    /// allocates nothing steady-state.
     fm: FmRefiner,
-    /// Reusable parallel-FM workspace for
-    /// [`RefineScheme::ParallelFm`] — the same frontier-local contract,
-    /// with colored conflict-free move batches applied per round.
-    pfm: ParallelFm,
 }
 
 impl std::fmt::Debug for DynamicSession {
@@ -492,7 +478,6 @@ impl DynamicSession {
             epoch: 1,
             batches: 0,
             fm: FmRefiner::new(),
-            pfm: ParallelFm::new(),
         })
     }
 
@@ -596,7 +581,6 @@ impl DynamicSession {
             epoch: state.epoch,
             batches: state.batches,
             fm: FmRefiner::new(),
-            pfm: ParallelFm::new(),
         }
     }
 
@@ -735,16 +719,9 @@ impl DynamicSession {
         //    rebuilds only the frontier's buckets inside the session's
         //    persistent workspace.
         let frontier = dirty.frontier(&graph, self.config.frontier_hops);
-        let refine = match self.config.refine_scheme {
-            RefineScheme::BoundaryFm => {
-                self.fm
-                    .refine_local(&graph, &mut partition, &self.config.refine, seed, &frontier)
-            }
-            RefineScheme::ParallelFm => {
-                self.pfm
-                    .refine_local(&graph, &mut partition, &self.config.refine, seed, &frontier)
-            }
-        };
+        let refine =
+            self.fm
+                .refine_local(&graph, &mut partition, &self.config.refine, seed, &frontier);
         let mut cut_after = cut_seeded - refine.gain;
         debug_assert_eq!(cut_after, cut_size(&graph, &partition));
 
@@ -1021,21 +998,22 @@ mod tests {
 
     /// Resolver over the test `mlga`, matching the [`MethodResolver`]
     /// shape the CLI and daemon inject.
-    fn resolve(name: &str, _scheme: RefineScheme) -> Option<Box<dyn Partitioner>> {
+    fn resolve(name: &str) -> Option<Box<dyn Partitioner>> {
         (name == "mlga").then(mlga)
     }
 
     #[test]
     fn spec_parses_validates_and_round_trips() {
         let spec =
-            SessionSpec::parse_kv("parts=4 seed=0x2A threshold=inf hops=3 refine=pfm").unwrap();
+            SessionSpec::parse_kv("parts=4 seed=0x2A threshold=inf hops=3 refine=fm").unwrap();
         assert_eq!(spec.parts, 4);
         assert_eq!(spec.seed, 42);
         assert_eq!(spec.threshold, f64::INFINITY);
         assert_eq!(spec.hops, 3);
-        assert_eq!(spec.refine, RefineScheme::ParallelFm);
         assert_eq!(spec.method, "mlga", "default survives partial specs");
-        // Canonical form round-trips exactly, including the inf threshold.
+        // Canonical form round-trips exactly, including the inf
+        // threshold, and still names the refiner for the tape.
+        assert!(spec.to_kv().contains(" refine=fm "), "{}", spec.to_kv());
         assert_eq!(SessionSpec::parse_kv(&spec.to_kv()).unwrap(), spec);
         let dflt = SessionSpec::new(2);
         assert_eq!(SessionSpec::parse_kv(&dflt.to_kv()).unwrap(), dflt);
@@ -1059,8 +1037,8 @@ mod tests {
             SessionSpec::parse_kv("parts=2 nodice").unwrap_err(),
             SpecError::Malformed(_)
         ));
-        // Unknown engines and the retired sweep refiner alike.
-        for retired in ["quantum", "sweep"] {
+        // Unknown engines and the retired refiners alike.
+        for retired in ["quantum", "sweep", "pfm", "pfm-rescan"] {
             assert_eq!(
                 SessionSpec::parse_kv(&format!("parts=2 refine={retired}")).unwrap_err(),
                 SpecError::BadValue {

@@ -22,7 +22,7 @@
 //! size.
 
 use crate::csr::{CsrGraph, SmallCsr};
-use crate::fm::{FmRefiner, ParallelFm};
+use crate::fm::FmRefiner;
 use crate::geometry::Point2;
 use crate::partition::Partition;
 use rayon::prelude::*;
@@ -152,7 +152,7 @@ pub struct ProjectedLevel {
 /// Recycled workspace for the multilevel V-cycle: every per-level buffer
 /// the coarsening and refinement layers would otherwise allocate afresh —
 /// handshake match arrays, contraction row scratch, the projection
-/// boundary mask, and the FM engine workspaces — owned in one place and
+/// boundary mask, and the FM engine workspace — owned in one place and
 /// reused across levels, across calls, and across `DynamicSession`
 /// batches.
 ///
@@ -173,9 +173,8 @@ pub struct LevelArena {
     rows: Vec<Vec<(u32, u32)>>,
     // V-cycle: coarse boundary mask for the fused projection.
     pub(crate) mask: Vec<bool>,
-    // Refinement engine workspaces, kept warm across levels and calls.
+    // Refinement engine workspace, kept warm across levels and calls.
     pub(crate) fm: FmRefiner,
-    pub(crate) pfm: ParallelFm,
 }
 
 impl Default for LevelArena {
@@ -196,7 +195,6 @@ impl LevelArena {
             rows: Vec::new(),
             mask: Vec::new(),
             fm: FmRefiner::new(),
-            pfm: ParallelFm::new(),
         }
     }
 }

@@ -52,27 +52,11 @@
 //! dirty-frontier refinement allocates nothing beyond first-use growth
 //! (see `gapart_core::dynamic::DynamicSession`). One-shot callers can
 //! use the [`refine_fm`] / [`refine_fm_local`] conveniences.
-//!
-//! # Parallel FM
-//!
-//! [`ParallelFm`] is the deterministic parallel counterpart
-//! (`RefineScheme::ParallelFm`, CLI `--refine pfm`): each pass is a
-//! sequence of *rounds* that evaluate every unlocked boundary candidate
-//! in parallel against frozen labels, select a conflict-free batch from
-//! the round's top gain class (no two batch members share an edge —
-//! conflicts resolve by a seeded part-pair-colored key), and apply the
-//! batch sequentially in ascending vertex order with live
-//! re-derivation — the same exact gain
-//! accounting, balance cap, never-drain-a-part, and
-//! rollback-to-best-prefix semantics as the sequential engine, and
-//! bit-identical labels for any worker-pool size by construction. See
-//! the `ParallelFm` docs for the determinism argument.
 
 use crate::coarsen::splitmix64;
 use crate::csr::CsrGraph;
 use crate::partition::Partition;
 use crate::refine::{RefineOptions, RefineStats};
-use rayon::prelude::*;
 
 /// Sentinel for "no node" in the bucket links.
 const NONE: u32 = u32::MAX;
@@ -782,58 +766,6 @@ fn best_gain(
         .map(|g| (g, external))
 }
 
-/// [`best_gain`] that also names the target: the best unconstrained move
-/// of `v` as `(gain, target part, external weight)` — gain first, lowest
-/// part id on ties (the same preference order the sequential apply uses)
-/// — or `None` when `v` is not on the cut boundary. The parallel
-/// engine's frozen evaluation runs on this so its candidate moves carry
-/// the part pair their batch key is colored by.
-fn best_move(
-    graph: &CsrGraph,
-    partition: &Partition,
-    conn: &mut Vec<(u32, u64)>,
-    v: u32,
-) -> Option<(i64, u32, u64)> {
-    let (internal, external) = collect_conn(graph, partition, conn, v);
-    let mut best: Option<(i64, u32)> = None;
-    for &(p, c) in conn.iter() {
-        let g = c as i64 - internal as i64;
-        if best.is_none_or(|(bg, bp)| g > bg || (g == bg && p < bp)) {
-            best = Some((g, p));
-        }
-    }
-    best.map(|(g, p)| (g, p, external))
-}
-
-/// Seeded batch-selection key of a candidate move: a SplitMix64 hash of
-/// the `(from, to)` part pair, re-mixed with the vertex id. Coloring the
-/// key by the part-pair *region* decorrelates tie-breaking across the
-/// distinct stretches of the cut (vertices contending for the same pair
-/// of load counters hash from the same base), while the final vertex-id
-/// mix keeps keys distinct within a region. Purely seed-derived — no
-/// id-order bias, reproducible across runs and pool sizes.
-fn move_key(seed: u64, v: u32, from: u32, to: u32) -> u64 {
-    let pair = splitmix64(seed ^ (((from as u64) << 32) | to as u64));
-    splitmix64(pair ^ v as u64)
-}
-
-/// Evicts `v`'s entry from the incremental evaluation table in `O(1)`
-/// (swap-remove), fixing the slot map for the entry swapped into its
-/// place. A no-op when `v` has no entry. Table *order* is free to churn:
-/// batch selection is order-independent over the table as a set.
-#[inline]
-fn evict_eval(evals: &mut Vec<(u32, i64, u64, u64)>, epos: &mut [u32], v: u32) {
-    let i = epos[v as usize];
-    if i == NONE {
-        return;
-    }
-    epos[v as usize] = NONE;
-    evals.swap_remove(i as usize);
-    if let Some(&(swapped, ..)) = evals.get(i as usize) {
-        epos[swapped as usize] = i;
-    }
-}
-
 /// Maps a gain to its bucket index, clamping into the end buckets.
 #[inline]
 fn bucket_index(gain: i64, half_range: i64) -> usize {
@@ -885,751 +817,6 @@ fn bucket_remove(
     }
     next[v as usize] = NONE;
     prev[v as usize] = NONE;
-}
-
-/// Candidates per frozen-evaluation chunk: candidates are cheap to
-/// score, so each worker invocation gets a sizeable slice and small
-/// boundaries run inline rather than paying thread-spawn overhead.
-const EVAL_CHUNK: usize = 2048;
-
-/// Deterministic parallel k-way FM: colored, conflict-free move batches
-/// (`RefineScheme::ParallelFm`, CLI `--refine pfm`).
-///
-/// Each pass runs as a sequence of **rounds**:
-///
-/// 1. **Frozen evaluation (parallel)** — every unlocked candidate still
-///    on the cut boundary is scored against a frozen snapshot of the
-///    labels: its best unconstrained move `(gain, target)` plus a seeded
-///    key (`move_key`) colored by the move's `(from, to)` part pair.
-///    The scan is chunked in index order, so the evaluation list is a
-///    pure function of the snapshot — thread-count-independent.
-/// 2. **Batch selection (parallel)** — only the round's **top gain
-///    class** batches, and only while that top gain is strictly
-///    positive: the batch is the set of candidates carrying the round's
-///    maximum gain that dominate every adjacent same-class candidate
-///    under the strict order `(key, id)` — a local-maxima independent
-///    set, so **no two batch moves share an edge** (two adjacent
-///    survivors would each have to beat the other) and the batch is
-///    never empty (the class's `(key, id)` maximum always survives).
-///    This is the parallel analogue of the sequential engine always
-///    popping a max-gain bucket head: every batched move is one the
-///    sequential engine would also have committed at that gain. Once the
-///    top gain reaches zero the round degenerates to the single best
-///    candidate under `(gain, key, id)` — plateaus and ridges are
-///    crossed one move at a time, because batching whole zero-gain
-///    classes flips large plateau sets at once and batching
-///    cut-worsening moves digs deeper in one step than the rollback
-///    horizon recovers (both measurably hurt grid cuts).
-/// 3. **Apply (sequential, ascending vertex order)** — each batch member
-///    is locked and re-derived against the live partition: best feasible
-///    target under the balance cap, never draining a part, exact gain
-///    accounting into the move log, with the same best-prefix tracking
-///    and stall budget as [`FmRefiner`]. Edge-disjointness makes the
-///    frozen gains of a batch mutually consistent (no batch member's
-///    connectivity changes while its peers apply); the live re-derivation
-///    makes the accounting exact even where the balance cap diverts a
-///    move.
-///
-/// At pass end the move log rolls back to the shortest best-cut prefix,
-/// so a pass never worsens the cut.
-///
-/// # Incremental rounds
-///
-/// Only the first round of a pass pays the full frozen scan. Every later
-/// round reuses the previous round's evaluation table and repairs just
-/// the entries an apply invalidated: a cached `(gain, key, external)` is
-/// a function of the labels in the vertex's closed 1-hop neighbourhood
-/// only (the balance cap is judged at apply time, never at evaluation
-/// time), so after a batch applies, the *dirty set* — unlocked
-/// candidates adjacent to a label change — is exactly the set of stale
-/// entries. Batch members are evicted (locked), dirty entries are
-/// re-evaluated in parallel against the new frozen labels, and
-/// everything else is carried over byte-for-byte. Selection in phase 2
-/// is order-independent over the table (the top-gain class is a set, the
-/// conflict test is per-element, and the single-move fallback is a
-/// strict total order), so the incremental table produces bit-identical
-/// batches to a full re-scan **by construction** — debug builds assert
-/// the table equals a from-scratch scan every round. This turns a pass
-/// from `O(rounds × boundary)` into `O(rounds × touched)`.
-///
-/// # Determinism
-///
-/// Every parallel phase reads only frozen state and reduces in index
-/// order; every mutation happens in the sequential apply phase in
-/// ascending vertex order. A refinement run is therefore a pure function
-/// of `(graph, partition, options, seed)` — bit-identical for any
-/// worker-pool size by construction (pinned adversarially in
-/// `tests/fm_determinism.rs` and by the CI determinism matrix). The
-/// result is *not* required to equal the sequential engine's move for
-/// move — a batch commits several members of the top gain class where
-/// the sequential engine commits one and re-evaluates — but both
-/// satisfy identical invariants, and the determinism harness
-/// cross-checks that the `mlga-pfm` pipeline matches or beats `mlga`'s
-/// cut on the anchor scenarios.
-///
-/// # Reuse
-///
-/// Like [`FmRefiner`], the engine owns all of its buffers and recycles
-/// them across calls (stamp generations avoid `O(V)` clears), so the
-/// V-cycle and the streaming session keep one instance alive across
-/// levels and batches.
-pub struct ParallelFm {
-    /// Round-stamped candidacy: `rstamp[v] == round` ⇔ `v` participates
-    /// in the current round's conflict test (it carries the round's top
-    /// gain), with its seeded key in `rkey`.
-    rstamp: Vec<u64>,
-    rkey: Vec<u64>,
-    round: u64,
-    /// FM lock stamps: `locked[v] == pass_gen` ⇔ `v` was consumed (moved
-    /// or skipped) this pass.
-    locked: Vec<u64>,
-    pass_gen: u64,
-    /// Candidate-list dedup stamps (re-using `pass_gen` as generation).
-    cstamp: Vec<u64>,
-    /// Region membership stamps (`stamp[v] == generation` ⇔ in region).
-    stamp: Vec<u64>,
-    generation: u64,
-    /// Dedup stamps + list for the next-pass active set — also the
-    /// boundary superset [`ParallelFm::last_boundary_superset`] reports.
-    active: Vec<u64>,
-    active_gen: u64,
-    active_list: Vec<u32>,
-    /// Candidate list of the running pass, recycled across passes.
-    cand: Vec<u32>,
-    conn: Vec<(u32, u64)>,
-    loads: Vec<u64>,
-    counts: Vec<usize>,
-    log: Vec<MoveRec>,
-    moved: Vec<u32>,
-    /// The incremental evaluation table carried between rounds:
-    /// `(vertex, frozen gain, seeded key, external weight)` for every
-    /// unlocked candidate currently on the cut boundary.
-    evals: Vec<(u32, i64, u64, u64)>,
-    /// `epos[v]` is `v`'s index in `evals`, or [`NONE`] when absent —
-    /// the slot map behind `O(1)` eviction. All-`NONE` between passes.
-    epos: Vec<u32>,
-    /// Per-round dirty-set dedup stamps (`estale[v] == dirty_gen` ⇔ `v`
-    /// already queued for re-evaluation this round).
-    estale: Vec<u64>,
-    dirty_gen: u64,
-    /// Dirty-candidate scratch list, recycled across rounds.
-    dirty: Vec<u32>,
-}
-
-impl Default for ParallelFm {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ParallelFm {
-    /// An empty engine; buffers grow on first use. Rounds after the
-    /// first of each pass reuse the evaluation table incrementally (see
-    /// the type docs).
-    pub fn new() -> Self {
-        ParallelFm {
-            rstamp: Vec::new(),
-            rkey: Vec::new(),
-            round: 0,
-            locked: Vec::new(),
-            pass_gen: 0,
-            cstamp: Vec::new(),
-            stamp: Vec::new(),
-            generation: 0,
-            active: Vec::new(),
-            active_gen: 0,
-            active_list: Vec::new(),
-            cand: Vec::new(),
-            conn: Vec::new(),
-            loads: Vec::new(),
-            counts: Vec::new(),
-            log: Vec::new(),
-            moved: Vec::new(),
-            evals: Vec::new(),
-            epos: Vec::new(),
-            estale: Vec::new(),
-            dirty_gen: 0,
-            dirty: Vec::new(),
-        }
-    }
-
-    /// Parallel boundary-FM refinement over the whole graph. Never
-    /// increases the cut; the reported `gain` is the exact cut
-    /// reduction. Same balance and never-empty-a-part contract as
-    /// [`FmRefiner::refine`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` covers a different number of nodes than
-    /// `graph`.
-    pub fn refine(
-        &mut self,
-        graph: &CsrGraph,
-        partition: &mut Partition,
-        opts: &RefineOptions,
-        seed: u64,
-    ) -> RefineStats {
-        self.run(graph, partition, opts, seed, None, None, None)
-    }
-
-    /// [`ParallelFm::refine`] with a boundary *hint* — the same contract
-    /// as [`FmRefiner::refine_hinted`]: `hint` must be a superset of the
-    /// cut boundary (duplicates tolerated); only the first scan narrows,
-    /// never the behaviour.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` covers a different number of nodes than
-    /// `graph`, or if `hint` contains a node id `≥ graph.num_nodes()`.
-    pub fn refine_hinted(
-        &mut self,
-        graph: &CsrGraph,
-        partition: &mut Partition,
-        opts: &RefineOptions,
-        seed: u64,
-        hint: &[u32],
-    ) -> RefineStats {
-        if let Some(&max) = hint.iter().max() {
-            assert!(
-                (max as usize) < graph.num_nodes(),
-                "hint node {max} out of range"
-            );
-        }
-        self.run(graph, partition, opts, seed, None, Some(hint), None)
-    }
-
-    /// The multilevel fast path — the same contract as
-    /// [`FmRefiner::refine_primed`]: a boundary-superset hint plus the
-    /// per-part `loads` / `counts` the fused projection already tallied
-    /// (exactness debug-asserted, owned by the caller).
-    #[allow(clippy::too_many_arguments)]
-    pub fn refine_primed(
-        &mut self,
-        graph: &CsrGraph,
-        partition: &mut Partition,
-        opts: &RefineOptions,
-        seed: u64,
-        hint: &[u32],
-        loads: Vec<u64>,
-        counts: Vec<usize>,
-    ) -> RefineStats {
-        if let Some(&max) = hint.iter().max() {
-            assert!(
-                (max as usize) < graph.num_nodes(),
-                "hint node {max} out of range"
-            );
-        }
-        self.run(
-            graph,
-            partition,
-            opts,
-            seed,
-            None,
-            Some(hint),
-            Some((loads, counts)),
-        )
-    }
-
-    /// Localized variant — the same contract as
-    /// [`FmRefiner::refine_local`]: only vertices in `region` may move;
-    /// loads and populations stay global.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` covers a different number of nodes than
-    /// `graph`, or if `region` contains a node id `≥ graph.num_nodes()`.
-    pub fn refine_local(
-        &mut self,
-        graph: &CsrGraph,
-        partition: &mut Partition,
-        opts: &RefineOptions,
-        seed: u64,
-        region: &[u32],
-    ) -> RefineStats {
-        let mut nodes: Vec<u32> = region.to_vec();
-        nodes.sort_unstable();
-        nodes.dedup();
-        if let Some(&last) = nodes.last() {
-            assert!(
-                (last as usize) < graph.num_nodes(),
-                "region node {last} out of range"
-            );
-        }
-        self.run(graph, partition, opts, seed, Some(&nodes), None, None)
-    }
-
-    /// A superset of the cut boundary the last refine on this workspace
-    /// left behind — the same contract as
-    /// [`FmRefiner::last_boundary_superset`], so the multilevel V-cycle
-    /// chains boundary supersets through `project_for_fm` identically
-    /// for either engine.
-    pub fn last_boundary_superset(&self) -> &[u32] {
-        &self.active_list
-    }
-
-    /// Grows the per-node buffers to cover `n` nodes.
-    fn ensure_nodes(&mut self, n: usize) {
-        if self.rstamp.len() < n {
-            self.rstamp.resize(n, 0);
-            self.rkey.resize(n, 0);
-            self.locked.resize(n, 0);
-            self.cstamp.resize(n, 0);
-            self.stamp.resize(n, 0);
-            self.active.resize(n, 0);
-            self.epos.resize(n, NONE);
-            self.estale.resize(n, 0);
-        }
-    }
-
-    /// Debug-build pin of the incremental-round invariant: the carried
-    /// evaluation table must equal, as a set, what a full frozen scan of
-    /// the candidate list would produce right now.
-    #[cfg(debug_assertions)]
-    fn debug_check_eval_table(
-        &self,
-        graph: &CsrGraph,
-        partition: &Partition,
-        cand: &[u32],
-        evals: &[(u32, i64, u64, u64)],
-        seed: u64,
-    ) {
-        let mut conn: Vec<(u32, u64)> = Vec::with_capacity(8);
-        let mut expect: Vec<(u32, i64, u64, u64)> = Vec::new();
-        for &v in cand {
-            if self.locked[v as usize] == self.pass_gen {
-                continue;
-            }
-            if let Some((g, target, ed)) = best_move(graph, partition, &mut conn, v) {
-                let from = partition.part(v);
-                expect.push((v, g, move_key(seed, v, from, target), ed));
-            }
-        }
-        let mut got = evals.to_vec();
-        got.sort_unstable_by_key(|&(v, ..)| v);
-        expect.sort_unstable_by_key(|&(v, ..)| v);
-        assert_eq!(
-            got, expect,
-            "incremental eval table diverged from a full frozen scan"
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run(
-        &mut self,
-        graph: &CsrGraph,
-        partition: &mut Partition,
-        opts: &RefineOptions,
-        seed: u64,
-        region: Option<&[u32]>,
-        hint: Option<&[u32]>,
-        primed: Option<(Vec<u64>, Vec<usize>)>,
-    ) -> RefineStats {
-        assert_eq!(graph.num_nodes(), partition.num_nodes());
-        let n = graph.num_nodes();
-        let n_parts = partition.num_parts() as usize;
-        let mut stats = RefineStats { moves: 0, gain: 0 };
-        self.active_list.clear();
-        if n == 0 || n_parts < 2 {
-            return stats;
-        }
-        self.ensure_nodes(n);
-
-        self.generation += 1;
-        if let Some(nodes) = region {
-            for &v in nodes {
-                self.stamp[v as usize] = self.generation;
-            }
-        }
-
-        // Same balance model and primed-tally contract as the
-        // sequential engine.
-        match primed {
-            Some((loads, counts)) => {
-                debug_assert_eq!(loads.len(), n_parts);
-                debug_assert_eq!(counts.len(), n_parts);
-                debug_assert_eq!(
-                    loads.iter().sum::<u64>(),
-                    graph.total_node_weight(),
-                    "primed loads do not tally the graph"
-                );
-                debug_assert_eq!(counts.iter().sum::<usize>(), n, "primed counts mismatch");
-                self.loads = loads;
-                self.counts = counts;
-            }
-            None => {
-                self.loads.clear();
-                self.loads.resize(n_parts, 0);
-                self.counts.clear();
-                self.counts.resize(n_parts, 0);
-                for v in 0..n as u32 {
-                    self.loads[partition.part(v) as usize] += graph.node_weight(v) as u64;
-                    self.counts[partition.part(v) as usize] += 1;
-                }
-            }
-        }
-        let avg = self.loads.iter().sum::<u64>() as f64 / n_parts as f64;
-        let max_load = (avg * (1.0 + opts.balance_slack)).ceil() as u64;
-        // Same diminishing-returns convergence cutoff as the sequential
-        // engine: stop once a pass gains under observed cut /
-        // CONVERGENCE_DENOM; `max_passes` stays the hard cap.
-        let mut observed_cut: u64 = 0;
-        for pass_no in 0..opts.max_passes {
-            let first = if pass_no == 0 {
-                Some(region.or(hint))
-            } else {
-                None
-            };
-            let (kept, gain, boundary_cut) =
-                self.pass(graph, partition, first, seed, max_load, region.is_some());
-            stats.moves += kept;
-            stats.gain += gain;
-            if pass_no == 0 {
-                observed_cut = boundary_cut;
-            }
-            if kept == 0 || gain * CONVERGENCE_DENOM < observed_cut {
-                break;
-            }
-        }
-        stats
-    }
-
-    /// One parallel-FM pass (rounds of evaluate → select → apply, then
-    /// rollback to the best prefix). Returns
-    /// `(moves kept, exact cut reduction, observed boundary cut)`.
-    fn pass(
-        &mut self,
-        graph: &CsrGraph,
-        partition: &mut Partition,
-        first_domain: Option<Option<&[u32]>>,
-        seed: u64,
-        max_load: u64,
-        use_region: bool,
-    ) -> (usize, u64, u64) {
-        self.log.clear();
-        self.moved.clear();
-        self.pass_gen += 1;
-        let pass_gen = self.pass_gen;
-        let generation = self.generation;
-
-        // The pass's candidate list: the domain (first pass) or the
-        // previous pass's active set, deduplicated via the pass-stamped
-        // `cstamp`; rounds append the neighbourhood of applied moves.
-        let mut cand = std::mem::take(&mut self.cand);
-        cand.clear();
-        match first_domain {
-            Some(Some(nodes)) => {
-                for &v in nodes {
-                    if self.cstamp[v as usize] != pass_gen {
-                        self.cstamp[v as usize] = pass_gen;
-                        cand.push(v);
-                    }
-                }
-            }
-            Some(None) => {
-                for v in 0..graph.num_nodes() as u32 {
-                    self.cstamp[v as usize] = pass_gen;
-                    cand.push(v);
-                }
-            }
-            None => {
-                let mut domain = std::mem::take(&mut self.active_list);
-                for &v in &domain {
-                    if self.cstamp[v as usize] != pass_gen {
-                        self.cstamp[v as usize] = pass_gen;
-                        cand.push(v);
-                    }
-                }
-                domain.clear();
-                self.active_list = domain;
-            }
-        }
-
-        let mut boundary_w: u64 = 0;
-        let mut first_round = true;
-        let mut cut_delta: i64 = 0;
-        let mut best_delta: i64 = 0;
-        let mut best_len: usize = 0;
-        let mut stall = 0usize;
-        let mut stalled = false;
-
-        let mut evals = std::mem::take(&mut self.evals);
-        evals.clear();
-
-        while !stalled {
-            // Phase 1 — evaluation, in index order:
-            // `(vertex, gain, key, external weight)` per unlocked
-            // candidate still on the boundary. Only the pass's first
-            // round pays the full frozen parallel scan; later rounds
-            // reuse the table phase 4 repaired — bit-identical by the
-            // staleness argument in the type docs, asserted against a
-            // from-scratch scan in debug builds.
-            if first_round {
-                let frozen: &Partition = partition;
-                let locked = &self.locked;
-                evals = cand
-                    .par_chunks(EVAL_CHUNK)
-                    .map(|chunk| {
-                        let mut local: Vec<(u32, i64, u64, u64)> = Vec::new();
-                        let mut conn: Vec<(u32, u64)> = Vec::with_capacity(8);
-                        for &v in chunk {
-                            if locked[v as usize] == pass_gen {
-                                continue;
-                            }
-                            if let Some((g, target, ed)) = best_move(graph, frozen, &mut conn, v) {
-                                let from = frozen.part(v);
-                                local.push((v, g, move_key(seed, v, from, target), ed));
-                            }
-                        }
-                        local
-                    })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .flatten()
-                    .collect();
-                for (i, &(v, ..)) in evals.iter().enumerate() {
-                    self.epos[v as usize] = i as u32;
-                }
-            } else {
-                #[cfg(debug_assertions)]
-                self.debug_check_eval_table(graph, partition, &cand, &evals, seed);
-            }
-            if evals.is_empty() {
-                break;
-            }
-            if first_round {
-                // The pass's initial boundary; /2 is the cut it starts
-                // from (each cut edge counted by both endpoints).
-                boundary_w = evals.iter().map(|&(_, _, _, ed)| ed).sum();
-                first_round = false;
-            }
-
-            // Phase 2 — batch selection. Only the round's *top gain
-            // class* batches — the parallel analogue of the sequential
-            // engine always popping a max-gain bucket head: every batch
-            // member's move is one the bucket engine would also have
-            // committed at this gain, so the orderings stay comparable
-            // and quality tracks the sequential engine. Cut-worsening
-            // ridge moves go one at a time, exactly as the sequential
-            // engine pops its single best.
-            let gmax = evals
-                .iter()
-                .map(|&(_, g, _, _)| g)
-                .max()
-                .expect("evals is non-empty");
-            let mut batch: Vec<u32> = if gmax > 0 {
-                self.round += 1;
-                let round = self.round;
-                for &(v, g, k, _) in &evals {
-                    if g == gmax {
-                        self.rstamp[v as usize] = round;
-                        self.rkey[v as usize] = k;
-                    }
-                }
-                let (rstamp, rkey) = (&self.rstamp, &self.rkey);
-                evals
-                    .par_chunks(EVAL_CHUNK)
-                    .map(|chunk| {
-                        chunk
-                            .iter()
-                            .filter(|&&(v, g, k, _)| {
-                                g == gmax
-                                    && graph.neighbors(v).iter().all(|&u| {
-                                        rstamp[u as usize] != round
-                                            || (k, v) > (rkey[u as usize], u)
-                                    })
-                            })
-                            .map(|&(v, ..)| v)
-                            .collect::<Vec<u32>>()
-                    })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            } else {
-                let &(v, ..) = evals
-                    .iter()
-                    .max_by_key(|&&(v, g, k, _)| (g, k, v))
-                    .expect("evals is non-empty");
-                vec![v]
-            };
-            batch.sort_unstable();
-
-            // Phase 3 — sequential apply in ascending vertex order,
-            // re-derived against the live partition (same guards and
-            // bookkeeping as the sequential move loop).
-            let moved_start = self.moved.len();
-            for &v in &batch {
-                self.locked[v as usize] = pass_gen;
-                let pv = partition.part(v);
-                if self.counts[pv as usize] <= 1 {
-                    continue; // sole occupant: emptying a part is never allowed
-                }
-                let wv = graph.node_weight(v) as u64;
-                let (internal, _) = collect_conn(graph, partition, &mut self.conn, v);
-                let mut best: Option<(i64, u32)> = None;
-                for &(p, c) in &self.conn {
-                    if self.loads[p as usize] + wv > max_load {
-                        continue;
-                    }
-                    let g = c as i64 - internal as i64;
-                    if best.is_none_or(|(bg, bp)| g > bg || (g == bg && p < bp)) {
-                        best = Some((g, p));
-                    }
-                }
-                let Some((g, target)) = best else {
-                    continue; // nothing feasible; stays locked this pass
-                };
-                partition.set(v, target);
-                self.loads[pv as usize] -= wv;
-                self.loads[target as usize] += wv;
-                self.counts[pv as usize] -= 1;
-                self.counts[target as usize] += 1;
-                cut_delta -= g;
-                self.moved.push(v);
-                self.log.push(MoveRec {
-                    node: v,
-                    from: pv,
-                    gain: g,
-                });
-                if cut_delta < best_delta {
-                    best_delta = cut_delta;
-                    best_len = self.log.len();
-                    stall = 0;
-                } else if g > 0 {
-                    stall = 0; // same progress rule as the sequential engine
-                } else {
-                    stall += 1;
-                    if stall >= STALL_LIMIT {
-                        stalled = true;
-                        break;
-                    }
-                }
-                // Unlocked (in-region) neighbours may enter or re-enter
-                // the boundary: extend the candidate list for later
-                // rounds.
-                for &u in graph.neighbors(v) {
-                    if self.locked[u as usize] != pass_gen
-                        && self.cstamp[u as usize] != pass_gen
-                        && (!use_region || self.stamp[u as usize] == generation)
-                    {
-                        self.cstamp[u as usize] = pass_gen;
-                        cand.push(u);
-                    }
-                }
-            }
-            if stalled {
-                break; // the table is rebuilt next pass; skip the repair
-            }
-
-            // Phase 4 — table repair. Batch members are locked now, so
-            // their entries leave the table. A cached entry is a pure
-            // function of the labels in its closed 1-hop neighbourhood,
-            // so the *dirty set* — unlocked candidates adjacent to a
-            // label change, which also covers every candidate phase 3
-            // just appended (each is an unlocked, pass-stamped
-            // neighbour of an applied move) — is exactly the set of
-            // stale entries: evict and re-evaluate those in parallel
-            // against the new frozen labels, carry the rest over
-            // untouched.
-            for &v in &batch {
-                evict_eval(&mut evals, &mut self.epos, v);
-            }
-            self.dirty_gen += 1;
-            let dgen = self.dirty_gen;
-            let mut dirty = std::mem::take(&mut self.dirty);
-            dirty.clear();
-            for i in moved_start..self.moved.len() {
-                let v = self.moved[i];
-                for &u in graph.neighbors(v) {
-                    let ui = u as usize;
-                    if self.locked[ui] != pass_gen
-                        && self.cstamp[ui] == pass_gen
-                        && self.estale[ui] != dgen
-                    {
-                        self.estale[ui] = dgen;
-                        evict_eval(&mut evals, &mut self.epos, u);
-                        dirty.push(u);
-                    }
-                }
-            }
-            let frozen: &Partition = partition;
-            let fresh: Vec<(u32, i64, u64, u64)> = dirty
-                .par_chunks(EVAL_CHUNK)
-                .map(|chunk| {
-                    let mut local: Vec<(u32, i64, u64, u64)> = Vec::new();
-                    let mut conn: Vec<(u32, u64)> = Vec::with_capacity(8);
-                    for &v in chunk {
-                        if let Some((g, target, ed)) = best_move(graph, frozen, &mut conn, v) {
-                            let from = frozen.part(v);
-                            local.push((v, g, move_key(seed, v, from, target), ed));
-                        }
-                    }
-                    local
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .flatten()
-                .collect();
-            for e in fresh {
-                self.epos[e.0 as usize] = evals.len() as u32;
-                evals.push(e);
-            }
-            dirty.clear();
-            self.dirty = dirty;
-        }
-        self.cand = cand;
-        // Restore the between-pass slot-map invariant (all `NONE`) and
-        // park the table buffer for the next pass.
-        for &(v, ..) in &evals {
-            self.epos[v as usize] = NONE;
-        }
-        evals.clear();
-        self.evals = evals;
-
-        // Roll back past the best prefix, exactly as the sequential
-        // engine does.
-        for rec in self.log.drain(best_len..).rev() {
-            let wv = graph.node_weight(rec.node) as u64;
-            let to = partition.part(rec.node);
-            partition.set(rec.node, rec.from);
-            self.loads[to as usize] -= wv;
-            self.loads[rec.from as usize] += wv;
-            self.counts[to as usize] -= 1;
-            self.counts[rec.from as usize] += 1;
-        }
-        debug_assert_eq!(
-            -best_delta,
-            self.log.iter().map(|r| r.gain).sum::<i64>(),
-            "kept prefix gain must equal the best running delta"
-        );
-
-        // Next-pass candidates: the pass's candidate list plus the
-        // (in-region) neighbourhood of every label change — committed or
-        // rolled back — a superset of any vertex whose boundary status
-        // can differ next pass.
-        self.active_gen += 1;
-        let gen = self.active_gen;
-        self.active_list.clear();
-        for i in 0..self.cand.len() {
-            let v = self.cand[i];
-            if self.active[v as usize] != gen {
-                self.active[v as usize] = gen;
-                self.active_list.push(v);
-            }
-        }
-        for i in 0..self.moved.len() {
-            let v = self.moved[i];
-            for &u in graph.neighbors(v) {
-                if self.active[u as usize] != gen
-                    && (!use_region || self.stamp[u as usize] == generation)
-                {
-                    self.active[u as usize] = gen;
-                    self.active_list.push(u);
-                }
-            }
-        }
-        (best_len, (-best_delta) as u64, boundary_w / 2)
-    }
 }
 
 /// One-shot [`FmRefiner::refine`] with a fresh workspace.
@@ -1710,37 +897,6 @@ mod tests {
         for &l in &m.part_loads {
             assert!(l <= cap, "load {l} exceeds cap {cap}");
         }
-    }
-
-    #[test]
-    fn never_drains_a_part_to_zero() {
-        // Triangle with node 0 alone in part 0: the improving move would
-        // empty the part, so FM must leave the partition untouched (its
-        // zero/negative-gain explorations all roll back).
-        let g = from_edges(3, &[(0, 1), (1, 2), (0, 2)]).unwrap();
-        let mut p = Partition::new(vec![0, 1, 1], 2).unwrap();
-        let stats = refine_fm(&g, &mut p, &opts(1.0, 4), SEED);
-        assert_eq!(stats.moves, 0, "a committed move emptied part 0");
-        assert!(
-            p.part_sizes().iter().all(|&s| s > 0),
-            "{:?}",
-            p.part_sizes()
-        );
-    }
-
-    #[test]
-    fn misplaced_zero_weight_vertex_gets_moved() {
-        // The weightless vertex 5 belongs in part 1 and draining no load
-        // must not pin it.
-        let mut g = from_edges(6, &[(0, 1), (2, 3), (3, 4), (2, 4), (5, 2), (5, 3)]).unwrap();
-        g.vweights = vec![2, 2, 2, 2, 2, 0];
-        let mut p = Partition::new(vec![0, 0, 1, 1, 1, 0], 2).unwrap();
-        let before = cut_size(&g, &p);
-        let stats = refine_fm(&g, &mut p, &opts(0.2, 4), SEED);
-        assert_eq!(p.part(5), 1, "zero-weight vertex stayed pinned");
-        assert!(stats.moves >= 1);
-        assert!(cut_size(&g, &p) < before);
-        assert!(p.part_sizes().iter().all(|&s| s > 0));
     }
 
     #[test]
@@ -1906,122 +1062,5 @@ mod tests {
         );
         assert_eq!(stats.gain, M as u64 - 2 - D as u64);
         assert_eq!(before - cut_size(&g, &p), stats.gain);
-    }
-
-    #[test]
-    fn parallel_fm_never_increases_cut_and_gain_is_exact() {
-        let g = paper_graph(139);
-        for seed in 0..5u64 {
-            let mut p = random_partition(139, 4, seed);
-            let before = cut_size(&g, &p);
-            let stats = ParallelFm::new().refine(&g, &mut p, &opts(0.1, 8), SEED ^ seed);
-            let after = cut_size(&g, &p);
-            assert!(after <= before, "cut increased {before} -> {after}");
-            assert_eq!(before - after, stats.gain, "reported gain is not exact");
-        }
-    }
-
-    #[test]
-    fn parallel_fm_respects_balance_and_never_drains_a_part() {
-        let g = paper_graph(144);
-        let mut p = random_partition(144, 4, 9);
-        ParallelFm::new().refine(&g, &mut p, &opts(0.05, 8), SEED);
-        let m = PartitionMetrics::compute(&g, &p);
-        let cap = (m.avg_load * 1.05).ceil() as u64;
-        for &l in &m.part_loads {
-            assert!(l <= cap, "load {l} exceeds cap {cap}");
-        }
-        // Same fixture as the sequential drain test: the improving move
-        // would empty part 0, so nothing may commit.
-        let g = from_edges(3, &[(0, 1), (1, 2), (0, 2)]).unwrap();
-        let mut p = Partition::new(vec![0, 1, 1], 2).unwrap();
-        let stats = ParallelFm::new().refine(&g, &mut p, &opts(1.0, 4), SEED);
-        assert_eq!(stats.moves, 0, "a committed move emptied part 0");
-        assert!(
-            p.part_sizes().iter().all(|&s| s > 0),
-            "{:?}",
-            p.part_sizes()
-        );
-    }
-
-    #[test]
-    fn parallel_fm_is_bit_identical_across_pool_sizes() {
-        let g = paper_graph(150);
-        for seed in 0..3u64 {
-            let base = random_partition(150, 4, seed);
-            let mut reference: Option<(Partition, RefineStats)> = None;
-            for threads in [1usize, 2, 4, 8] {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                let mut p = base.clone();
-                let stats = pool
-                    .install(|| ParallelFm::new().refine(&g, &mut p, &opts(0.1, 6), SEED ^ seed));
-                match &reference {
-                    None => reference = Some((p, stats)),
-                    Some((rp, rs)) => {
-                        assert_eq!(rp, &p, "labels diverged at {threads} threads (seed {seed})");
-                        assert_eq!(rs, &stats, "stats diverged at {threads} threads");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_fm_hinted_matches_the_unhinted_run() {
-        use crate::partition::boundary_nodes;
-        let g = paper_graph(120);
-        for seed in 0..3u64 {
-            let base = random_partition(120, 3, seed);
-            let boundary = boundary_nodes(&g, &base);
-            let mut full = base.clone();
-            let sf = ParallelFm::new().refine(&g, &mut full, &opts(0.1, 6), SEED);
-            let mut hinted = base.clone();
-            let sh =
-                ParallelFm::new().refine_hinted(&g, &mut hinted, &opts(0.1, 6), SEED, &boundary);
-            assert_eq!(full, hinted, "hinted run diverged (seed {seed})");
-            assert_eq!(sf, sh);
-        }
-    }
-
-    #[test]
-    fn parallel_fm_local_region_only_moves_region_nodes() {
-        let g = paper_graph(144);
-        let mut p = random_partition(144, 4, 5);
-        let before = p.clone();
-        let region: Vec<u32> = (40..80u32).collect();
-        ParallelFm::new().refine_local(&g, &mut p, &opts(0.2, 6), SEED, &region);
-        for v in 0..144u32 {
-            if !region.contains(&v) {
-                assert_eq!(p.part(v), before.part(v), "non-region node {v} moved");
-            }
-        }
-        assert!(cut_size(&g, &p) <= cut_size(&g, &before));
-    }
-
-    #[test]
-    fn parallel_fm_workspace_reuse_matches_a_fresh_engine() {
-        // One engine serving many calls (the V-cycle / streaming usage)
-        // must behave exactly like a fresh engine per call, including
-        // after a run on a differently-sized graph dirtied every buffer.
-        let g = paper_graph(130);
-        let warm = paper_graph(88);
-        let mut engine = ParallelFm::new();
-        let mut wp = random_partition(88, 4, 2);
-        engine.refine(&warm, &mut wp, &opts(0.2, 4), SEED);
-        for seed in 0..3u64 {
-            let base = random_partition(130, 4, seed);
-            let mut reused = base.clone();
-            let sr = engine.refine(&g, &mut reused, &opts(0.1, 6), SEED ^ seed);
-            let mut fresh = base.clone();
-            let sf = ParallelFm::new().refine(&g, &mut fresh, &opts(0.1, 6), SEED ^ seed);
-            assert_eq!(
-                reused, fresh,
-                "workspace reuse changed the result (seed {seed})"
-            );
-            assert_eq!(sr, sf);
-        }
     }
 }

@@ -25,12 +25,10 @@
 //! * [`multilevel`] — the generic multilevel V-cycle:
 //!   [`multilevel::MultilevelPartitioner`] wraps *any* [`Partitioner`]
 //!   with coarsen → partition → project + refine.
-//! * [`refine`] — [`refine::RefineScheme`], the choice of refinement
-//!   engine the V-cycle runs after each projection, with its shared
-//!   options and stats.
+//! * [`refine`] — the options and stats of a refinement run.
 //! * [`fm`] — the boundary-driven k-way Fiduccia–Mattheyses refiner
-//!   (gain buckets, hill-climbing rollback), the default scheme, and its
-//!   deterministic parallel variant.
+//!   (gain buckets, hill-climbing rollback) the V-cycle runs after each
+//!   projection.
 //! * [`io`] — METIS-compatible text format with a coordinate extension.
 //!
 //! The representation is deliberately minimal and cache-friendly: node ids

@@ -19,10 +19,8 @@
 //!    DPGA, RSB, IBP, or anything else implementing the trait.
 //! 3. **Uncoarsen**: project the partition level by level back to the fine
 //!    graph ([`crate::coarsen::Coarsening::project_for_fm`]), running
-//!    the configured k-way refinement ([`crate::refine::RefineScheme`] —
-//!    the boundary FM engine by default, or its parallel variant) after
-//!    every projection (and once on the coarsest graph before the first
-//!    one).
+//!    the boundary FM refiner ([`crate::fm::FmRefiner`]) after every
+//!    projection (and once on the coarsest graph before the first one).
 //!
 //! Because contraction sums node and edge weights, a coarse partition has
 //! *exactly* the same cut and loads as its projection, so every refinement
@@ -41,7 +39,7 @@
 use crate::coarsen::{coarsen_to_with_arena, LevelArena, MatchScheme};
 use crate::csr::CsrGraph;
 use crate::partitioner::{PartitionReport, Partitioner, PartitionerError};
-use crate::refine::{RefineOptions, RefineScheme};
+use crate::refine::RefineOptions;
 use std::sync::Mutex;
 
 /// Knobs of the V-cycle itself (the inner algorithm keeps its own).
@@ -57,9 +55,6 @@ pub struct MultilevelConfig {
     pub match_scheme: MatchScheme,
     /// Per-level refinement options (balance slack and pass budget).
     pub refine: RefineOptions,
-    /// Refinement engine run after every projection: the boundary FM
-    /// refiner (default) or the parallel FM (see [`RefineScheme`]).
-    pub refine_scheme: RefineScheme,
 }
 
 impl Default for MultilevelConfig {
@@ -68,7 +63,6 @@ impl Default for MultilevelConfig {
             coarsen_target: 64,
             match_scheme: MatchScheme::default(),
             refine: RefineOptions::default(),
-            refine_scheme: RefineScheme::default(),
         }
     }
 }
@@ -86,7 +80,7 @@ pub struct MultilevelPartitioner {
     /// inner partitioner itself.
     pub config: MultilevelConfig,
     /// Recycled per-level workspace (match arrays, contraction scratch,
-    /// FM engines), kept warm across `partition` calls and
+    /// FM engine), kept warm across `partition` calls and
     /// `DynamicSession` batches. Behind a mutex because the trait takes
     /// `&self`; a contended call simply runs on a throwaway fresh arena
     /// (the arena is an allocation cache only — results are identical).
@@ -167,17 +161,10 @@ impl Partitioner for MultilevelPartitioner {
 
         let opts = &self.config.refine;
         let mut partition = self.inner.partition(coarsest, num_parts, seed)?.partition;
-        // The arena's FM workspaces serve every level of the uncoarsening
-        // (their buffers are sized once at the fine level and reused —
-        // and stay warm for the next call).
-        match self.config.refine_scheme {
-            RefineScheme::BoundaryFm => {
-                arena.fm.refine(coarsest, &mut partition, opts, seed);
-            }
-            RefineScheme::ParallelFm => {
-                arena.pfm.refine(coarsest, &mut partition, opts, seed);
-            }
-        }
+        // The arena's FM workspace serves every level of the uncoarsening
+        // (its buffers are sized once at the fine level and reused — and
+        // stay warm for the next call).
+        arena.fm.refine(coarsest, &mut partition, opts, seed);
 
         // Uncoarsen: project through each level, refining on the finer
         // graph after every projection. The fine boundary after a
@@ -193,46 +180,22 @@ impl Partitioner for MultilevelPartitioner {
         // (`boundary_fm_fast_path_matches_the_unhinted_engine` pins it).
         for (i, level) in levels.iter().enumerate().rev() {
             let fine = if i == 0 { graph } else { &levels[i - 1].coarse };
-            match self.config.refine_scheme {
-                RefineScheme::BoundaryFm => {
-                    arena.mask.clear();
-                    arena.mask.resize(level.coarse.num_nodes(), false);
-                    for &v in arena.fm.last_boundary_superset() {
-                        arena.mask[v as usize] = true;
-                    }
-                    let projected = level.project_for_fm(&partition, fine, &arena.mask);
-                    partition = projected.partition;
-                    arena.fm.refine_primed(
-                        fine,
-                        &mut partition,
-                        opts,
-                        seed,
-                        &projected.hint,
-                        projected.loads,
-                        projected.counts,
-                    );
-                }
-                // The parallel engine honours the same boundary-superset
-                // contract, so it rides the identical fused fast path.
-                RefineScheme::ParallelFm => {
-                    arena.mask.clear();
-                    arena.mask.resize(level.coarse.num_nodes(), false);
-                    for &v in arena.pfm.last_boundary_superset() {
-                        arena.mask[v as usize] = true;
-                    }
-                    let projected = level.project_for_fm(&partition, fine, &arena.mask);
-                    partition = projected.partition;
-                    arena.pfm.refine_primed(
-                        fine,
-                        &mut partition,
-                        opts,
-                        seed,
-                        &projected.hint,
-                        projected.loads,
-                        projected.counts,
-                    );
-                }
+            arena.mask.clear();
+            arena.mask.resize(level.coarse.num_nodes(), false);
+            for &v in arena.fm.last_boundary_superset() {
+                arena.mask[v as usize] = true;
             }
+            let projected = level.project_for_fm(&partition, fine, &arena.mask);
+            partition = projected.partition;
+            arena.fm.refine_primed(
+                fine,
+                &mut partition,
+                opts,
+                seed,
+                &projected.hint,
+                projected.loads,
+                projected.counts,
+            );
         }
         Ok(PartitionReport::new(self.name, graph, partition))
     }
@@ -358,39 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fm_fast_path_matches_the_unhinted_engine() {
-        // Same plumbing claim for the parallel engine: riding the fused
-        // projection + boundary-superset chain must be bit-identical to
-        // projecting plainly and running a fresh, unhinted ParallelFm at
-        // every level.
-        use crate::coarsen::coarsen_to;
-        use crate::fm::ParallelFm;
-        let g = jittered_mesh(600, 21);
-        let seed = 17;
-        let ml = MultilevelPartitioner::with_config(
-            "mlblocks-pfm",
-            Box::new(Blocks),
-            MultilevelConfig {
-                refine_scheme: RefineScheme::ParallelFm,
-                ..MultilevelConfig::default()
-            },
-        );
-        let fast = ml.partition(&g, 5, seed).unwrap().partition;
-
-        let levels = coarsen_to(&g, 64, seed);
-        let coarsest = levels.last().map_or(&g, |l| &l.coarse);
-        let mut p = Blocks.partition(coarsest, 5, seed).unwrap().partition;
-        let opts = crate::refine::RefineOptions::default();
-        ParallelFm::new().refine(coarsest, &mut p, &opts, seed);
-        for (i, level) in levels.iter().enumerate().rev() {
-            p = level.project(&p);
-            let fine = if i == 0 { &g } else { &levels[i - 1].coarse };
-            ParallelFm::new().refine(fine, &mut p, &opts, seed);
-        }
-        assert_eq!(fast, p, "pfm fast path diverged from the reference V-cycle");
-    }
-
-    #[test]
     fn rejects_bad_part_counts_without_panicking() {
         let g = jittered_mesh(30, 5);
         let ml = ml_blocks();
@@ -456,7 +386,6 @@ mod tests {
                     balance_slack: 0.5,
                     max_passes: 2,
                 },
-                refine_scheme: RefineScheme::ParallelFm,
             },
         );
         assert_eq!(ml.inner().name(), "blocks");

@@ -1,6 +1,6 @@
 //! Property-based tests for the boundary-FM refiner's invariants
 //! (ISSUE 5): on arbitrary weighted graphs and arbitrary starting
-//! partitions, `BoundaryFm`
+//! partitions, `FmRefiner`
 //!
 //! * never worsens the cut, and reports the cut delta exactly,
 //! * never violates the balance constraint it is given,

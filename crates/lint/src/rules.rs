@@ -37,7 +37,7 @@
 //! * `det-taint` — call-graph pass: a nondeterminism site
 //!   (hash-iteration, wall-clock, thread-identity) reachable from a
 //!   pipeline entry point (`Partitioner::partition` impls,
-//!   `MultilevelPartitioner`, `DynamicSession`, `fm::ParallelFm`).
+//!   `MultilevelPartitioner`, `DynamicSession`).
 //! * `suppression-syntax` — a malformed or unknown-rule suppression
 //!   directive. A typo'd suppression must fail loudly, not silently
 //!   leave the finding live (or worse, look suppressed in review).
@@ -67,7 +67,7 @@ pub const RULES: &[Rule] = &[
         patterns: &["HashMap", "HashSet"],
         why: "std's hash collections randomize iteration order per process. Any \
               iteration whose order can reach partition labels, cut costs, or tie-breaks \
-              violates the bit-identity contract pinned by tests/fm_determinism.rs and \
+              violates the bit-identity contract pinned by tests/parallel_contract.rs and \
               the CI thread matrix. Replace with BTreeMap/BTreeSet, or keep the map \
               strictly probe-only and suppress with the reason.",
         example: "for (k, v) in hash_map.iter() { labels[k] = v; }  // order leaks\n\
@@ -158,7 +158,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         name: "det-taint",
-        desc: "nondeterminism site reachable from a pipeline entry point (partition impls, MultilevelPartitioner, DynamicSession, ParallelFm)",
+        desc: "nondeterminism site reachable from a pipeline entry point (partition impls, MultilevelPartitioner, DynamicSession)",
         patterns: &[],
         why: "A hash-order iteration (or wall-clock/thread-identity read) is only \
               fatal when the pipeline can actually reach it. This call-graph pass \

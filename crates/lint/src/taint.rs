@@ -10,7 +10,7 @@
 //!   `det-hash-iter`/`det-wallclock`/`det-thread-id` site and
 //!   propagates *down* from the pipeline entry points
 //!   (`Partitioner::partition` impls, `MultilevelPartitioner`,
-//!   `DynamicSession`, `fm::ParallelFm`). Reported at the seed line,
+//!   `DynamicSession`). Reported at the seed line,
 //!   with the entry-to-site witness path.
 //!
 //! Both BFS walks keep a visited set, so recursion and mutual recursion
@@ -199,7 +199,7 @@ fn is_entry(f: &crate::items::FnItem) -> bool {
     f.name == "partition"
         || matches!(
             f.self_ty.as_deref(),
-            Some("MultilevelPartitioner" | "DynamicSession" | "ParallelFm")
+            Some("MultilevelPartitioner" | "DynamicSession")
         )
 }
 

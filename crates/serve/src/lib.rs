@@ -162,7 +162,7 @@ impl std::fmt::Debug for Daemon {
 impl Daemon {
     /// Creates a daemon over `config.tape_dir` (created if absent).
     /// `resolver` maps method names to partitioners — pass the facade's
-    /// `partitioners::by_name_with`.
+    /// `partitioners::by_name`.
     pub fn new(config: ServeConfig, resolver: MethodResolver) -> Result<Self, ServeError> {
         std::fs::create_dir_all(&config.tape_dir)
             .map_err(|e| ServeError::io(&config.tape_dir, e))?;
@@ -499,10 +499,9 @@ mod tests {
     use gapart_graph::generators::jittered_mesh;
     use gapart_graph::io::to_metis;
     use gapart_graph::multilevel::MultilevelPartitioner;
-    use gapart_graph::refine::RefineScheme;
     use gapart_graph::Partitioner;
 
-    fn resolve(name: &str, _scheme: RefineScheme) -> Option<Box<dyn Partitioner>> {
+    fn resolve(name: &str) -> Option<Box<dyn Partitioner>> {
         (name == "mlga").then(|| {
             Box::new(MultilevelPartitioner::new(
                 "mlga",

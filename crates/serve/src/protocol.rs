@@ -3,8 +3,8 @@
 //! One command per line in, one reply per line out:
 //!
 //! ```text
-//! open <name> graph=g.metis [coords=g.xy] parts=4 [method=..] [refine=..]
-//!                                         [seed=..] [threshold=..] [hops=..]
+//! open <name> graph=g.metis [coords=g.xy] parts=4 [method=..] [seed=..]
+//!                                         [threshold=..] [hops=..]
 //! open <name>                      # existing tape: recover
 //! mutate <name> <mutation>         # wire grammar: node/edge/weight ...
 //! commit <name>                    # apply buffered mutations as one batch

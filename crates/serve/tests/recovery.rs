@@ -16,14 +16,13 @@ use gapart_graph::dynamic::Mutation;
 use gapart_graph::generators::jittered_mesh;
 use gapart_graph::io::{coords_to_text, from_metis, to_metis};
 use gapart_graph::multilevel::MultilevelPartitioner;
-use gapart_graph::refine::RefineScheme;
 use gapart_graph::{CsrGraph, Partitioner};
 use gapart_serve::session::ManagedSession;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
-fn resolve(name: &str, _scheme: RefineScheme) -> Option<Box<dyn Partitioner>> {
+fn resolve(name: &str) -> Option<Box<dyn Partitioner>> {
     (name == "mlga").then(|| {
         Box::new(MultilevelPartitioner::new(
             "mlga",
@@ -207,25 +206,27 @@ fn double_crash_still_converges() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A tape whose open record names a retired refiner (`sweep`, or the
-/// `pfm-rescan` reference mode) no longer recovers: `open` replies
-/// `err spec`, and the daemon keeps serving every other session.
+/// A tape whose open record names a retired refiner (the parallel FM
+/// `pfm`, `sweep`, or the `pfm-rescan` reference mode) no longer
+/// recovers: `open` replies `err spec`, and the daemon keeps serving
+/// every other session.
 #[test]
 fn tapes_naming_a_retired_refiner_fail_cleanly() {
     use gapart_serve::{Daemon, ServeConfig};
+    const RETIRED: [&str; 3] = ["pfm", "sweep", "pfm-rescan"];
     let dir = temp_dir("retired");
-    let spec = SessionSpec::parse_kv("parts=4 seed=11 refine=pfm").unwrap();
+    let spec = SessionSpec::parse_kv("parts=4 seed=11 refine=fm").unwrap();
     let live = dir.join("live.tape");
     drop(ManagedSession::open(spec, base_graph(), &live, resolve).unwrap());
     let text = std::fs::read_to_string(&live).unwrap();
-    assert!(text.contains(" refine=pfm "), "{text}");
-    for retired in ["sweep", "pfm-rescan"] {
-        let forged = text.replace(" refine=pfm ", &format!(" refine={retired} "));
+    assert!(text.contains(" refine=fm "), "{text}");
+    for retired in RETIRED {
+        let forged = text.replace(" refine=fm ", &format!(" refine={retired} "));
         std::fs::write(dir.join(format!("{retired}.tape")), forged).unwrap();
     }
 
     let mut d = Daemon::new(ServeConfig::new(&dir), resolve).unwrap();
-    for retired in ["sweep", "pfm-rescan"] {
+    for retired in RETIRED {
         let (reply, errored, _) = d.execute(&format!("open {retired}"));
         assert!(errored, "{reply}");
         assert!(reply.starts_with("err spec"), "{reply}");

@@ -15,7 +15,6 @@ use gapart_graph::dynamic::scenario::{generate, Scenario, TraceSpec};
 use gapart_graph::generators::jittered_mesh;
 use gapart_graph::io::{coords_to_text, from_metis, to_metis};
 use gapart_graph::multilevel::MultilevelPartitioner;
-use gapart_graph::refine::RefineScheme;
 use gapart_graph::Partitioner;
 use gapart_serve::session::ManagedSession;
 use gapart_serve::tape::{Record, Snapshot};
@@ -324,7 +323,7 @@ proptest! {
     }
 }
 
-fn resolve(name: &str, _scheme: RefineScheme) -> Option<Box<dyn Partitioner>> {
+fn resolve(name: &str) -> Option<Box<dyn Partitioner>> {
     (name == "mlga").then(|| {
         Box::new(MultilevelPartitioner::new(
             "mlga",

@@ -31,7 +31,6 @@ use crate::graph::incremental::grow_local;
 use crate::graph::io::{attach_coords, coords_from_text, coords_to_text, from_metis, to_metis};
 use crate::graph::partition::{hash_labels, Partition, PartitionMetrics};
 use crate::graph::partitioner::Partitioner;
-use crate::graph::refine::RefineScheme;
 use crate::graph::CsrGraph;
 use crate::rsb::{rsb_partition, RsbOptions};
 use std::collections::BTreeMap;
@@ -133,14 +132,11 @@ USAGE:
   gapart-cli partition GRAPH.metis --parts P
              [--method dpga|ga|rsb|ibp|mldpga|mlga|mlrsb|mlibp]
              [--fitness total|worst] [--gens G] [--pop SIZE] [--seed S]
-             [--refine fm|pfm] [--coords G.xy]
-             [--out labels.part] [--svg view.svg]
-             (ml* methods are the multilevel V-cycle; mlga/mldpga honour
-              --fitness and default --gens/--pop to the coarse-level
-              sizing, applying them only when given explicitly.
-              --refine picks the per-level refinement engine of the ml*
-              methods: the boundary FM refiner with gain buckets, the
-              default, or its parallel colored-batch variant, pfm)
+             [--coords G.xy] [--out labels.part] [--svg view.svg]
+             (ml* methods are the multilevel V-cycle, refined by boundary
+              FM at every level; mlga/mldpga honour --fitness and default
+              --gens/--pop to the coarse-level sizing, applying them only
+              when given explicitly)
   gapart-cli eval GRAPH.metis LABELS.part --parts P [--coords G.xy]
              [--svg view.svg]
   gapart-cli grow GRAPH.metis --coords G.xy --add K [--seed S]
@@ -152,8 +148,7 @@ USAGE:
              (mesh-growth needs --coords; ops is mutations per batch)
   gapart-cli stream GRAPH.metis --trace trace.txt --parts P
              [--coords G.xy] [--method mlga|mldpga|mlrsb|...]
-             [--refine fm|pfm] [--threshold 1.5]
-             [--hops 2] [--seed S]
+             [--threshold 1.5] [--hops 2] [--seed S]
              [--labels-out labels.part] [--graph-out final.metis]
              [--coords-out final.xy]
              (replays the trace through a dynamic session: new nodes are
@@ -165,8 +160,8 @@ USAGE:
               newline-delimited commands on stdin — or on a Unix socket
               with --socket — one `ok`/`err` reply line per command:
                 open NAME graph=G.metis parts=P [coords=G.xy]
-                          [method=..] [refine=..] [seed=..]
-                          [threshold=..] [hops=..]
+                          [method=..] [seed=..] [threshold=..]
+                          [hops=..]
                 open NAME                  # recover from DIR/NAME.tape
                 mutate NAME node W | edge U V W | weight N W
                 commit NAME | query NAME | snapshot NAME
@@ -252,12 +247,13 @@ pub fn labels_from_text(text: &str, num_parts: u32) -> Result<Partition, CliErro
     Partition::new(labels, num_parts).map_err(|e| CliError::Failed(e.to_string()))
 }
 
-/// Parses the `--refine` flag (boundary FM when absent).
-fn parse_refine(args: &Args) -> Result<RefineScheme, CliError> {
+/// Checks the `--refine` flag. Boundary FM is the only refiner, so the
+/// flag accepts only `fm`, which changes nothing; any other engine name
+/// is a usage error.
+fn check_refine(args: &Args) -> Result<(), CliError> {
     match args.flag("refine") {
-        None => Ok(RefineScheme::default()),
-        Some(s) => RefineScheme::by_name(s)
-            .ok_or_else(|| CliError::Usage(format!("--refine {s}: expected fm|pfm"))),
+        None | Some("fm") => Ok(()),
+        Some(s) => Err(CliError::Usage(format!("--refine {s}: expected fm"))),
     }
 }
 
@@ -358,19 +354,15 @@ fn cmd_partition(args: &Args) -> Result<String, CliError> {
     let gens: usize = args.flag_parse("gens", 150usize)?;
     let pop: usize = args.flag_parse("pop", 320usize)?;
     let seed: u64 = args.flag_parse("seed", 0x5343_3934u64)?;
-    let refine_scheme = parse_refine(args)?;
-    // `--refine` configures the V-cycle's per-level refinement; flat
-    // methods have no refinement stage, so silently accepting the flag
-    // there would misreport what ran.
+    check_refine(args)?;
+    // `--refine` names the V-cycle's per-level refinement; flat methods
+    // have no refinement stage, so silently accepting the flag there
+    // would misreport what ran.
     if args.flag("refine").is_some() && !method.starts_with("ml") {
         return Err(CliError::Usage(format!(
             "--refine applies only to the multilevel (ml*) methods, not {method}"
         )));
     }
-    let ml_config = crate::graph::multilevel::MultilevelConfig {
-        refine_scheme,
-        ..Default::default()
-    };
 
     // Every method goes through the one `Partitioner` abstraction; the
     // match only configures which implementation (and with what budget).
@@ -378,9 +370,7 @@ fn cmd_partition(args: &Args) -> Result<String, CliError> {
     // but use the coarse-level sizing — the V-cycle, not --gens/--pop,
     // sets their budget.
     let partitioner: Box<dyn Partitioner> = match method {
-        "rsb" | "ibp" => crate::partitioners::by_name(method)
-            .ok_or_else(|| CliError::Failed(format!("method {method} is not registered")))?,
-        "mlrsb" | "mlibp" => crate::partitioners::by_name_with(method, refine_scheme)
+        "rsb" | "ibp" | "mlrsb" | "mlibp" => crate::partitioners::by_name(method)
             .ok_or_else(|| CliError::Failed(format!("method {method} is not registered")))?,
         "mlga" => {
             let mut config = GaConfig::coarse_defaults(parts).with_fitness(fitness);
@@ -392,11 +382,7 @@ fn cmd_partition(args: &Args) -> Result<String, CliError> {
             if args.flag("gens").is_some() {
                 config.generations = gens;
             }
-            crate::partitioners::multilevel_with(
-                "mlga",
-                crate::partitioners::tuned_ga(config),
-                ml_config,
-            )
+            crate::partitioners::multilevel("mlga", crate::partitioners::tuned_ga(config))
         }
         "mldpga" => {
             let mut cfg = DpgaConfig::coarse(parts);
@@ -407,11 +393,7 @@ fn cmd_partition(args: &Args) -> Result<String, CliError> {
             if args.flag("gens").is_some() {
                 cfg.base.generations = gens;
             }
-            crate::partitioners::multilevel_with(
-                "mldpga",
-                crate::partitioners::tuned_dpga(cfg),
-                ml_config,
-            )
+            crate::partitioners::multilevel("mldpga", crate::partitioners::tuned_dpga(cfg))
         }
         "ga" => {
             let mut config = GaConfig::paper_defaults(parts)
@@ -643,10 +625,8 @@ fn cmd_stream(args: &Args) -> Result<String, CliError> {
     let trace_text = std::fs::read_to_string(trace_path)?;
     let trace =
         parse_trace(&trace_text).map_err(|e| CliError::Failed(format!("{trace_path}: {e}")))?;
-    // One engine for both refinement surfaces of a stream: the session's
-    // dirty-frontier passes and the escalation method's V-cycle.
     let mut session = spec
-        .open(graph, crate::partitioners::by_name_with)
+        .open(graph, crate::partitioners::by_name)
         .map_err(open_error)?;
 
     let mut out = format!(
@@ -735,7 +715,7 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
         tape_dir: tape_dir.into(),
         snapshot_every,
     };
-    let mut daemon = crate::serve::Daemon::new(config, crate::partitioners::by_name_with)
+    let mut daemon = crate::serve::Daemon::new(config, crate::partitioners::by_name)
         .map_err(|e| CliError::Failed(e.to_string()))?;
     let summary = match args.flag("socket") {
         Some(path) => crate::serve::serve_unix(&mut daemon, std::path::Path::new(path))
@@ -1055,14 +1035,6 @@ mod tests {
         )))
         .unwrap();
 
-        // Every engine runs on an ml* method; each report carries metrics.
-        for scheme in ["fm", "pfm"] {
-            let out = run(&argv(&format!(
-                "partition {gs} --parts 4 --method mlrsb --refine {scheme}"
-            )))
-            .unwrap();
-            assert!(out.contains("total cut"), "{scheme}: {out}");
-        }
         // The default (no flag) equals --refine fm bit for bit.
         let labels = dir.join("a.part");
         let ls = labels.to_str().unwrap();
@@ -1079,7 +1051,7 @@ mod tests {
 
         // Unknown and retired engines and flat-method misuse are usage
         // errors.
-        for scheme in ["turbo", "sweep"] {
+        for scheme in ["turbo", "sweep", "pfm"] {
             let err = run(&argv(&format!(
                 "partition {gs} --parts 4 --method mlrsb --refine {scheme}"
             )))

@@ -14,9 +14,8 @@
 //! coarsest graph has only ~64–128 nodes.
 
 use crate::core::{DpgaConfig, DpgaPartitioner, GaConfig, GaPartitioner};
-use crate::graph::multilevel::{MultilevelConfig, MultilevelPartitioner};
+use crate::graph::multilevel::MultilevelPartitioner;
 use crate::graph::partitioner::Partitioner;
-use crate::graph::refine::RefineScheme;
 use crate::ibp::IbpPartitioner;
 use crate::rsb::RsbPartitioner;
 
@@ -36,45 +35,28 @@ pub const NAMES: [&str; 8] = [
 /// [`DpgaPartitioner`] (or [`multilevel`]) directly — the trait object
 /// interface is identical.
 pub fn by_name(name: &str) -> Option<Box<dyn Partitioner>> {
-    by_name_with(name, RefineScheme::default())
-}
-
-/// [`by_name`] with an explicit per-level refinement engine for the
-/// `ml*` wrappers (the CLI's `--refine` flag). Flat methods never refine,
-/// so `scheme` does not affect them.
-pub fn by_name_with(name: &str, scheme: RefineScheme) -> Option<Box<dyn Partitioner>> {
-    let ml_config = MultilevelConfig {
-        refine_scheme: scheme,
-        ..MultilevelConfig::default()
-    };
     match name {
         "dpga" => Some(Box::new(DpgaPartitioner::default())),
         "ga" => Some(Box::new(GaPartitioner::default())),
         "rsb" => Some(Box::new(RsbPartitioner::default())),
         "ibp" => Some(Box::new(IbpPartitioner::default())),
-        "mldpga" => Some(multilevel_with(
+        "mldpga" => Some(multilevel(
             "mldpga",
             Box::new(DpgaPartitioner::new(DpgaConfig::coarse(2))),
-            ml_config,
         )),
-        "mlga" => Some(multilevel_with(
+        "mlga" => Some(multilevel(
             "mlga",
             Box::new(GaPartitioner::new(GaConfig::coarse_defaults(2))),
-            ml_config,
         )),
-        "mlrsb" => Some(multilevel_with(
-            "mlrsb",
-            Box::new(RsbPartitioner::default()),
-            ml_config,
-        )),
-        "mlibp" => Some(multilevel_with(
-            "mlibp",
-            Box::new(IbpPartitioner::default()),
-            ml_config,
-        )),
+        "mlrsb" => Some(multilevel("mlrsb", Box::new(RsbPartitioner::default()))),
+        "mlibp" => Some(multilevel("mlibp", Box::new(IbpPartitioner::default()))),
         _ => None,
     }
 }
+
+/// The former name of [`by_name`]; it goes once `perfbench` calls
+/// `by_name`.
+pub use self::by_name as by_name_with;
 
 /// One instance of every registered partitioner, in [`NAMES`] order.
 pub fn all() -> Vec<Box<dyn Partitioner>> {
@@ -103,16 +85,6 @@ pub fn multilevel(name: &'static str, inner: Box<dyn Partitioner>) -> Box<dyn Pa
     Box::new(MultilevelPartitioner::new(name, inner))
 }
 
-/// [`multilevel`] with explicit V-cycle knobs (coarsening target,
-/// matching scheme, refinement options and engine).
-pub fn multilevel_with(
-    name: &'static str,
-    inner: Box<dyn Partitioner>,
-    config: MultilevelConfig,
-) -> Box<dyn Partitioner> {
-    Box::new(MultilevelPartitioner::with_config(name, inner, config))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,22 +97,6 @@ mod tests {
         }
         assert!(by_name("metis").is_none());
         assert_eq!(all().len(), NAMES.len());
-    }
-
-    #[test]
-    fn refine_scheme_variants_resolve_for_every_method() {
-        use crate::graph::generators::jittered_mesh;
-        let g = jittered_mesh(120, 7);
-        for name in NAMES {
-            for scheme in [RefineScheme::BoundaryFm, RefineScheme::ParallelFm] {
-                let p = by_name_with(name, scheme).unwrap();
-                assert_eq!(p.name(), name);
-                // Flat methods ignore the scheme; ml* must still satisfy
-                // the basic contract under both engines.
-                let report = p.partition(&g, 4, 3).unwrap();
-                assert_eq!(report.partition.num_nodes(), 120);
-            }
-        }
     }
 
     #[test]

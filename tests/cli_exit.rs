@@ -42,9 +42,9 @@ fn retired_refine_engines_are_usage_errors() {
     std::fs::write(&trace, "commit\n").unwrap();
     let ts = trace.to_str().unwrap();
 
-    // The sweep refiner and pfm's full-rescan reference mode are gone
-    // from both surfaces that take --refine.
-    for engine in ["sweep", "pfm-rescan"] {
+    // The parallel FM, the sweep refiner and pfm's full-rescan
+    // reference mode are gone from both surfaces that take --refine.
+    for engine in ["pfm", "sweep", "pfm-rescan"] {
         for args in [
             vec!["partition", gs, "--parts", "2", "--method", "mlga"],
             vec!["stream", gs, "--trace", ts, "--parts", "2"],

@@ -1,12 +1,11 @@
 //! Thread-count determinism contract for the parallel multilevel
-//! pipeline: coarsening, full and local parallel-FM refinement, and an
+//! pipeline: coarsening, full and local FM refinement, and an
 //! end-to-end `mlga` solve must be bit-identical under forced
 //! 1/2/4/8-thread pools (same pattern as `tests/stream_contract.rs`).
 //! This is the invariant that makes `--threads` a pure wall-time knob:
 //! scheduling may never leak into results.
 
 use gapart::graph::coarsen::{coarsen_hem, coarsen_to, Coarsening};
-use gapart::graph::fm::ParallelFm;
 use gapart::graph::generators::{grid2d, jittered_mesh, GridKind};
 use gapart::graph::partition::Partition;
 use gapart::graph::refine::{RefineOptions, RefineStats};
@@ -50,57 +49,6 @@ fn coarsening_is_bit_identical_across_pools() {
 fn random_partition(n: usize, parts: u32, seed: u64) -> Partition {
     let mut rng = StdRng::seed_from_u64(seed);
     Partition::new((0..n).map(|_| rng.gen_range(0..parts)).collect(), parts).unwrap()
-}
-
-#[test]
-fn full_refinement_is_bit_identical_across_pools() {
-    let g = grid2d(30, 30, GridKind::Triangulated);
-    let opts = RefineOptions {
-        balance_slack: 0.1,
-        max_passes: 6,
-    };
-    let base = random_partition(900, 6, SEED);
-    let mut reference: Option<(Partition, RefineStats)> = None;
-    for threads in POOLS {
-        let mut p = base.clone();
-        let stats = with_pool(threads, || {
-            ParallelFm::new().refine(&g, &mut p, &opts, SEED)
-        });
-        match &reference {
-            None => reference = Some((p, stats)),
-            Some((rp, rs)) => {
-                assert_eq!(&p, rp, "{threads}-thread refine diverged");
-                assert_eq!(&stats, rs, "{threads}-thread stats diverged");
-            }
-        }
-    }
-}
-
-#[test]
-fn local_refinement_is_bit_identical_across_pools() {
-    let g = jittered_mesh(500, 9);
-    let opts = RefineOptions::default();
-    let base = random_partition(500, 4, SEED ^ 1);
-    // A scattered region, deliberately unsorted and duplicated.
-    let region: Vec<u32> = (0..500u32)
-        .rev()
-        .filter(|v| v % 3 != 1)
-        .chain(40..80u32)
-        .collect();
-    let mut reference: Option<(Partition, RefineStats)> = None;
-    for threads in POOLS {
-        let mut p = base.clone();
-        let stats = with_pool(threads, || {
-            ParallelFm::new().refine_local(&g, &mut p, &opts, SEED, &region)
-        });
-        match &reference {
-            None => reference = Some((p, stats)),
-            Some((rp, rs)) => {
-                assert_eq!(&p, rp, "{threads}-thread local refine diverged");
-                assert_eq!(&stats, rs);
-            }
-        }
-    }
 }
 
 #[test]

@@ -11,7 +11,6 @@ use gapart::graph::dynamic::trace::{parse_trace, trace_to_text};
 use gapart::graph::generators::jittered_mesh;
 use gapart::graph::multilevel::MultilevelPartitioner;
 use gapart::graph::partitioner::Partitioner;
-use gapart::graph::refine::RefineScheme;
 use gapart::graph::CsrGraph;
 use gapart::partitioners;
 
@@ -54,6 +53,7 @@ fn replay(
 #[test]
 fn replay_is_bit_identical_between_a_forced_pool_and_a_direct_run() {
     let graph = mesh();
+    let mut escalations = 0usize;
     for scenario in [
         Scenario::MeshGrowth,
         Scenario::RandomChurn,
@@ -90,75 +90,14 @@ fn replay_is_bit_identical_between_a_forced_pool_and_a_direct_run() {
             scenario.name()
         );
         assert_eq!(pooled.epoch(), direct.epoch(), "{}", scenario.name());
-    }
-}
-
-/// The same pool-independence claim with the session's refiner switched
-/// to the parallel colored-batch engine (`--refine pfm`): localized
-/// refinement *and* GA-backed escalations (whose per-level refinement
-/// also runs ParallelFm) must stay bit-identical between a forced
-/// 4-thread pool and a direct run.
-#[test]
-fn replay_with_parallel_fm_is_bit_identical_between_a_forced_pool_and_a_direct_run() {
-    let graph = mesh();
-    let replay_pfm = |trace: &[Vec<gapart::graph::Mutation>]| {
-        let mut s = DynamicSession::new(
-            graph.clone(),
-            partitioners::by_name_with("mlga", RefineScheme::ParallelFm).unwrap(),
-            DynamicConfig {
-                seed: SEED,
-                escalate_ratio: 1.02,
-                refine_scheme: RefineScheme::ParallelFm,
-                ..DynamicConfig::new(PARTS)
-            },
-        )
-        .unwrap();
-        let records = s.replay(trace).unwrap();
-        (s, records)
-    };
-    let mut escalations = 0usize;
-    for scenario in [
-        Scenario::MeshGrowth,
-        Scenario::RandomChurn,
-        Scenario::HotspotDrift,
-    ] {
-        let trace = generate(
-            &graph,
-            scenario,
-            &TraceSpec {
-                batches: 5,
-                ops_per_batch: 12,
-                seed: 21,
-            },
-        )
-        .unwrap();
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        let (pooled, pooled_records) = pool.install(|| replay_pfm(&trace));
-        let (direct, direct_records) = replay_pfm(&trace);
-        assert_eq!(
-            pooled.partition(),
-            direct.partition(),
-            "{}: pfm partitions differ between 4-thread and direct replays",
-            scenario.name()
-        );
-        assert_eq!(
-            pooled_records,
-            direct_records,
-            "{}: pfm batch records differ",
-            scenario.name()
-        );
-        assert_eq!(pooled.epoch(), direct.epoch(), "{}", scenario.name());
         escalations += pooled_records
             .iter()
             .filter(|r| r.action == BatchAction::FullRepartition)
             .count();
     }
     // The tight threshold must force the escalation path somewhere in
-    // the scenario set, otherwise the GA + per-level ParallelFm surface
-    // went untested. (Not per-scenario: pfm's localized refinement keeps
+    // the scenario set, otherwise the GA + per-level FM surface went
+    // untested. (Not per-scenario: the localized refinement keeps
     // hotspot drift under the threshold.)
     assert!(escalations > 0, "no escalation happened at ratio 1.02");
 }
