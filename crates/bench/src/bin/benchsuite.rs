@@ -3,7 +3,7 @@
 //!
 //! Runs large-grid / geometric / churn-stream scenarios across a sweep of
 //! forced worker-pool sizes, flat and multilevel methods side by side, and
-//! writes `BENCH_7.json` (see `--out`) with per-row wall time, cut
+//! writes `BENCH_8.json` (see `--out`) with per-row wall time, cut
 //! metrics, peak-RSS memory telemetry, and an FNV-1a hash of the final
 //! labels — the witness that every thread count produced the
 //! bit-identical partition. The schema lives in `gapart_bench::json`
@@ -39,7 +39,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 /// The PR number this trajectory file records.
-const PR: u64 = 7;
+const PR: u64 = 8;
 const SEED: u64 = 0x5343_3934; // "SC94"
 const PARTS: u32 = 8;
 
@@ -355,7 +355,7 @@ fn load_rows(path: &str) -> Vec<json::TrajectoryRow> {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
-    let mut out_path = "BENCH_7.json".to_string();
+    let mut out_path = "BENCH_8.json".to_string();
     let mut validate_path: Option<String> = None;
     let mut validate_all_dir: Option<String> = None;
     let mut compare: Option<(String, String)> = None;

@@ -20,7 +20,7 @@
 //!   paper reports: per-part communication cost `C(q)`, total cut
 //!   `Σ C(q)/2`, worst cut `max C(q)`, and load imbalance `I(q)`.
 //! * [`traversal`] — BFS, connected components.
-//! * [`coarsen`] — heavy-edge-matching contraction (the "prior graph
+//! * [`coarsen`] — rated-edge-matching contraction (the "prior graph
 //!   contraction step" the paper recommends for large graphs).
 //! * [`multilevel`] — the generic multilevel V-cycle:
 //!   [`multilevel::MultilevelPartitioner`] wraps *any* [`Partitioner`]

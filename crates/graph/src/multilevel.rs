@@ -13,8 +13,11 @@
 //!     └───────── ... ◄──────────────────────────────────┘
 //! ```
 //!
-//! 1. **Coarsen** with heavy-edge matching ([`crate::coarsen::coarsen_to`])
-//!    until at most `coarsen_target` nodes remain (never below `2 × k`).
+//! 1. **Coarsen** ([`crate::coarsen::coarsen_to`]) by matching each
+//!    vertex along its best edge under the rating ω² / (c(u)·c(v))
+//!    ([`crate::coarsen::edge_key`]), which favours light partners so
+//!    no vertex is stranded, until at most `coarsen_target` nodes remain
+//!    (never below `2 × k`).
 //! 2. **Partition** the coarsest graph with the wrapped algorithm — GA,
 //!    DPGA, RSB, IBP, or anything else implementing the trait.
 //! 3. **Uncoarsen**: project the partition level by level back to the fine
@@ -140,8 +143,8 @@ impl Partitioner for MultilevelPartitioner {
                 "cannot split {n} nodes into {num_parts} parts"
             )));
         }
-        // Never coarsen below the part count; HEM at most halves per
-        // round, so the coarsest graph keeps strictly more nodes than k.
+        // Never coarsen below the part count; a matching round at most
+        // halves, so the coarsest graph keeps strictly more nodes than k.
         let target = self.config.coarsen_target.max(num_parts as usize * 2);
 
         // Claim the recycled arena (or fall back to a fresh one under

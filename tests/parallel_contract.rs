@@ -24,25 +24,56 @@ fn with_pool<R>(threads: usize, op: impl FnOnce() -> R) -> R {
         .install(op)
 }
 
+fn coord_bits(level: &Coarsening) -> Option<Vec<(u64, u64)>> {
+    level
+        .coarse
+        .coords()
+        .map(|c| c.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect())
+}
+
 fn assert_same_levels(a: &[Coarsening], b: &[Coarsening], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: level count diverged");
     for (i, (la, lb)) in a.iter().zip(b).enumerate() {
         assert_eq!(la.map, lb.map, "{what}: map diverged at level {i}");
         assert_eq!(la.coarse, lb.coarse, "{what}: graph diverged at level {i}");
+        assert_eq!(
+            coord_bits(la),
+            coord_bits(lb),
+            "{what}: coordinate bits at level {i}"
+        );
     }
 }
 
 #[test]
 fn coarsening_is_bit_identical_across_pools() {
-    let g = jittered_mesh(700, 5);
-    let one_round = with_pool(1, || coarsen_hem(&g, SEED));
-    let stack = with_pool(1, || coarsen_to(&g, 32, SEED));
-    for threads in POOLS {
-        let r = with_pool(threads, || coarsen_hem(&g, SEED));
-        assert_eq!(r.map, one_round.map, "{threads}-thread round diverged");
-        assert_eq!(r.coarse, one_round.coarse);
-        let s = with_pool(threads, || coarsen_to(&g, 32, SEED));
-        assert_same_levels(&s, &stack, &format!("{threads}-thread stack"));
+    // The 700-node mesh runs every parallel phase inline. The 20k mesh
+    // splits them at 2/4/8 threads: its first handshake scans 20k
+    // vertices in 2,048-vertex chunks and its first contraction builds
+    // ~10k coarse vertices in 4,096-vertex chunks, so worker seams fall
+    // inside both.
+    for (g, target) in [(jittered_mesh(700, 5), 32), (jittered_mesh(20_000, 7), 64)] {
+        let one_round = with_pool(1, || coarsen_hem(&g, SEED));
+        let stack = with_pool(1, || coarsen_to(&g, target, SEED));
+        assert!(
+            coord_bits(&one_round).is_some(),
+            "coordinates are compared too"
+        );
+        for threads in POOLS {
+            let r = with_pool(threads, || coarsen_hem(&g, SEED));
+            assert_same_levels(
+                &[r],
+                std::slice::from_ref(&one_round),
+                &format!("{threads}-thread round"),
+            );
+            let s = with_pool(threads, || coarsen_to(&g, target, SEED));
+            assert_same_levels(&s, &stack, &format!("{threads}-thread stack"));
+        }
+        if g.num_nodes() > 10_000 {
+            assert!(
+                stack[0].coarse.num_nodes() > 2 * 4096,
+                "one contraction chunk only"
+            );
+        }
     }
 }
 
