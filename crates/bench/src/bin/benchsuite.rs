@@ -3,7 +3,7 @@
 //!
 //! Runs large-grid / geometric / churn-stream scenarios across a sweep of
 //! forced worker-pool sizes, flat and multilevel methods side by side, and
-//! writes `BENCH_8.json` (see `--out`) with per-row wall time, cut
+//! writes `BENCH_9.json` (see `--out`) with per-row wall time, cut
 //! metrics, peak-RSS memory telemetry, and an FNV-1a hash of the final
 //! labels — the witness that every thread count produced the
 //! bit-identical partition. The schema lives in `gapart_bench::json`
@@ -25,21 +25,27 @@
 //! `--smoke` runs only the anchor scenarios (seconds, for CI); the
 //! committed trajectory file is produced by a full run, which includes
 //! the anchors plus the large scenarios.
+//!
+//! Exit codes: 0 on success; 1 with a one-line message when a document
+//! is unreadable or invalid, the gate fails or the smoke budget is blown;
+//! 2 with the usage lines on a malformed command line.
 
 use gapart::core::dynamic::{BatchAction, DynamicConfig, DynamicSession};
 use gapart::core::GaConfig;
+use gapart::graph::dynamic::apply_batch;
 use gapart::graph::dynamic::scenario::{generate, Scenario, TraceSpec};
+use gapart::graph::dynamic::Mutation;
 use gapart::graph::generators::{grid2d, random_geometric, GridKind};
 use gapart::graph::partition::PartitionMetrics;
 use gapart::graph::partitioner::Partitioner;
-use gapart::graph::CsrGraph;
+use gapart::graph::{CsrGraph, Partition};
 use gapart::partitioners;
 use gapart_bench::json::{self, hash_labels, TRAJECTORY_SCHEMA};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 /// The PR number this trajectory file records.
-const PR: u64 = 8;
+const PR: u64 = 9;
 const SEED: u64 = 0x5343_3934; // "SC94"
 const PARTS: u32 = 8;
 
@@ -165,8 +171,26 @@ fn run_partitioner_reps(
         partition = Some(r.partition);
     }
     let partition = partition.expect("reps ran");
-    let metrics = PartitionMetrics::compute(graph, &partition);
-    let row = Row {
+    let row = measured_row(scenario, method, mode, threads, graph, &partition, wall_ms);
+    println!(
+        "  {scenario:>16} {method:>10} x{threads}: {wall_ms:9.1} ms, cut {}, hash {}",
+        row.total_cut, row.partition_hash
+    );
+    row
+}
+
+/// The row of `partition` over `graph`, measured at `wall_ms`.
+fn measured_row(
+    scenario: &'static str,
+    method: &str,
+    mode: &'static str,
+    threads: usize,
+    graph: &CsrGraph,
+    partition: &Partition,
+    wall_ms: f64,
+) -> Row {
+    let metrics = PartitionMetrics::compute(graph, partition);
+    Row {
         scenario,
         method: method.to_string(),
         mode,
@@ -182,10 +206,31 @@ fn run_partitioner_reps(
         partition_hash: hash_labels(partition.labels()),
         batches: None,
         escalations: None,
-    };
+    }
+}
+
+/// The random-churn trace every churn row of a scenario replays.
+fn churn_trace(graph: &CsrGraph, batches: usize, ops: usize) -> Vec<Vec<Mutation>> {
+    generate(
+        graph,
+        Scenario::RandomChurn,
+        &TraceSpec {
+            batches,
+            ops_per_batch: ops,
+            seed: SEED,
+        },
+    )
+    .expect("churn traces generate on any graph")
+}
+
+/// The row of a replayed churn trace, with its batch counts, printed.
+fn stream_row(mut row: Row, batches: usize, escalations: usize) -> Row {
+    row.batches = Some(batches);
+    row.escalations = Some(escalations);
     println!(
-        "  {scenario:>16} {method:>10} x{threads}: {wall_ms:9.1} ms, cut {}, hash {}",
-        row.total_cut, row.partition_hash
+        "  {:>16} {:>10} x{}: {:9.1} ms, {batches} batches, {escalations} escalation(s), \
+         cut {}, hash {}",
+        row.scenario, row.method, row.threads, row.wall_ms, row.total_cut, row.partition_hash
     );
     row
 }
@@ -199,17 +244,7 @@ fn run_stream(
     ops: usize,
     threads: usize,
 ) -> Row {
-    let method = "stream+mlga";
-    let trace = generate(
-        graph,
-        Scenario::RandomChurn,
-        &TraceSpec {
-            batches,
-            ops_per_batch: ops,
-            seed: SEED,
-        },
-    )
-    .expect("churn traces generate on any graph");
+    let trace = churn_trace(graph, batches, ops);
     let start = Instant::now();
     let (session, records) = pool(threads)
         .install(|| {
@@ -227,34 +262,62 @@ fn run_stream(
         })
         .expect("stream replay cannot fail");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let m = PartitionMetrics::compute(session.graph(), session.partition());
     let escalations = records
         .iter()
         .filter(|r| r.action == BatchAction::FullRepartition)
         .count();
-    let row = Row {
+    let row = measured_row(
         scenario,
-        method: method.into(),
-        mode: "stream",
+        "stream+mlga",
+        "stream",
         threads,
-        nodes: session.graph().num_nodes(),
-        edges: session.graph().num_edges(),
+        session.graph(),
+        session.partition(),
         wall_ms,
-        total_cut: m.total_cut,
-        max_cut: m.max_cut,
-        imbalance: imbalance_ratio(&m.part_loads),
-        imbalance_weight_delta: m.imbalance,
-        peak_rss_bytes: peak_rss_bytes(),
-        partition_hash: hash_labels(session.partition().labels()),
-        batches: Some(batches),
-        escalations: Some(escalations),
-    };
-    println!(
-        "  {scenario:>16} {method:>10} x{threads}: {wall_ms:9.1} ms, {batches} batches, \
-         {escalations} escalation(s), cut {}, hash {}",
-        row.total_cut, row.partition_hash
     );
-    row
+    stream_row(row, batches, escalations)
+}
+
+/// The recompute baseline for [`run_stream`]: the same opening solve and
+/// trace, but every batch is applied to the graph and then solved by
+/// `mlga` from scratch with a per-batch seed, so every batch escalates.
+fn run_recompute(
+    scenario: &'static str,
+    graph: &CsrGraph,
+    batches: usize,
+    ops: usize,
+    threads: usize,
+) -> Row {
+    let trace = churn_trace(graph, batches, ops);
+    let mlga = partitioners::by_name("mlga").expect("mlga is registered");
+    let solve = |g: &CsrGraph, seed: u64| {
+        mlga.partition(g, PARTS, seed)
+            .expect("benchmark scenarios cannot fail")
+            .partition
+    };
+    let start = Instant::now();
+    let (graph, partition) = pool(threads).install(|| {
+        let mut g = graph.clone();
+        let mut partition = solve(&g, SEED);
+        for (i, batch) in trace.iter().enumerate() {
+            g = apply_batch(&g, batch)
+                .expect("generated traces apply cleanly")
+                .0;
+            partition = solve(&g, SEED.wrapping_add(i as u64 + 1));
+        }
+        (g, partition)
+    });
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let row = measured_row(
+        scenario,
+        "recompute+mlga",
+        "stream",
+        threads,
+        &graph,
+        &partition,
+        wall_ms,
+    );
+    stream_row(row, batches, batches)
 }
 
 fn render(
@@ -345,119 +408,172 @@ fn render(
     out
 }
 
+/// The command-line synopsis printed with every usage error.
+const USAGE: &str = "usage: benchsuite [--smoke] [--out PATH] [--max-threads N]
+       benchsuite --validate PATH
+       benchsuite --validate-all DIR
+       benchsuite --compare BASELINE CANDIDATE";
+
+/// What one invocation does.
+enum Command {
+    /// Run the scenario matrix and write the trajectory to `out`.
+    Run {
+        smoke: bool,
+        out: String,
+        max_threads: usize,
+    },
+    /// Schema-check one document.
+    Validate(String),
+    /// Schema-check every `BENCH_*.json` in a directory.
+    ValidateAll(String),
+    /// The bench-regression gate: baseline, then candidate.
+    Compare(String, String),
+}
+
+/// Parses the command line; `Err` is a usage error. When several modes
+/// are named, `--validate` wins over `--validate-all`, which wins over
+/// `--compare`, which wins over a run.
+fn parse_args(argv: &[String]) -> Result<Command, String> {
+    let mut smoke = false;
+    let mut out = format!("BENCH_{PR}.json");
+    let mut validate = None;
+    let mut validate_all = None;
+    let mut compare = None;
+    let mut max_threads = 8usize;
+    let mut it = argv.iter().cloned();
+    while let Some(arg) = it.next() {
+        let mut value = |what: &str| it.next().ok_or_else(|| format!("{arg} takes {what}"));
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--out" => out = value("a path")?,
+            "--validate" => validate = Some(value("a path")?),
+            "--validate-all" => validate_all = Some(value("a directory")?),
+            "--compare" => {
+                let baseline = value("a baseline and a candidate path")?;
+                compare = Some((baseline, value("a baseline and a candidate path")?));
+            }
+            "--max-threads" => {
+                max_threads = value("a positive integer")?
+                    .parse()
+                    .ok()
+                    .filter(|&n| n >= 1)
+                    .ok_or("--max-threads takes a positive integer")?;
+            }
+            other => return Err(format!("unknown flag '{other}'")),
+        }
+    }
+    Ok(if let Some(path) = validate {
+        Command::Validate(path)
+    } else if let Some(dir) = validate_all {
+        Command::ValidateAll(dir)
+    } else if let Some((baseline, candidate)) = compare {
+        Command::Compare(baseline, candidate)
+    } else {
+        Command::Run {
+            smoke,
+            out,
+            max_threads,
+        }
+    })
+}
+
 /// Parses and schema-validates one trajectory document.
-fn load_rows(path: &str) -> Vec<json::TrajectoryRow> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let doc = json::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-    json::validate_trajectory(&doc).unwrap_or_else(|e| panic!("{path}: {e}"))
+fn load_rows(path: &str) -> Result<Vec<json::TrajectoryRow>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    json::parse(&text)
+        .and_then(|doc| json::validate_trajectory(&doc))
+        .map_err(|e| format!("{path}: {e}"))
+}
+
+/// Validates every committed trajectory in `dir` from one process,
+/// reporting each file so a failure names its culprit.
+fn validate_all(dir: &str) -> Result<(), String> {
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| format!("cannot read directory {dir}: {e}"))?;
+    let mut paths = Vec::new();
+    for entry in entries {
+        let name = entry
+            .map_err(|e| format!("cannot read directory {dir}: {e}"))?
+            .file_name();
+        let name = name.to_string_lossy();
+        if name.starts_with("BENCH_") && name.ends_with(".json") {
+            paths.push(format!("{dir}/{name}"));
+        }
+    }
+    paths.sort();
+    if paths.is_empty() {
+        return Err(format!("no BENCH_*.json files under {dir}"));
+    }
+    let mut failures = 0usize;
+    for path in &paths {
+        match load_rows(path) {
+            Ok(rows) => println!("{path}: valid trajectory, {} result row(s)", rows.len()),
+            Err(e) => {
+                println!("INVALID — {e}");
+                failures += 1;
+            }
+        }
+    }
+    if failures > 0 {
+        return Err(format!(
+            "{failures} of {} trajectory file(s) invalid",
+            paths.len()
+        ));
+    }
+    Ok(())
+}
+
+/// The bench-regression gate: candidate vs committed baseline.
+fn compare(baseline_path: &str, candidate_path: &str) -> Result<(), String> {
+    let baseline = load_rows(baseline_path)?;
+    let candidate = load_rows(candidate_path)?;
+    let report = json::compare_trajectories(&baseline, &candidate);
+    println!(
+        "compared {candidate_path} against {baseline_path}: {} matched row(s)",
+        report.matched
+    );
+    for note in &report.notes {
+        println!("  note: {note}");
+    }
+    for failure in &report.failures {
+        println!("  FAIL: {failure}");
+    }
+    if !report.passed() {
+        return Err(format!(
+            "bench-regression gate failed ({} failure(s))",
+            report.failures.len()
+        ));
+    }
+    println!("bench-regression gate passed");
+    Ok(())
 }
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out_path = "BENCH_8.json".to_string();
-    let mut validate_path: Option<String> = None;
-    let mut validate_all_dir: Option<String> = None;
-    let mut compare: Option<(String, String)> = None;
-    let mut max_threads = 8usize;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out_path = it.next().expect("--out takes a path").clone(),
-            "--validate" => {
-                validate_path = Some(it.next().expect("--validate takes a path").clone())
-            }
-            "--validate-all" => {
-                validate_all_dir =
-                    Some(it.next().expect("--validate-all takes a directory").clone())
-            }
-            "--compare" => {
-                let baseline = it.next().expect("--compare takes two paths").clone();
-                let candidate = it
-                    .next()
-                    .expect("--compare takes a baseline and a candidate path")
-                    .clone();
-                compare = Some((baseline, candidate));
-            }
-            "--max-threads" => {
-                max_threads = it
-                    .next()
-                    .expect("--max-threads takes a count")
-                    .parse()
-                    .expect("--max-threads takes a positive integer");
-                assert!(max_threads >= 1, "--max-threads takes a positive integer");
-            }
-            other => panic!("unknown flag '{other}' (see the module docs)"),
-        }
+    let command = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("benchsuite: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let outcome = match command {
+        Command::Validate(path) => load_rows(&path)
+            .map(|rows| println!("{path}: valid trajectory, {} result row(s)", rows.len())),
+        Command::ValidateAll(dir) => validate_all(&dir),
+        Command::Compare(baseline, candidate) => compare(&baseline, &candidate),
+        Command::Run {
+            smoke,
+            out,
+            max_threads,
+        } => run_suite(smoke, &out, max_threads),
+    };
+    if let Err(e) = outcome {
+        eprintln!("benchsuite: {e}");
+        std::process::exit(1);
     }
+}
 
-    // Validation mode: parse + schema-check an existing document.
-    if let Some(path) = validate_path {
-        let rows = load_rows(&path);
-        println!("{path}: valid trajectory, {} result row(s)", rows.len());
-        return;
-    }
-
-    // Validate every committed trajectory in a directory from one
-    // process, reporting each file so a failure names its culprit.
-    if let Some(dir) = validate_all_dir {
-        let mut paths: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap_or_else(|e| panic!("cannot read directory {dir}: {e}"))
-            .filter_map(|entry| {
-                let name = entry.expect("readable directory entry").file_name();
-                let name = name.to_string_lossy().into_owned();
-                (name.starts_with("BENCH_") && name.ends_with(".json"))
-                    .then(|| format!("{dir}/{name}"))
-            })
-            .collect();
-        paths.sort();
-        assert!(!paths.is_empty(), "no BENCH_*.json files under {dir}");
-        let mut failures = 0usize;
-        for path in &paths {
-            let text =
-                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-            match json::parse(&text).and_then(|doc| json::validate_trajectory(&doc)) {
-                Ok(rows) => println!("{path}: valid trajectory, {} result row(s)", rows.len()),
-                Err(e) => {
-                    println!("{path}: INVALID — {e}");
-                    failures += 1;
-                }
-            }
-        }
-        if failures > 0 {
-            eprintln!("{failures} of {} trajectory file(s) invalid", paths.len());
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    // The bench-regression gate: candidate vs committed baseline.
-    if let Some((baseline_path, candidate_path)) = compare {
-        let baseline = load_rows(&baseline_path);
-        let candidate = load_rows(&candidate_path);
-        let report = json::compare_trajectories(&baseline, &candidate);
-        println!(
-            "compared {candidate_path} against {baseline_path}: {} matched row(s)",
-            report.matched
-        );
-        for note in &report.notes {
-            println!("  note: {note}");
-        }
-        for failure in &report.failures {
-            println!("  FAIL: {failure}");
-        }
-        if !report.passed() {
-            eprintln!(
-                "bench-regression gate failed ({} failure(s))",
-                report.failures.len()
-            );
-            std::process::exit(1);
-        }
-        println!("bench-regression gate passed");
-        return;
-    }
-
+/// Runs the scenario matrix (anchors only under `smoke`) with pools of
+/// at most `max_threads` and writes the trajectory to `out_path`.
+fn run_suite(smoke: bool, out_path: &str, max_threads: usize) -> Result<(), String> {
     let cap =
         |ts: &[usize]| -> Vec<usize> { ts.iter().copied().filter(|&t| t <= max_threads).collect() };
     let mut rows: Vec<Row> = Vec::new();
@@ -565,11 +681,10 @@ fn main() {
     ));
     drop(grid_1m);
     let secs_1m = lap("grid-1m-anchor", &mut scenario_walls, &mut mark);
-    if smoke {
-        assert!(
-            secs_1m <= SMOKE_1M_BUDGET_S,
+    if smoke && secs_1m > SMOKE_1M_BUDGET_S {
+        return Err(format!(
             "grid-1m-anchor took {secs_1m:.1} s, over the {SMOKE_1M_BUDGET_S:.0} s smoke budget"
-        );
+        ));
     }
 
     // ---- Full-size scenarios (skipped in smoke mode).
@@ -630,10 +745,14 @@ fn main() {
         lap("geometric", &mut scenario_walls, &mut mark);
 
         // Scenario 4 — churn stream: localized FM refinement on the
-        // dirty frontier, escalating to full mlga solves.
+        // dirty frontier, escalating to full mlga solves, against the
+        // only option without a session: mlga from scratch per batch.
         let sgrid = grid2d(100, 100, GridKind::FourConnected);
         for &t in &cap(&[1, 4]) {
             rows.push(run_stream("churn-stream", &sgrid, 15, 150, t));
+        }
+        for &t in &cap(&[1, 4]) {
+            rows.push(run_recompute("churn-stream", &sgrid, 15, 150, t));
         }
         lap("churn-stream", &mut scenario_walls, &mut mark);
 
@@ -677,6 +796,7 @@ fn main() {
     // Never emit a document the validator would reject.
     let doc = json::parse(&text).expect("benchsuite emits parseable JSON");
     json::validate_trajectory(&doc).expect("benchsuite emits schema-valid JSON");
-    std::fs::write(&out_path, &text).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    std::fs::write(out_path, &text).map_err(|e| format!("cannot write {out_path}: {e}"))?;
     println!("wrote {out_path}: {} result row(s)", rows.len());
+    Ok(())
 }

@@ -10,7 +10,9 @@
 //! * [`table`] — plain-text table rendering for the experiment binaries.
 //!
 //! Binaries (run with `cargo run -p gapart-bench --release --bin <name>`):
-//! `table1` … `table6`, `figure1`, `convergence`, `ablation`.
+//! the paper reproductions `table1` … `table6`, `figure1`,
+//! `convergence`, `ablation` and `sweep`, plus `benchsuite`, the one
+//! benchmark entry point, which writes the `BENCH_*.json` trajectory.
 //!
 //! Environment knobs (all optional): `GAPART_RUNS` (default 5),
 //! `GAPART_GENS` (default 150), `GAPART_POP` (default 320), and

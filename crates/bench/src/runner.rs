@@ -73,11 +73,20 @@ impl ExperimentProtocol {
             .unwrap_or_else(|e| panic!("baseline {name} failed: {e}"))
     }
 
-    /// Builds the protocol from the environment (see module docs).
+    /// Builds the protocol from the environment (see
+    /// [`ExperimentProtocol`]).
     pub fn from_env() -> Self {
+        Self::from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// Pure reader behind [`ExperimentProtocol::from_env`]: `var` looks up
+    /// one `GAPART_*` variable. `GAPART_POP` is raised to two individuals
+    /// per island of the topology `GAPART_FAST` picked, the least
+    /// [`DpgaEngine::new`] accepts.
+    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
         let mut p = ExperimentProtocol::default();
-        let parse = |name: &str| -> Option<usize> { std::env::var(name).ok()?.parse().ok() };
-        if std::env::var("GAPART_FAST").is_ok_and(|v| v == "1") {
+        let parse = |name: &str| -> Option<usize> { var(name)?.parse().ok() };
+        if var("GAPART_FAST").is_some_and(|v| v == "1") {
             p.runs = 2;
             p.generations = 30;
             p.population = 64;
@@ -90,7 +99,7 @@ impl ExperimentProtocol {
             p.generations = g.max(1);
         }
         if let Some(pop) = parse("GAPART_POP") {
-            p.population = pop.max(8);
+            p.population = pop.max(2 * p.topology.size());
         }
         p
     }
@@ -121,7 +130,6 @@ impl ExperimentProtocol {
             migration_interval: 5,
             num_migrants: 2,
             migration_policy: MigrationPolicy::Best,
-            parallel: true,
             init_overrides,
         }
     }
@@ -348,6 +356,38 @@ mod tests {
             assert_eq!(report.partition.num_nodes(), 78);
             assert!(report.partition.labels().iter().all(|&l| l < 4));
         }
+    }
+
+    #[test]
+    fn env_population_leaves_every_island_two_individuals() {
+        let vars = |pairs: &'static [(&'static str, &'static str)]| {
+            move |name: &str| {
+                pairs
+                    .iter()
+                    .find(|(k, _)| *k == name)
+                    .map(|(_, v)| (*v).to_string())
+            }
+        };
+        let g = paper_graph(78);
+        let accepts = |p: &ExperimentProtocol| {
+            let config = p.dpga_config(
+                4,
+                FitnessKind::TotalCut,
+                InitStrategy::BalancedRandom,
+                None,
+                0,
+            );
+            DpgaEngine::new(&g, config).is_ok()
+        };
+        let paper = ExperimentProtocol::from_vars(vars(&[("GAPART_POP", "16")]));
+        assert_eq!(paper.topology.size(), 16);
+        assert!(accepts(&paper), "population {}", paper.population);
+        let fast =
+            ExperimentProtocol::from_vars(vars(&[("GAPART_FAST", "1"), ("GAPART_POP", "4")]));
+        assert!(fast.population >= 8, "population {}", fast.population);
+        assert!(accepts(&fast), "population {}", fast.population);
+        let unset = ExperimentProtocol::from_vars(|_: &str| None);
+        assert_eq!(unset.population, 320);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! * `par_iter()` / `par_iter_mut()` / `into_par_iter()` on slices and
 //!   `Vec<T>`, with `map(..).collect()` and `for_each(..)`.
 //! * [`ThreadPoolBuilder`] / [`ThreadPool::install`] to bound worker
-//!   counts (the speedup experiment sweeps pool sizes).
+//!   counts (`sweep`'s DPGA speedup table sweeps pool sizes).
 //! * [`current_num_threads`].
 //!
 //! Unlike real rayon there is no work stealing: each driving call chunks

@@ -10,8 +10,9 @@
 //! Execution is **lockstep**: all subpopulations advance the same number
 //! of generations between synchronized migration rounds. Because each
 //! subpopulation owns an independent seeded RNG and migration happens at
-//! fixed generation boundaries, the parallel (rayon) and sequential
-//! drivers produce bit-identical results — asserted in the tests.
+//! fixed generation boundaries, the subpopulations advance across the
+//! installed rayon pool with bit-identical results at every pool size —
+//! asserted in the tests.
 
 use crate::engine::{GaConfig, GaEngine, GaResult};
 use crate::error::GaError;
@@ -50,9 +51,6 @@ pub struct DpgaConfig {
     pub num_migrants: usize,
     /// Which individuals migrate (paper: the best).
     pub migration_policy: MigrationPolicy,
-    /// Run subpopulations on rayon worker threads (`false` = sequential;
-    /// results are identical either way).
-    pub parallel: bool,
     /// Optional per-subpopulation initialization override: subpopulation
     /// `i` uses `init_overrides[i % len]` instead of `base.init`. The
     /// heterogeneous-island pattern (some islands seeded, some random)
@@ -72,7 +70,6 @@ impl DpgaConfig {
             migration_interval: 5,
             num_migrants: 2,
             migration_policy: MigrationPolicy::Best,
-            parallel: true,
             init_overrides: None,
         }
     }
@@ -194,21 +191,14 @@ impl<'g> DpgaEngine<'g> {
     }
 
     /// Advances every subpopulation by `generations` in lockstep (no
-    /// migration inside the block).
+    /// migration inside the block), the islands split across the
+    /// installed pool's workers.
     fn advance(&mut self, generations: usize) {
-        if self.config.parallel {
-            self.engines.par_iter_mut().for_each(|e| {
-                for _ in 0..generations {
-                    e.step();
-                }
-            });
-        } else {
-            for e in &mut self.engines {
-                for _ in 0..generations {
-                    e.step();
-                }
+        self.engines.par_iter_mut().for_each(|e| {
+            for _ in 0..generations {
+                e.step();
             }
-        }
+        });
     }
 
     /// One synchronized migration round: everyone emits copies of its best
@@ -313,7 +303,7 @@ mod tests {
     use super::*;
     use gapart_graph::generators::paper_graph;
 
-    fn small_dpga(num_parts: u32, parallel: bool) -> DpgaConfig {
+    fn small_dpga(num_parts: u32) -> DpgaConfig {
         let base = GaConfig::paper_defaults(num_parts)
             .with_population_size(64)
             .with_generations(20)
@@ -324,7 +314,6 @@ mod tests {
             migration_interval: 5,
             num_migrants: 2,
             migration_policy: MigrationPolicy::Best,
-            parallel,
             init_overrides: None,
         }
     }
@@ -340,9 +329,18 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_agree_exactly() {
+        // A 4-thread pool advances the islands on real workers; a
+        // 1-thread pool runs them inline, one after another.
         let g = paper_graph(98);
-        let par = DpgaEngine::new(&g, small_dpga(4, true)).unwrap().run();
-        let seq = DpgaEngine::new(&g, small_dpga(4, false)).unwrap().run();
+        let run = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| DpgaEngine::new(&g, small_dpga(4)).unwrap().run())
+        };
+        let par = run(4);
+        let seq = run(1);
         assert_eq!(par.best_partition, seq.best_partition);
         assert_eq!(par.history, seq.history);
         assert_eq!(par.best_fitness, seq.best_fitness);
@@ -351,7 +349,7 @@ mod tests {
     #[test]
     fn subpopulation_sizes_sum_to_total() {
         let g = paper_graph(78);
-        let mut cfg = small_dpga(4, false);
+        let mut cfg = small_dpga(4);
         cfg.base.population_size = 67; // not divisible by 4
         let e = DpgaEngine::new(&g, cfg).unwrap();
         assert_eq!(e.num_subpopulations(), 4);
@@ -365,7 +363,7 @@ mod tests {
         // With migration, the worst subpopulation's final best should be
         // close to the global best (it keeps receiving good immigrants).
         let g = paper_graph(144);
-        let r = DpgaEngine::new(&g, small_dpga(4, true)).unwrap().run();
+        let r = DpgaEngine::new(&g, small_dpga(4)).unwrap().run();
         let global = r.best_fitness;
         for sub in &r.per_subpop {
             assert!(
@@ -379,7 +377,7 @@ mod tests {
     #[test]
     fn history_is_monotone_and_aligned() {
         let g = paper_graph(78);
-        let r = DpgaEngine::new(&g, small_dpga(2, true)).unwrap().run();
+        let r = DpgaEngine::new(&g, small_dpga(2)).unwrap().run();
         assert_eq!(r.history.len(), 21);
         for w in r.history.best_fitness.windows(2) {
             assert!(w[1] >= w[0] - 1e-12);
@@ -389,13 +387,13 @@ mod tests {
     #[test]
     fn validates_topology_population_fit() {
         let g = paper_graph(78);
-        let mut cfg = small_dpga(2, false);
+        let mut cfg = small_dpga(2);
         cfg.base.population_size = 6; // < 2 per subpop on 4 nodes
         assert!(matches!(
             DpgaEngine::new(&g, cfg).unwrap_err(),
             GaError::BadTopology { .. }
         ));
-        let mut cfg = small_dpga(2, false);
+        let mut cfg = small_dpga(2);
         cfg.migration_interval = 0;
         assert!(matches!(
             DpgaEngine::new(&g, cfg).unwrap_err(),
@@ -406,22 +404,22 @@ mod tests {
     #[test]
     fn random_migration_policy_runs_and_is_deterministic() {
         let g = paper_graph(98);
-        let mut cfg = small_dpga(4, true);
+        let mut cfg = small_dpga(4);
         cfg.migration_policy = MigrationPolicy::Random;
         let a = DpgaEngine::new(&g, cfg.clone()).unwrap().run();
         let b = DpgaEngine::new(&g, cfg).unwrap().run();
         assert_eq!(a.best_partition, b.best_partition);
         assert_eq!(a.history, b.history);
         // And differs from the Best policy (different information flow).
-        let best = DpgaEngine::new(&g, small_dpga(4, true)).unwrap().run();
+        let best = DpgaEngine::new(&g, small_dpga(4)).unwrap().run();
         assert_ne!(a.history.mean_fitness, best.history.mean_fitness);
     }
 
     #[test]
     fn deterministic_across_runs() {
         let g = paper_graph(88);
-        let a = DpgaEngine::new(&g, small_dpga(4, true)).unwrap().run();
-        let b = DpgaEngine::new(&g, small_dpga(4, true)).unwrap().run();
+        let a = DpgaEngine::new(&g, small_dpga(4)).unwrap().run();
+        let b = DpgaEngine::new(&g, small_dpga(4)).unwrap().run();
         assert_eq!(a.best_partition, b.best_partition);
         assert_eq!(a.history, b.history);
     }
@@ -431,7 +429,7 @@ mod tests {
         // Same total evaluations; the distributed model should not be
         // dramatically worse (usually better via diversity).
         let g = paper_graph(144);
-        let dpga = DpgaEngine::new(&g, small_dpga(4, true)).unwrap().run();
+        let dpga = DpgaEngine::new(&g, small_dpga(4)).unwrap().run();
         let single = GaEngine::new(
             &g,
             GaConfig::paper_defaults(4)

@@ -12,8 +12,9 @@
 //!    ([`crate::incremental::extend_partition_balanced`]) and the
 //!    conclusion's neighbour-majority baseline
 //!    ([`crate::incremental::greedy_neighbor_assign`]); the candidate
-//!    with the lower composite cost (`Σ I(q) + λ Σ C(q)`, the paper's
-//!    Fitness-1 objective) wins, ties toward the balanced policy.
+//!    with the lower composite cost (`Σ I(q) + λ Σ C(q)` at the paper's
+//!    λ = 1, its Fitness-1 objective) wins, ties toward the balanced
+//!    policy.
 //! 2. **Localized refine** — the boundary FM refiner
 //!    ([`gapart_graph::fm::FmRefiner`], reusing the session's workspace
 //!    so only the dirty frontier's buckets are rebuilt) touches only the
@@ -90,8 +91,6 @@ pub struct DynamicConfig {
     /// Batch `i` derives its sub-seed from `seed` and `i`, so a replay
     /// is a pure function of `(graph, trace, config)`.
     pub seed: u64,
-    /// Options for the localized refinement pass.
-    pub refine: RefineOptions,
     /// BFS halo around the dirty nodes that the localized refinement may
     /// move (hops; 2 by default). Larger values trade batch latency for
     /// cut quality.
@@ -101,9 +100,6 @@ pub struct DynamicConfig {
     /// ([`DynamicSession::baseline_cut`]; 1.5 by default).
     /// `f64::INFINITY` disables escalation entirely.
     pub escalate_ratio: f64,
-    /// λ of the composite cost used to choose between the two seeding
-    /// policies (1.0, the paper's setting).
-    pub lambda: f64,
 }
 
 impl Default for DynamicConfig {
@@ -111,10 +107,8 @@ impl Default for DynamicConfig {
         DynamicConfig {
             num_parts: 2,
             seed: 0x5354_5245, // "STRE"
-            refine: RefineOptions::default(),
             frontier_hops: 2,
             escalate_ratio: 1.5,
-            lambda: 1.0,
         }
     }
 }
@@ -311,14 +305,14 @@ impl SessionSpec {
         )
     }
 
-    /// Lowers the spec to the session's internal knob struct.
+    /// Lowers the spec to the session's internal knob struct: every
+    /// field but `method`, which resolves to the full partitioner.
     pub fn config(&self) -> DynamicConfig {
         DynamicConfig {
             num_parts: self.parts,
             seed: self.seed,
             frontier_hops: self.hops,
             escalate_ratio: self.threshold,
-            ..DynamicConfig::default()
         }
     }
 
@@ -683,7 +677,7 @@ impl DynamicSession {
                 base_loads[self.partition.part(v) as usize] += graph.node_weight(v) as u64;
             }
             let avg = graph.total_node_weight() as f64 / n_parts as f64;
-            // The paper's composite cost Σ I(q) + λ Σ C(q), with
+            // The paper's composite cost Σ I(q) + λ Σ C(q) at λ = 1, with
             // Σ C(q) = 2 × total cut (each cut edge charges both parts).
             let score = |p: &Partition| -> (f64, u64) {
                 let mut loads = base_loads.clone();
@@ -698,7 +692,7 @@ impl DynamicSession {
                     })
                     .sum();
                 let cut = self.current_cut + added_cut(p);
-                (imbalance + self.config.lambda * (2 * cut) as f64, cut)
+                (imbalance + (2 * cut) as f64, cut)
             };
             let (cost_b, cut_b) = score(&balanced);
             let (cost_m, cut_m) = score(&majority);
@@ -719,9 +713,13 @@ impl DynamicSession {
         //    rebuilds only the frontier's buckets inside the session's
         //    persistent workspace.
         let frontier = dirty.frontier(&graph, self.config.frontier_hops);
-        let refine =
-            self.fm
-                .refine_local(&graph, &mut partition, &self.config.refine, seed, &frontier);
+        let refine = self.fm.refine_local(
+            &graph,
+            &mut partition,
+            &RefineOptions::default(),
+            seed,
+            &frontier,
+        );
         let mut cut_after = cut_seeded - refine.gain;
         debug_assert_eq!(cut_after, cut_size(&graph, &partition));
 

@@ -96,12 +96,6 @@ pub struct GaConfig {
     pub seed: u64,
     /// Stop early once the reported cut reaches this value.
     pub target_cut: Option<u64>,
-    /// Fan the per-generation fitness evaluation (and offspring hill
-    /// climbing) across rayon workers. Breeding stays on one thread so
-    /// the RNG stream is fixed, and results are reduced in index order,
-    /// so `true` and `false` produce **bit-identical** runs — asserted in
-    /// the tests; only wall time changes.
-    pub parallel: bool,
 }
 
 impl GaConfig {
@@ -127,7 +121,6 @@ impl GaConfig {
             knux_reference: None,
             seed: 0x5343_3934, // "SC94"
             target_cut: None,
-            parallel: true,
         }
     }
 
@@ -192,14 +185,6 @@ impl GaConfig {
     #[must_use]
     pub fn with_hill_climb(mut self, mode: HillClimbMode) -> Self {
         self.hill_climb = mode;
-        self
-    }
-
-    /// Enables or disables parallel fitness evaluation (results are
-    /// identical either way; see [`GaConfig::parallel`]).
-    #[must_use]
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -332,8 +317,7 @@ pub struct GaEngine<'g> {
     /// The KNUX/DKNUX reference solution `I`.
     reference: Vec<u32>,
     history: ConvergenceHistory,
-    /// Evaluation and climb buffers for the sequential path, the elite
-    /// polish and `FinalBest`.
+    /// Climb buffers for the elite polish and `FinalBest`.
     scratch: EvalScratch,
     generations_run: usize,
 }
@@ -353,7 +337,7 @@ impl<'g> GaEngine<'g> {
             config.population_size,
             &mut rng,
         );
-        let population = Population::evaluate_batch(chromosomes, &evaluator, config.parallel);
+        let population = Population::evaluate(chromosomes, &evaluator);
         let best_ever = population.best().clone();
         let reference = config
             .knux_reference
@@ -448,10 +432,10 @@ impl<'g> GaEngine<'g> {
     /// The generation is split into two phases. **Breeding** (selection,
     /// crossover, mutation) is sequential: it owns the RNG, so its stream
     /// of draws is fixed by the seed alone. **Evaluation** (offspring hill
-    /// climbing + fitness) is RNG-free and embarrassingly parallel: when
-    /// [`GaConfig::parallel`] is set it fans across rayon workers and is
-    /// reduced in index order, making the parallel path bit-identical to
-    /// the sequential one.
+    /// climbing + fitness) is RNG-free and embarrassingly parallel: it
+    /// fans across the installed rayon pool and is reduced in index
+    /// order, so every pool size (a 1-thread pool runs inline) gives a
+    /// bit-identical run.
     pub fn step(&mut self) -> f64 {
         let pop_size = self.config.population_size;
         let mut next: Vec<Individual> = Vec::with_capacity(pop_size);
@@ -505,10 +489,10 @@ impl<'g> GaEngine<'g> {
         // already happened, so the stream does not depend on this).
         offspring.truncate(wanted);
 
-        // Phase 2 — hill-climb + evaluate (RNG-free; parallel when
-        // configured, reduced in index order either way). A climbed
-        // offspring's fitness comes from the climb's final loads and cuts,
-        // bit for bit what a fresh tally would give.
+        // Phase 2 — hill-climb + evaluate (RNG-free; fanned across the
+        // pool, reduced in index order). A climbed offspring's fitness
+        // comes from the climb's final loads and cuts, bit for bit what a
+        // fresh tally would give.
         let evaluator = &self.evaluator;
         let climb = self.config.hill_climb;
         let eval_one = |scratch: &mut EvalScratch, mut genes: Vec<u32>| {
@@ -523,21 +507,16 @@ impl<'g> GaEngine<'g> {
                 fitness,
             }
         };
-        if self.config.parallel {
-            // One scratch per worker chunk, not per offspring; min_len
-            // keeps tiny populations inline (thread spawn would cost
-            // more than the evaluations).
-            next.extend(
-                offspring
-                    .into_par_iter()
-                    .with_min_len(PAR_MIN_OFFSPRING)
-                    .map_init(EvalScratch::default, eval_one)
-                    .collect::<Vec<_>>(),
-            );
-        } else {
-            let scratch = &mut self.scratch;
-            next.extend(offspring.into_iter().map(|genes| eval_one(scratch, genes)));
-        }
+        // One scratch per worker chunk, not per offspring; min_len keeps
+        // tiny populations inline (thread spawn would cost more than the
+        // evaluations).
+        next.extend(
+            offspring
+                .into_par_iter()
+                .with_min_len(PAR_MIN_OFFSPRING)
+                .map_init(EvalScratch::default, eval_one)
+                .collect::<Vec<_>>(),
+        );
 
         self.population = Population { individuals: next };
         self.generations_run += 1;
@@ -670,19 +649,20 @@ mod tests {
         // path. Population 40 still exceeds 2×PAR_MIN_OFFSPRING, so the
         // 4-thread pool genuinely fans out.
         let g = paper_graph(98);
-        let config = |parallel: bool| {
-            small_config(4)
-                .with_generations(8)
-                .with_hill_climb(HillClimbMode::Offspring { passes: 1 })
-                .with_parallel(parallel)
+        let config = small_config(4)
+            .with_generations(8)
+            .with_hill_climb(HillClimbMode::Offspring { passes: 1 });
+        // A 4-thread pool forces real fan-out even on single-core hosts;
+        // a 1-thread pool runs every parallel call inline.
+        let run = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| GaEngine::new(&g, config.clone()).unwrap().run())
         };
-        // A 4-thread pool forces real fan-out even on single-core hosts.
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        let par = pool.install(|| GaEngine::new(&g, config(true)).unwrap().run());
-        let seq = GaEngine::new(&g, config(false)).unwrap().run();
+        let par = run(4);
+        let seq = run(1);
         assert_eq!(par.best_partition, seq.best_partition);
         assert_eq!(par.history, seq.history);
         assert_eq!(par.best_fitness, seq.best_fitness);

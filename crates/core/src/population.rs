@@ -142,34 +142,11 @@ pub struct Population {
 }
 
 impl Population {
-    /// Evaluates `chromosomes` and wraps them into a population.
+    /// Evaluates `chromosomes` across the installed rayon pool and wraps
+    /// them into a population. Fitness is a pure function of the genes
+    /// and results are reduced in index order, so every pool size builds
+    /// the identical population.
     pub fn evaluate(chromosomes: Vec<Chromosome>, evaluator: &FitnessEvaluator<'_>) -> Self {
-        let mut scratch = EvalScratch::default();
-        let individuals = chromosomes
-            .into_iter()
-            .map(|c| {
-                let fitness = evaluator.evaluate_with(c.genes(), &mut scratch);
-                Individual {
-                    chromosome: c,
-                    fitness,
-                }
-            })
-            .collect();
-        Population { individuals }
-    }
-
-    /// Like [`Population::evaluate`] but fanning the fitness evaluations
-    /// across rayon workers when `parallel` is true. Fitness is a pure
-    /// function of the genes and results are reduced in index order, so
-    /// both paths build identical populations.
-    pub fn evaluate_batch(
-        chromosomes: Vec<Chromosome>,
-        evaluator: &FitnessEvaluator<'_>,
-        parallel: bool,
-    ) -> Self {
-        if !parallel {
-            return Self::evaluate(chromosomes, evaluator);
-        }
         let individuals = chromosomes
             .into_par_iter()
             .with_min_len(crate::engine::PAR_MIN_OFFSPRING)

@@ -151,7 +151,6 @@ fn dpga_respects_topology_sizes() {
             migration_interval: 3,
             num_migrants: 1,
             migration_policy: MigrationPolicy::Best,
-            parallel: false,
             init_overrides: None,
         };
         let r = DpgaEngine::new(&g, config).unwrap().run();

@@ -35,7 +35,6 @@ fn refine(graph: &CsrGraph, seed: &Partition, kind: FitnessKind) -> Partition {
         migration_interval: 5,
         num_migrants: 2,
         migration_policy: MigrationPolicy::Best,
-        parallel: true,
         init_overrides: Some(vec![seeded, InitStrategy::BalancedRandom]),
     };
     DpgaEngine::new(graph, config)

@@ -135,21 +135,21 @@ fn every_partitioner_rejects_zero_parts() {
 #[test]
 fn parallel_fitness_evaluation_is_bit_identical_to_sequential() {
     let graph = mesh();
-    let config = |parallel: bool| {
-        GaConfig::paper_defaults(PARTS)
-            .with_population_size(48)
-            .with_generations(20)
-            .with_seed(SEED)
-            .with_parallel(parallel)
+    let config = GaConfig::paper_defaults(PARTS)
+        .with_population_size(48)
+        .with_generations(20)
+        .with_seed(SEED);
+    // A 4-thread pool exercises the fan-out even on single-core CI hosts;
+    // a 1-thread pool runs every parallel call inline.
+    let run = |threads: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(|| GaEngine::new(&graph, config.clone()).unwrap().run())
     };
-    // Force a real multi-thread pool so the parallel path is exercised
-    // even on single-core CI hosts.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .unwrap();
-    let par = pool.install(|| GaEngine::new(&graph, config(true)).unwrap().run());
-    let seq = GaEngine::new(&graph, config(false)).unwrap().run();
+    let par = run(4);
+    let seq = run(1);
     assert_eq!(par.best_partition, seq.best_partition);
     assert_eq!(par.best_fitness, seq.best_fitness);
     assert_eq!(par.history, seq.history, "histories must match exactly");

@@ -119,7 +119,6 @@ fn heterogeneous_islands_never_lose_the_seed() {
         migration_interval: 5,
         num_migrants: 2,
         migration_policy: MigrationPolicy::Best,
-        parallel: true,
         init_overrides: Some(vec![seeded, InitStrategy::BalancedRandom]),
     };
     let result = DpgaEngine::new(&g, config).unwrap().run();
