@@ -46,14 +46,12 @@ impl SmallCsr {
         })
     }
 
-    /// Assembles from already-`u32` offsets (the coarsening path, whose
-    /// adjacency can only shrink relative to an existing in-range graph).
+    /// Assembles from already-`u32` offsets: the coarsening path, whose
+    /// adjacency can only shrink relative to an existing in-range graph,
+    /// and the METIS reader, which checks each offset as it writes it.
     #[inline]
     pub(crate) fn from_u32_offsets(xadj: Vec<u32>, adjncy: Vec<u32>, eweights: Vec<u32>) -> Self {
-        debug_assert_eq!(
-            *xadj.last().expect("offset array is never empty") as usize,
-            adjncy.len()
-        );
+        debug_assert_eq!(xadj.last().map(|&end| end as usize), Some(adjncy.len()));
         SmallCsr {
             xadj,
             adjncy,

@@ -7,11 +7,11 @@
 //! Coordinates travel in a separate `x y` per-line document (one per
 //! vertex), matching common mesh tool conventions.
 
-use crate::builder::GraphBuilder;
-use crate::csr::CsrGraph;
+use crate::csr::{CsrGraph, SmallCsr};
 use crate::error::GraphError;
 use crate::geometry::Point2;
 use std::fmt::Write as _;
+use std::str::FromStr;
 
 /// Serializes the graph in METIS format. Emits vertex weights iff any is
 /// non-unit and edge weights iff any is non-unit.
@@ -109,27 +109,34 @@ pub fn push_decimal(out: &mut String, mut value: u64) {
 /// Parses a METIS-format document produced by [`to_metis`] (or by METIS
 /// itself, for the `000`/`001`/`010`/`011` formats).
 ///
-/// Every undirected edge must appear on **both** endpoint rows with the
-/// same weight (and the same multiplicity, for repeated entries); a
-/// document whose rows disagree — an adjacency entry present on one row
-/// only, or mismatched duplicate edge weights — is rejected rather than
-/// silently half-read.
+/// Rows may list their neighbours in any order. An edge listed more than
+/// once on a row becomes one edge whose weight is the saturating sum of
+/// the repeats. Every undirected edge must appear on **both** endpoint
+/// rows with the same weight (and the same multiplicity, for repeated
+/// entries); a document whose rows disagree — an adjacency entry present
+/// on one row only, or mismatched duplicate edge weights — is rejected
+/// rather than silently half-read.
+///
+/// The header's counts are checked against the document before anything
+/// is sized by them: the arrays reserve at most a constant multiple of
+/// the text's length, so a header that claims more vertices or edges than
+/// the document holds allocates nothing of its claim, and fails with the
+/// missing-rows or edge-count error.
+///
+/// The reader makes one pass over the rows and writes the CSR arrays
+/// straight from them; symmetry is then checked in one sweep with a
+/// cursor per row (see `Rows::agree`).
 ///
 /// # Errors
 ///
 /// [`GraphError::Parse`] for malformed input, including asymmetric
-/// adjacency rows; builder errors for structurally invalid graphs
-/// (out-of-range ids, zero weights, …).
+/// adjacency rows; [`GraphError::ZeroNodeWeight`] /
+/// [`GraphError::ZeroEdgeWeight`] for zero weights;
+/// [`GraphError::TooManyNodes`] / [`GraphError::AdjacencyOverflow`] past
+/// the `u32` id and offset spaces. Row errors come first, in document
+/// order, then asymmetry, then zero weights, then the header's edge count.
 pub fn from_metis(text: &str) -> Result<CsrGraph, GraphError> {
-    // Comments are always skipped; empty lines are significant *after*
-    // the header (an isolated vertex serializes as an empty line) but
-    // skipped before it.
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.starts_with('%'));
-
+    let mut lines = metis_lines(text);
     let (hline, header) = lines
         .by_ref()
         .find(|(_, l)| !l.is_empty())
@@ -138,164 +145,357 @@ pub fn from_metis(text: &str) -> Result<CsrGraph, GraphError> {
             message: "empty document".into(),
         })?;
     let mut it = header.split_whitespace();
-    let parse_usize = |tok: Option<&str>, line: usize, what: &str| -> Result<usize, GraphError> {
-        tok.ok_or_else(|| GraphError::Parse {
-            line,
-            message: format!("missing {what}"),
-        })?
-        .parse()
-        .map_err(|_| GraphError::Parse {
-            line,
-            message: format!("bad {what}"),
-        })
+    let count = |tok: Option<&str>, what: &str| -> Result<usize, GraphError> {
+        let tok = tok.ok_or_else(|| parse_error(hline, format!("missing {what}")))?;
+        usize::from_str(tok).map_err(|_| parse_error(hline, format!("bad {what}")))
     };
-    let n = parse_usize(it.next(), hline, "node count")?;
-    let m = parse_usize(it.next(), hline, "edge count")?;
-    let fmt = it.next().unwrap_or("000");
-    let (has_vw, has_ew) = match fmt {
+    let n = count(it.next(), "node count")?;
+    let m = count(it.next(), "edge count")?;
+    let (has_vw, has_ew) = match it.next().unwrap_or("000") {
         "0" | "00" | "000" => (false, false),
         "1" | "01" | "001" => (false, true),
         "10" | "010" => (true, false),
         "11" | "011" => (true, true),
-        other => {
-            return Err(GraphError::Parse {
-                line: hline,
-                message: format!("unsupported fmt '{other}'"),
-            })
-        }
+        other => return Err(parse_error(hline, format!("unsupported fmt '{other}'"))),
     };
+    let format = RowFormat { n, has_vw, has_ew };
 
-    let mut b = GraphBuilder::with_nodes(n);
-    let mut vweights = vec![1u32; n];
-    let mut rows = 0usize;
-    // Every directed adjacency entry, as (min, max, from_lower_row, w,
-    // line): after parsing, each {a, b} group must carry the same weight
-    // multiset from both rows — the symmetry check below.
-    let mut entries: Vec<(u32, u32, bool, u32, usize)> = Vec::new();
-    #[allow(clippy::needless_range_loop, clippy::explicit_counter_loop)]
+    // Sized by the text, not by the header alone: every row takes a line
+    // (at least its '\n'), and every entry at least two bytes, four with
+    // its edge weight. So no array reserves more slots than the text has
+    // bytes, whatever the header claims.
+    let rows_cap = n.min(text.len());
+    let entries_cap = m
+        .saturating_mul(2)
+        .min(text.len() / if has_ew { 4 } else { 2 } + 1);
+    let mut xadj = Vec::with_capacity(rows_cap + 1);
+    xadj.push(0u32);
+    let mut vweights = Vec::with_capacity(rows_cap);
+    let mut adjncy = Vec::with_capacity(entries_cap);
+    let mut eweights = Vec::with_capacity(entries_cap);
+    let mut scratch = Vec::new();
+    let mut repeats = false;
     for v in 0..n {
-        let (lno, line) = lines.next().ok_or(GraphError::Parse {
-            line: hline,
-            message: format!("expected {n} vertex lines, got {rows}"),
-        })?;
-        rows += 1;
-        let mut toks = line.split_whitespace();
-        if has_vw {
-            let w: u32 = toks
-                .next()
-                .ok_or_else(|| GraphError::Parse {
-                    line: lno,
-                    message: "missing vertex weight".into(),
-                })?
-                .parse()
-                .map_err(|_| GraphError::Parse {
-                    line: lno,
-                    message: "bad vertex weight".into(),
-                })?;
-            vweights[v] = w;
+        let (lno, line) = lines
+            .next()
+            .ok_or_else(|| parse_error(hline, format!("expected {n} vertex lines, got {v}")))?;
+        let start = adjncy.len();
+        let vw = read_row(line, format, (v, lno), &mut adjncy, &mut eweights)?;
+        vweights.push(vw);
+        repeats |= order_row(
+            adjncy.get_mut(start..).unwrap_or_default(),
+            eweights.get_mut(start..).unwrap_or_default(),
+            &mut scratch,
+        );
+        // Only a document of more than 8 GiB can pass the u32 offset space.
+        let entries = adjncy.len();
+        xadj.push(u32::try_from(entries).map_err(|_| GraphError::AdjacencyOverflow { entries })?);
+    }
+    // Ids are u32 from here on. Only a document of 2³² lines or more gets
+    // here with a larger count.
+    if u32::try_from(n).is_err() {
+        return Err(GraphError::TooManyNodes { requested: n });
+    }
+
+    let rows = Rows {
+        xadj: &xadj,
+        adjncy: &adjncy,
+        eweights: &eweights,
+    };
+    if !rows.agree() {
+        if let Some(pair) = rows.first_asymmetry() {
+            return Err(rows.asymmetry_error(text, pair));
         }
-        while let Some(tok) = toks.next() {
-            let nbr1: usize = tok.parse().map_err(|_| GraphError::Parse {
-                line: lno,
-                message: format!("bad neighbour '{tok}'"),
-            })?;
-            if nbr1 == 0 || nbr1 > n {
-                return Err(GraphError::Parse {
-                    line: lno,
-                    message: format!("neighbour {nbr1} out of 1..={n}"),
-                });
-            }
-            let w: u32 = if has_ew {
-                toks.next()
-                    .ok_or_else(|| GraphError::Parse {
-                        line: lno,
-                        message: "missing edge weight".into(),
-                    })?
-                    .parse()
-                    .map_err(|_| GraphError::Parse {
-                        line: lno,
-                        message: "bad edge weight".into(),
-                    })?
-            } else {
-                1
+    }
+    if let Some(node) = vweights.iter().position(|&w| w == 0) {
+        return Err(GraphError::ZeroNodeWeight { node: node as u32 });
+    }
+    // Edge weights the format does not carry are all 1.
+    if let Some((u, v)) = has_ew.then(|| rows.first_zero_edge()).flatten() {
+        return Err(GraphError::ZeroEdgeWeight { u, v });
+    }
+    if repeats {
+        merge_repeats(&mut xadj, &mut adjncy, &mut eweights);
+    }
+    if adjncy.len() / 2 != m {
+        return Err(parse_error(
+            hline,
+            format!("header claims {m} edges, document has {}", adjncy.len() / 2),
+        ));
+    }
+    Ok(CsrGraph {
+        topo: SmallCsr::from_u32_offsets(xadj, adjncy, eweights),
+        vweights,
+        coords: None,
+    })
+}
+
+/// The lines a METIS reader sees: 1-based line numbers with trimmed text,
+/// `%` comment lines dropped. Blank lines stay; the reader skips them
+/// before the header and reads them as isolated vertices after it.
+fn metis_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .enumerate()
+        .map(|(i, l)| (i + 1, l.trim()))
+        .filter(|(_, l)| !l.starts_with('%'))
+}
+
+/// The line number of vertex `v`'s row, for naming it in an error.
+fn row_line(text: &str, v: u32) -> usize {
+    let mut lines = metis_lines(text);
+    let _header = lines.by_ref().find(|(_, l)| !l.is_empty());
+    lines.nth(v as usize).map_or(0, |(lno, _)| lno)
+}
+
+fn parse_error(line: usize, message: String) -> GraphError {
+    GraphError::Parse { line, message }
+}
+
+/// What the header says every row holds.
+#[derive(Clone, Copy)]
+struct RowFormat {
+    n: usize,
+    has_vw: bool,
+    has_ew: bool,
+}
+
+/// Reads vertex `v`'s row, line `lno`: appends each neighbour (0-based)
+/// and edge weight to `adjncy` and `eweights`, and returns the vertex
+/// weight (1 when the format carries none).
+fn read_row(
+    line: &str,
+    format: RowFormat,
+    (v, lno): (usize, usize),
+    adjncy: &mut Vec<u32>,
+    eweights: &mut Vec<u32>,
+) -> Result<u32, GraphError> {
+    let n = format.n;
+    let mut toks = line.split_whitespace();
+    let weight = |tok: Option<&str>, what: &str| -> Result<u32, GraphError> {
+        let tok = tok.ok_or_else(|| parse_error(lno, format!("missing {what}")))?;
+        u32::from_str(tok).map_err(|_| parse_error(lno, format!("bad {what}")))
+    };
+    let vw = if format.has_vw {
+        weight(toks.next(), "vertex weight")?
+    } else {
+        1
+    };
+    while let Some(tok) = toks.next() {
+        let nbr =
+            usize::from_str(tok).map_err(|_| parse_error(lno, format!("bad neighbour '{tok}'")))?;
+        if nbr == 0 || nbr > n {
+            return Err(parse_error(lno, format!("neighbour {nbr} out of 1..={n}")));
+        }
+        let w = if format.has_ew {
+            weight(toks.next(), "edge weight")?
+        } else {
+            1
+        };
+        if nbr - 1 == v {
+            return Err(parse_error(
+                lno,
+                format!("vertex {nbr} lists itself as a neighbour"),
+            ));
+        }
+        // Only a header past the u32 id space, which ends in an error
+        // before any id is read back, lets this fail.
+        adjncy.push(u32::try_from(nbr - 1).unwrap_or(u32::MAX));
+        eweights.push(w);
+    }
+    Ok(vw)
+}
+
+/// Keeps a strictly increasing row as it is and sorts any other by
+/// (neighbour, weight) through `scratch`. Returns whether the row lists
+/// a neighbour more than once.
+fn order_row(nbrs: &mut [u32], weights: &mut [u32], scratch: &mut Vec<(u32, u32)>) -> bool {
+    if nbrs.is_sorted_by(|a, b| a < b) {
+        return false;
+    }
+    scratch.clear();
+    scratch.extend(nbrs.iter().copied().zip(weights.iter().copied()));
+    scratch.sort_unstable();
+    for ((u, w), &(su, sw)) in nbrs.iter_mut().zip(weights.iter_mut()).zip(scratch.iter()) {
+        (*u, *w) = (su, sw);
+    }
+    nbrs.windows(2).any(|p| matches!(p, [a, b] if a == b))
+}
+
+/// Merges each row's repeated neighbours, adjacent once the row is
+/// sorted, into one entry whose weight is their saturating sum, and
+/// closes the gaps in place.
+fn merge_repeats(xadj: &mut [u32], adjncy: &mut Vec<u32>, eweights: &mut Vec<u32>) {
+    let mut len = 0usize;
+    let mut start = 0usize;
+    for end in xadj.iter_mut().skip(1) {
+        let row_start = len;
+        for i in start..*end as usize {
+            let (Some(&u), Some(&w)) = (adjncy.get(i), eweights.get(i)) else {
+                break;
             };
-            let u = (nbr1 - 1) as u32;
-            let v = v as u32;
-            if u == v {
-                return Err(GraphError::Parse {
-                    line: lno,
-                    message: format!("vertex {nbr1} lists itself as a neighbour"),
-                });
-            }
-            entries.push((v.min(u), v.max(u), v < u, w, lno));
-        }
-    }
-    // Symmetry of presence and weight: each undirected edge appears once
-    // per endpoint row (twice for a deliberately doubled edge, and so
-    // on), with identical weights. The old parser kept only the `v < u`
-    // copy, so a document whose two rows disagreed parsed "successfully"
-    // with silently wrong data.
-    entries.sort_unstable();
-    let mut i = 0usize;
-    while i < entries.len() {
-        let (a, bb, _, _, _) = entries[i];
-        let mut j = i;
-        while j < entries.len() && entries[j].0 == a && entries[j].1 == bb {
-            j += 1;
-        }
-        let group = &entries[i..j];
-        let lower: Vec<u32> = group.iter().filter(|e| e.2).map(|e| e.3).collect();
-        let upper: Vec<u32> = group.iter().filter(|e| !e.2).map(|e| e.3).collect();
-        let line = group[0].4;
-        if lower.len() != upper.len() {
-            let (present, missing) = if lower.is_empty() || upper.len() > lower.len() {
-                (bb, a)
+            let prev = len
+                .checked_sub(1)
+                .filter(|&p| p >= row_start && adjncy.get(p) == Some(&u));
+            if let Some(acc) = prev.and_then(|p| eweights.get_mut(p)) {
+                *acc = acc.saturating_add(w);
             } else {
-                (a, bb)
+                if let (Some(x), Some(y)) = (adjncy.get_mut(len), eweights.get_mut(len)) {
+                    (*x, *y) = (u, w);
+                }
+                len += 1;
+            }
+        }
+        start = *end as usize;
+        // The merged prefix never outgrows the offset it replaces.
+        *end = len as u32;
+    }
+    adjncy.truncate(len);
+    eweights.truncate(len);
+}
+
+/// The CSR arrays as read, before repeats merge: every row sorted by
+/// (neighbour, weight).
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    xadj: &'a [u32],
+    adjncy: &'a [u32],
+    eweights: &'a [u32],
+}
+
+impl<'a> Rows<'a> {
+    /// Every row as (vertex, neighbours, weights), in vertex order.
+    fn each(self) -> impl Iterator<Item = (u32, &'a [u32], &'a [u32])> {
+        let spans = self.xadj.iter().zip(self.xadj.iter().skip(1));
+        spans.zip(0u32..).map(move |((&s, &e), v)| {
+            let span = s as usize..e as usize;
+            let nbrs = self.adjncy.get(span.clone()).unwrap_or_default();
+            (v, nbrs, self.eweights.get(span).unwrap_or_default())
+        })
+    }
+
+    /// The sorted weights with which row `v` lists neighbour `u`.
+    fn weights_of(self, v: u32, u: u32) -> &'a [u32] {
+        let v = v as usize;
+        let (Some(&s), Some(&e)) = (self.xadj.get(v), self.xadj.get(v + 1)) else {
+            return &[];
+        };
+        let span = s as usize..e as usize;
+        let nbrs = self.adjncy.get(span.clone()).unwrap_or_default();
+        let (lo, hi) = (
+            nbrs.partition_point(|&x| x < u),
+            nbrs.partition_point(|&x| x <= u),
+        );
+        let weights = self.eweights.get(span).unwrap_or_default();
+        weights.get(lo..hi).unwrap_or_default()
+    }
+
+    /// Whether every row lists each neighbour with the same sorted weights
+    /// as that neighbour's row lists it, in one sweep. Rows are visited in
+    /// ascending order, and `cursor[b]` is row b's first entry that no
+    /// lower row has matched yet. Each entry a→b with b > a must match
+    /// row b's next unmatched entry, which must be b→a with the same
+    /// weight; at row a, the entries left unmatched must all point up.
+    fn agree(self) -> bool {
+        let mut cursor: Vec<u32> = self
+            .xadj
+            .split_last()
+            .map_or_else(Vec::new, |(_, starts)| starts.to_vec());
+        for (&end, a) in self.xadj.iter().skip(1).zip(0u32..) {
+            // Lower rows have matched every entry before `first`; the
+            // entries left must point up.
+            let first = cursor.get(a as usize).map_or(end, |&c| c);
+            let span = first as usize..end as usize;
+            let (Some(up), Some(weights)) =
+                (self.adjncy.get(span.clone()), self.eweights.get(span))
+            else {
+                return false;
             };
-            return Err(GraphError::Parse {
-                line,
-                message: format!(
-                    "edge {}-{} appears {} time(s) on vertex {}'s row but {} on vertex {}'s \
-                     row (adjacency must be symmetric)",
-                    a + 1,
-                    bb + 1,
-                    lower.len().max(upper.len()),
-                    present + 1,
-                    lower.len().min(upper.len()),
-                    missing + 1
-                ),
-            });
+            if up.first().is_some_and(|&b| b < a) {
+                return false;
+            }
+            for (&b, &w) in up.iter().zip(weights) {
+                let b = b as usize;
+                let (Some(next), Some(&b_end)) = (cursor.get_mut(b), self.xadj.get(b + 1)) else {
+                    return false;
+                };
+                let at = *next as usize;
+                if *next >= b_end
+                    || self.adjncy.get(at) != Some(&a)
+                    || self.eweights.get(at) != Some(&w)
+                {
+                    return false;
+                }
+                *next += 1;
+            }
         }
-        // Both sides sorted (the entry sort includes the weight), so a
-        // positional comparison checks multiset equality.
-        if let Some((&wl, &wu)) = lower.iter().zip(&upper).find(|(l, u)| l != u) {
-            return Err(GraphError::Parse {
-                line,
-                message: format!(
-                    "edge {}-{} has weight {} on vertex {}'s row but {} on vertex {}'s row",
-                    a + 1,
-                    bb + 1,
-                    wl,
-                    a + 1,
-                    wu,
-                    bb + 1
-                ),
-            });
-        }
-        for &w in &lower {
-            b.push_edge(a, bb, w);
-        }
-        i = j;
+        true
     }
-    let g = b.node_weights(vweights).build()?;
-    if g.num_edges() != m {
-        return Err(GraphError::Parse {
-            line: hline,
-            message: format!("header claims {m} edges, document has {}", g.num_edges()),
-        });
+
+    /// The lowest (lower, higher) endpoint pair whose two rows list it
+    /// with different weights or different multiplicities: the pair the
+    /// error names.
+    fn first_asymmetry(self) -> Option<(u32, u32)> {
+        let mut first: Option<(u32, u32)> = None;
+        for (v, nbrs, _) in self.each() {
+            // One comparison per distinct neighbour, so a pair listed k
+            // times costs O(k), not O(k²).
+            for &u in nbrs.chunk_by(|x, y| x == y).filter_map(<[u32]>::first) {
+                let pair = (v.min(u), v.max(u));
+                if first.is_none_or(|f| pair < f) && self.weights_of(v, u) != self.weights_of(u, v)
+                {
+                    first = Some(pair);
+                }
+            }
+        }
+        first
     }
-    Ok(g)
+
+    /// The error for asymmetric pair `(a, b)`, at the line of row `b` when
+    /// it lists `a` and of row `a` otherwise.
+    fn asymmetry_error(self, text: &str, (a, b): (u32, u32)) -> GraphError {
+        let (lower, upper) = (self.weights_of(a, b), self.weights_of(b, a));
+        let line = row_line(text, if upper.is_empty() { a } else { b });
+        let message = if lower.len() != upper.len() {
+            let (present, missing) = if upper.len() > lower.len() {
+                (b, a)
+            } else {
+                (a, b)
+            };
+            format!(
+                "edge {}-{} appears {} time(s) on vertex {}'s row but {} on vertex {}'s row \
+                 (adjacency must be symmetric)",
+                a + 1,
+                b + 1,
+                lower.len().max(upper.len()),
+                present + 1,
+                lower.len().min(upper.len()),
+                missing + 1
+            )
+        } else {
+            let (wl, wu) = lower
+                .iter()
+                .zip(upper)
+                .find(|(l, u)| l != u)
+                .map_or((0, 0), |(&l, &u)| (l, u));
+            format!(
+                "edge {}-{} has weight {wl} on vertex {}'s row but {wu} on vertex {}'s row",
+                a + 1,
+                b + 1,
+                a + 1,
+                b + 1
+            )
+        };
+        parse_error(line, message)
+    }
+
+    /// The lowest (lower, higher) endpoint pair listed with a zero weight.
+    /// The rows agree, so the first zero met in row order points up.
+    fn first_zero_edge(self) -> Option<(u32, u32)> {
+        self.each().find_map(|(a, nbrs, weights)| {
+            let zero = nbrs.iter().zip(weights).find(|&(_, &w)| w == 0);
+            zero.map(|(&b, _)| (a, b))
+        })
+    }
 }
 
 /// Returns a copy of `graph` with `coords` attached (METIS files carry
@@ -341,6 +541,7 @@ pub fn write_coords(out: &mut String, coords: &[Point2]) {
 }
 
 /// Parses a coordinate document produced by [`coords_to_text`].
+// gapart-lint: allow(panic-reach) -- std `str::parse` on `f64`; the Baseline::parse edge is a name-collision false positive
 pub fn coords_from_text(text: &str) -> Result<Vec<Point2>, GraphError> {
     let mut coords = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -439,6 +640,18 @@ mod tests {
         let text = "3 1\n2\n1 3\n\n";
         let err = from_metis(text).unwrap_err();
         assert!(err.to_string().contains("symmetric"), "wrong error: {err}");
+        // Vertices 1 and 2 list each other 10⁵ times before the one-sided
+        // entry. Comparing the pair's weights once per repeat, rather than
+        // once per pair, took time quadratic in the repeats.
+        let k = 100_000;
+        let text = format!("4 2\n{}\n{}\n4\n\n", "2 ".repeat(k), "1 ".repeat(k));
+        let message = "edge 3-4 appears 1 time(s) on vertex 3's row but 0 on vertex 4's row \
+                       (adjacency must be symmetric)"
+            .to_string();
+        assert_eq!(
+            from_metis(&text),
+            Err(GraphError::Parse { line: 4, message })
+        );
     }
 
     #[test]
@@ -473,12 +686,23 @@ mod tests {
         let text = "3 5\n2\n1 3\n2\n";
         let err = from_metis(text).unwrap_err();
         assert!(err.to_string().contains("5 edges"));
+        // An edge count the rows do not back sizes nothing by itself.
+        let err = from_metis("2 1152921504606846976\n2\n1\n").unwrap_err();
+        assert!(err.to_string().contains("1152921504606846976 edges"));
     }
 
     #[test]
     fn rejects_truncated_document() {
         let text = "3 2\n2\n";
         assert!(from_metis(text).is_err());
+        // A vertex count the rows do not back sizes nothing either: 2⁶⁰
+        // once aborted the process on a 4 EiB allocation, and 10⁸ cost
+        // 383 MB before the error.
+        for n in ["1152921504606846976", "100000000", "18446744073709551615"] {
+            let err = from_metis(&format!("{n} 0\n")).unwrap_err();
+            let message = format!("expected {n} vertex lines, got 0");
+            assert_eq!(err, GraphError::Parse { line: 1, message });
+        }
     }
 
     #[test]

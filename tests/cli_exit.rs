@@ -117,8 +117,27 @@ fn failed_operations_exit_1_without_panicking() {
     assert!(err.contains("coordinates"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
 
+    // Headers that claim far more vertices than the file holds: the
+    // missing-rows error, not an allocation of the claimed size (2⁶⁰
+    // vertices once aborted the process).
+    for (i, header) in OVERSIZED_HEADERS.iter().enumerate() {
+        let huge = dir.join(format!("huge-{i}.metis"));
+        std::fs::write(&huge, header).unwrap();
+        let out = cli()
+            .args(["info", huge.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{header:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(err.contains("vertex lines, got 0"), "{err}");
+    }
+
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// METIS headers whose vertex counts no file of theirs can back.
+const OVERSIZED_HEADERS: [&str; 2] = ["1152921504606846976 0\n", "100000000 0\n"];
 
 #[test]
 fn serve_without_tape_dir_is_a_usage_error() {
@@ -135,6 +154,15 @@ fn serve_protocol_errors_reply_err_and_exit_1() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
 
+    let mut script =
+        String::from("frobnicate x\nopen bad/name graph=g parts=2\nquery nosuch\nopen s parts=2\n");
+    for (i, header) in OVERSIZED_HEADERS.iter().enumerate() {
+        let huge = dir.join(format!("huge-{i}.metis"));
+        std::fs::write(&huge, header).unwrap();
+        script += &format!("open huge{i} graph={} parts=2\n", huge.display());
+    }
+    script += "sessions\n";
+
     // The daemon answers every bad command with an `err` line (it keeps
     // serving), then exits 1 at EOF because errors occurred.
     let mut child = cli()
@@ -148,7 +176,7 @@ fn serve_protocol_errors_reply_err_and_exit_1() {
         .stdin
         .take()
         .unwrap()
-        .write_all(b"frobnicate x\nopen bad/name graph=g parts=2\nquery nosuch\nopen s parts=2\nsessions\n")
+        .write_all(script.as_bytes())
         .unwrap();
     let out = child.wait_with_output().unwrap();
     assert_eq!(out.status.code(), Some(1));
@@ -158,7 +186,11 @@ fn serve_protocol_errors_reply_err_and_exit_1() {
     assert!(replies[1].starts_with("err protocol"), "{stdout}");
     assert!(replies[2].starts_with("err protocol"), "{stdout}");
     assert!(replies[3].starts_with("err protocol"), "{stdout}"); // no tape, no graph=
-    assert_eq!(replies[4], "ok sessions=0 names=");
+    for reply in &replies[4..6] {
+        assert!(reply.starts_with("err state"), "{stdout}");
+        assert!(reply.contains("vertex lines, got 0"), "{stdout}");
+    }
+    assert_eq!(replies[6], "ok sessions=0 names=");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(!err.contains("panicked"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
