@@ -4,9 +4,10 @@
 //! population size of 320. The crossover rate p_c = 0.7 and the mutation
 //! rate p_m = 0.01. […] The figures are obtained by averaging the results
 //! of 5 runs, and the tables represent the best solutions obtained in
-//! these 5 runs."
+//! these 5 runs." The rates are the engine's constants
+//! ([`gapart_core::engine::CROSSOVER_RATE`],
+//! [`gapart_core::engine::MUTATION_RATE`]).
 
-use gapart_core::dpga::MigrationPolicy;
 use gapart_core::history::ConvergenceHistory;
 use gapart_core::incremental::extend_partition_balanced;
 use gapart_core::population::InitStrategy;
@@ -128,8 +129,6 @@ impl ExperimentProtocol {
             base,
             topology: self.topology,
             migration_interval: 5,
-            num_migrants: 2,
-            migration_policy: MigrationPolicy::Best,
             init_overrides,
         }
     }

@@ -21,20 +21,12 @@ use crate::population::Individual;
 use crate::topology::Topology;
 use gapart_graph::partition::PartitionMetrics;
 use gapart_graph::{CsrGraph, Partition};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rayon::prelude::*;
 
-/// Which individuals a subpopulation emits at a migration round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationPolicy {
-    /// Copies of the `k` fittest individuals — the paper's policy
-    /// ("communicates copies of its best individuals").
-    Best,
-    /// `k` uniformly random individuals — the drift-preserving control
-    /// case for the ablation study.
-    Random,
-}
+/// Copies of its fittest individuals that each subpopulation sends to
+/// *each* neighbour per migration round (the paper: "communicates copies
+/// of its best individuals").
+pub const NUM_MIGRANTS: usize = 2;
 
 /// Configuration of a DPGA run.
 #[derive(Debug, Clone)]
@@ -47,10 +39,6 @@ pub struct DpgaConfig {
     pub topology: Topology,
     /// Generations between migration rounds.
     pub migration_interval: usize,
-    /// Best individuals sent to *each* neighbour per round.
-    pub num_migrants: usize,
-    /// Which individuals migrate (paper: the best).
-    pub migration_policy: MigrationPolicy,
     /// Optional per-subpopulation initialization override: subpopulation
     /// `i` uses `init_overrides[i % len]` instead of `base.init`. The
     /// heterogeneous-island pattern (some islands seeded, some random)
@@ -62,14 +50,12 @@ pub struct DpgaConfig {
 
 impl DpgaConfig {
     /// The paper's configuration: 16 subpopulations on a 4-d hypercube,
-    /// total population 320, `p_c = 0.7`, `p_m = 0.01`, DKNUX.
+    /// total population 320, DKNUX.
     pub fn paper(num_parts: u32) -> Self {
         DpgaConfig {
             base: GaConfig::paper_defaults(num_parts),
             topology: Topology::PAPER,
             migration_interval: 5,
-            num_migrants: 2,
-            migration_policy: MigrationPolicy::Best,
             init_overrides: None,
         }
     }
@@ -147,7 +133,6 @@ pub struct DpgaEngine<'g> {
     engines: Vec<GaEngine<'g>>,
     config: DpgaConfig,
     graph: &'g CsrGraph,
-    migration_round: u64,
 }
 
 impl<'g> DpgaEngine<'g> {
@@ -181,7 +166,6 @@ impl<'g> DpgaEngine<'g> {
             engines,
             config,
             graph,
-            migration_round: 0,
         })
     }
 
@@ -205,25 +189,12 @@ impl<'g> DpgaEngine<'g> {
     /// individuals to each neighbour, then everyone absorbs its inbox.
     fn migrate(&mut self) {
         let topo = self.config.topology;
-        let k = self.config.num_migrants;
-        // Deterministic per-round RNG for the random policy.
-        let mut rng = StdRng::seed_from_u64(
-            self.config
-                .base
-                .seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(self.migration_round),
-        );
-        self.migration_round += 1;
         // Collect all outboxes first (pure reads), then deliver, so the
         // exchange is simultaneous as on a real message-passing machine.
         let outboxes: Vec<Vec<Individual>> = self
             .engines
             .iter()
-            .map(|e| match self.config.migration_policy {
-                MigrationPolicy::Best => e.emigrants(k),
-                MigrationPolicy::Random => e.random_individuals(k, &mut rng),
-            })
+            .map(|e| e.emigrants(NUM_MIGRANTS))
             .collect();
         let mut inboxes: Vec<Vec<Individual>> = vec![Vec::new(); self.engines.len()];
         for (i, outbox) in outboxes.iter().enumerate() {
@@ -248,11 +219,6 @@ impl<'g> DpgaEngine<'g> {
             done += block;
             if done < total {
                 self.migrate();
-            }
-            if let Some(target) = self.config.base.target_cut {
-                if self.engines.iter().any(|e| e.best_cut() <= target) {
-                    break;
-                }
             }
         }
 
@@ -312,8 +278,6 @@ mod tests {
             base,
             topology: Topology::Hypercube(2),
             migration_interval: 5,
-            num_migrants: 2,
-            migration_policy: MigrationPolicy::Best,
             init_overrides: None,
         }
     }
@@ -323,8 +287,8 @@ mod tests {
         let c = DpgaConfig::paper(8);
         assert_eq!(c.topology.size(), 16);
         assert_eq!(c.base.population_size, 320);
-        assert_eq!(c.base.crossover_rate, 0.7);
-        assert_eq!(c.base.mutation_rate, 0.01);
+        assert_eq!(crate::engine::CROSSOVER_RATE, 0.7);
+        assert_eq!(crate::engine::MUTATION_RATE, 0.01);
     }
 
     #[test]
@@ -402,17 +366,14 @@ mod tests {
     }
 
     #[test]
-    fn random_migration_policy_runs_and_is_deterministic() {
-        let g = paper_graph(98);
+    fn unallocatable_population_is_an_error() {
+        let g = paper_graph(78);
         let mut cfg = small_dpga(4);
-        cfg.migration_policy = MigrationPolicy::Random;
-        let a = DpgaEngine::new(&g, cfg.clone()).unwrap().run();
-        let b = DpgaEngine::new(&g, cfg).unwrap().run();
-        assert_eq!(a.best_partition, b.best_partition);
-        assert_eq!(a.history, b.history);
-        // And differs from the Best policy (different information flow).
-        let best = DpgaEngine::new(&g, small_dpga(4)).unwrap().run();
-        assert_ne!(a.history.mean_fitness, best.history.mean_fitness);
+        cfg.base.population_size = usize::MAX;
+        assert!(matches!(
+            DpgaEngine::new(&g, cfg).unwrap_err(),
+            GaError::BadPopulation { .. }
+        ));
     }
 
     #[test]

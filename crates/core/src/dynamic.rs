@@ -229,7 +229,6 @@ impl SessionSpec {
     /// # Errors
     ///
     /// [`SpecError::UnknownKey`] / [`SpecError::BadValue`].
-    // gapart-lint: allow(panic-reach) -- std `str::parse` on primitives; the Baseline::parse edge is a name-collision false positive
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), SpecError> {
         let bad = || SpecError::BadValue {
             key: key.to_string(),
@@ -278,7 +277,6 @@ impl SessionSpec {
     /// # Errors
     ///
     /// See [`SpecError`].
-    // gapart-lint: allow(panic-reach) -- inherits `set`'s std-parse name-collision false positive
     pub fn parse_kv(text: &str) -> Result<Self, SpecError> {
         let mut spec = SessionSpec::new(0);
         let mut saw_parts = false;

@@ -13,7 +13,7 @@ use crate::history::ConvergenceHistory;
 use crate::ops::crossover::{CrossoverCtx, CrossoverOp};
 use crate::ops::mutation::mutate;
 use crate::population::{Individual, InitStrategy, Population};
-use crate::selection::SelectionScheme;
+use crate::selection::binary_tournament;
 use gapart_graph::partition::PartitionMetrics;
 use gapart_graph::{CsrGraph, Partition};
 use rand::rngs::StdRng;
@@ -44,25 +44,28 @@ pub enum HillClimbMode {
     },
 }
 
-/// Full configuration of a GA run.
+/// Probability that a selected pair is crossed, §4's `p_c`; pairs that
+/// skip crossover are cloned.
+pub const CROSSOVER_RATE: f64 = 0.7;
+
+/// Per-gene mutation probability, §4's `p_m`.
+pub const MUTATION_RATE: f64 = 0.01;
+
+/// Full configuration of a GA run. Parents are picked by binary
+/// tournament, crossed with probability [`CROSSOVER_RATE`] and mutated
+/// per gene with probability [`MUTATION_RATE`]; the objective weighs
+/// imbalance and communication equally (the paper's λ = 1).
 ///
 /// [`GaConfig::paper_defaults`] reproduces §4's setup: total population
-/// 320, crossover rate 0.7, mutation rate 0.01, DKNUX, λ = 1.
+/// 320, DKNUX, Fitness 1.
 #[derive(Debug, Clone)]
 pub struct GaConfig {
     /// Number of parts to partition into.
     pub num_parts: u32,
     /// Which of the paper's two objectives to maximize.
     pub fitness: FitnessKind,
-    /// Weight of the communication term (paper: 1.0).
-    pub lambda: f64,
     /// Crossover operator.
     pub crossover: CrossoverOp,
-    /// Probability that a selected pair is crossed (paper: 0.7); pairs
-    /// that skip crossover are cloned.
-    pub crossover_rate: f64,
-    /// Per-gene mutation probability (paper: 0.01).
-    pub mutation_rate: f64,
     /// Probability that each *boundary* gene additionally mutates to a
     /// neighbouring part (extension; 0 disables). Classic uniform
     /// mutation almost never proposes useful moves on locality-rich
@@ -73,8 +76,6 @@ pub struct GaConfig {
     pub population_size: usize,
     /// Generations to run.
     pub generations: usize,
-    /// Parent selection scheme.
-    pub selection: SelectionScheme,
     /// Number of best individuals copied unchanged into the next
     /// generation.
     pub elitism: usize,
@@ -88,39 +89,27 @@ pub struct GaConfig {
     pub elite_swap_passes: usize,
     /// Initial-population strategy (§3.5).
     pub init: InitStrategy,
-    /// Explicit KNUX reference solution `I`. Defaults to the best
-    /// individual of the initial population (which, for a `Seeded` init,
-    /// is the heuristic seed itself — the paper's setup).
-    pub knux_reference: Option<Vec<u32>>,
     /// RNG seed; every run with the same config and graph is identical.
     pub seed: u64,
-    /// Stop early once the reported cut reaches this value.
-    pub target_cut: Option<u64>,
 }
 
 impl GaConfig {
     /// The paper's experimental configuration (§4) for a single
-    /// population: 320 individuals, `p_c = 0.7`, `p_m = 0.01`, DKNUX,
-    /// Fitness 1, λ = 1, binary tournament, elitism 2.
+    /// population: 320 individuals, DKNUX, Fitness 1, elitism 2, on top
+    /// of the fixed `p_c`, `p_m`, λ and binary tournament.
     pub fn paper_defaults(num_parts: u32) -> Self {
         GaConfig {
             num_parts,
             fitness: FitnessKind::TotalCut,
-            lambda: 1.0,
             crossover: CrossoverOp::Dknux,
-            crossover_rate: 0.7,
-            mutation_rate: 0.01,
             boundary_mutation_rate: 0.0,
             population_size: 320,
             generations: 200,
-            selection: SelectionScheme::Tournament(2),
             elitism: 2,
             hill_climb: HillClimbMode::Off,
             elite_swap_passes: 1,
             init: InitStrategy::BalancedRandom,
-            knux_reference: None,
             seed: 0x5343_3934, // "SC94"
-            target_cut: None,
         }
     }
 
@@ -206,14 +195,12 @@ impl GaConfig {
                 num_nodes,
             });
         }
-        for (name, value) in [
-            ("crossover_rate", self.crossover_rate),
-            ("mutation_rate", self.mutation_rate),
-            ("boundary_mutation_rate", self.boundary_mutation_rate),
-        ] {
-            if !(0.0..=1.0).contains(&value) || !value.is_finite() {
-                return Err(GaError::BadRate { name, value });
-            }
+        let value = self.boundary_mutation_rate;
+        if !(0.0..=1.0).contains(&value) {
+            return Err(GaError::BadRate {
+                name: "boundary_mutation_rate",
+                value,
+            });
         }
         if self.population_size < 2 {
             return Err(GaError::BadPopulation {
@@ -228,19 +215,11 @@ impl GaConfig {
                 ),
             });
         }
-        let seed_params: Option<(&Vec<u32>, f64, f64)> = match &self.init {
-            InitStrategy::Seeded {
-                partition,
-                perturbation,
-            } => Some((partition, *perturbation, 0.0)),
-            InitStrategy::SeededPlusRandom {
-                partition,
-                perturbation,
-                random_fraction,
-            } => Some((partition, *perturbation, *random_fraction)),
-            _ => None,
-        };
-        if let Some((partition, perturbation, random_fraction)) = seed_params {
+        if let InitStrategy::Seeded {
+            partition,
+            perturbation,
+        } = &self.init
+        {
             if partition.len() != num_nodes {
                 return Err(GaError::BadSeed {
                     message: format!(
@@ -255,23 +234,10 @@ impl GaConfig {
                     message: "seed label out of range".into(),
                 });
             }
-            if !(0.0..=1.0).contains(&perturbation) {
+            if !(0.0..=1.0).contains(perturbation) {
                 return Err(GaError::BadRate {
                     name: "perturbation",
-                    value: perturbation,
-                });
-            }
-            if !(0.0..=1.0).contains(&random_fraction) {
-                return Err(GaError::BadRate {
-                    name: "random_fraction",
-                    value: random_fraction,
-                });
-            }
-        }
-        if let Some(reference) = &self.knux_reference {
-            if reference.len() != num_nodes {
-                return Err(GaError::BadSeed {
-                    message: "KNUX reference has wrong length".into(),
+                    value: *perturbation,
                 });
             }
         }
@@ -293,7 +259,7 @@ pub struct GaResult {
     pub best_metrics: PartitionMetrics,
     /// Per-generation convergence record.
     pub history: ConvergenceHistory,
-    /// Generations actually executed (may stop early on `target_cut`).
+    /// Generations executed.
     pub generations_run: usize,
 }
 
@@ -328,22 +294,20 @@ impl<'g> GaEngine<'g> {
     /// reference.
     pub fn new(graph: &'g CsrGraph, config: GaConfig) -> Result<Self, GaError> {
         config.validate(graph.num_nodes())?;
-        let evaluator =
-            FitnessEvaluator::new(graph, config.num_parts, config.fitness, config.lambda);
+        let evaluator = FitnessEvaluator::new(graph, config.num_parts, config.fitness);
         let mut rng = StdRng::seed_from_u64(config.seed);
         let chromosomes = config.init.generate(
             graph.num_nodes(),
             config.num_parts,
             config.population_size,
             &mut rng,
-        );
+        )?;
         let population = Population::evaluate(chromosomes, &evaluator);
         let best_ever = population.best().clone();
-        let reference = config
-            .knux_reference
-            .clone()
-            .unwrap_or_else(|| best_ever.chromosome.genes().to_vec());
-        let mut history = ConvergenceHistory::with_capacity(config.generations);
+        let reference = best_ever.chromosome.genes().to_vec();
+        // Grown by push: the generation budget is a bound, not a size to
+        // reserve up front.
+        let mut history = ConvergenceHistory::default();
         let best_cut = evaluator.reported_cut(best_ever.chromosome.genes());
         history.push(best_ever.fitness, population.mean_fitness(), best_cut);
         Ok(GaEngine {
@@ -372,11 +336,6 @@ impl<'g> GaEngine<'g> {
         &self.best_ever
     }
 
-    /// Reported cut of the best individual found so far.
-    pub fn best_cut(&self) -> u64 {
-        self.best_cut
-    }
-
     /// Makes `ind` the best individual ever seen: caches its reported cut,
     /// marks it unpolished and, under DKNUX, re-targets the reference.
     fn set_best(&mut self, ind: Individual) {
@@ -401,18 +360,6 @@ impl<'g> GaEngine<'g> {
             .top_k(k)
             .into_iter()
             .map(|i| self.population.individuals[i].clone())
-            .collect()
-    }
-
-    /// Copies of `k` uniformly random individuals (for the DPGA's random
-    /// migration policy). Uses the supplied RNG so the DPGA driver stays
-    /// deterministic.
-    pub fn random_individuals<R: Rng + ?Sized>(&self, k: usize, rng: &mut R) -> Vec<Individual> {
-        (0..k.min(self.population.len()))
-            .map(|_| {
-                let idx = rng.gen_range(0..self.population.len());
-                self.population.individuals[idx].clone()
-            })
             .collect()
     }
 
@@ -450,12 +397,12 @@ impl<'g> GaEngine<'g> {
         let fitness_values = self.population.fitness_values();
         let mut offspring: Vec<Vec<u32>> = Vec::with_capacity(wanted + 1);
         while offspring.len() < wanted {
-            let i = self.config.selection.select(&fitness_values, &mut self.rng);
-            let j = self.config.selection.select(&fitness_values, &mut self.rng);
+            let i = binary_tournament(&fitness_values, &mut self.rng);
+            let j = binary_tournament(&fitness_values, &mut self.rng);
             let pa = self.population.individuals[i].chromosome.genes();
             let pb = self.population.individuals[j].chromosome.genes();
 
-            let (mut c1, mut c2) = if self.rng.gen::<f64>() < self.config.crossover_rate {
+            let (mut c1, mut c2) = if self.rng.gen::<f64>() < CROSSOVER_RATE {
                 let ctx = CrossoverCtx {
                     graph: self.graph,
                     reference: Some(&self.reference),
@@ -467,12 +414,7 @@ impl<'g> GaEngine<'g> {
             };
 
             for child in [&mut c1, &mut c2] {
-                mutate(
-                    child,
-                    self.config.mutation_rate,
-                    self.config.num_parts,
-                    &mut self.rng,
-                );
+                mutate(child, MUTATION_RATE, self.config.num_parts, &mut self.rng);
                 if self.config.boundary_mutation_rate > 0.0 {
                     crate::ops::mutation::boundary_mutate(
                         child,
@@ -553,17 +495,11 @@ impl<'g> GaEngine<'g> {
         self.best_ever.fitness
     }
 
-    /// Runs the configured number of generations (stopping early if
-    /// `target_cut` is reached) and returns the result. Applies the
-    /// `FinalBest` hill climb if configured.
+    /// Runs the configured number of generations and returns the result.
+    /// Applies the `FinalBest` hill climb if configured.
     pub fn run(mut self) -> GaResult {
         for _ in 0..self.config.generations {
             self.step();
-            if let Some(target) = self.config.target_cut {
-                if self.best_cut() <= target {
-                    break;
-                }
-            }
         }
         self.finish()
     }
@@ -700,7 +636,7 @@ mod tests {
         // least as fit as the seed.
         let g = paper_graph(144);
         let seed = gapart_ibp::ibp_partition(&g, 4, &Default::default()).unwrap();
-        let e = FitnessEvaluator::new(&g, 4, FitnessKind::TotalCut, 1.0);
+        let e = FitnessEvaluator::new(&g, 4, FitnessKind::TotalCut);
         let seed_fit = e.evaluate(seed.labels());
         let cfg = small_config(4).seeded_from(&seed);
         let r = GaEngine::new(&g, cfg).unwrap().run();
@@ -712,13 +648,22 @@ mod tests {
     }
 
     #[test]
-    fn target_cut_stops_early() {
+    fn generation_budget_is_not_reserved_up_front() {
+        // The history grows by push, so a budget no run could finish
+        // builds an engine that steps like any other.
         let g = paper_graph(78);
-        let mut cfg = small_config(2);
-        cfg.target_cut = Some(u64::MAX); // trivially satisfied
-        cfg.generations = 1000;
-        let r = GaEngine::new(&g, cfg).unwrap().run();
-        assert_eq!(r.generations_run, 1);
+        let mut e = GaEngine::new(&g, small_config(2).with_generations(usize::MAX / 4)).unwrap();
+        e.step();
+        assert_eq!(e.history().len(), 2);
+    }
+
+    #[test]
+    fn unallocatable_population_is_an_error() {
+        let g = paper_graph(78);
+        assert!(matches!(
+            GaEngine::new(&g, small_config(2).with_population_size(usize::MAX)).unwrap_err(),
+            GaError::BadPopulation { .. }
+        ));
     }
 
     #[test]
@@ -754,7 +699,7 @@ mod tests {
             GaError::BadPartCount { .. }
         ));
         let mut bad_rate = small_config(2);
-        bad_rate.crossover_rate = 1.5;
+        bad_rate.boundary_mutation_rate = 1.5;
         assert!(matches!(
             GaEngine::new(&g, bad_rate).unwrap_err(),
             GaError::BadRate { .. }

@@ -19,7 +19,8 @@ pub enum GaError {
         /// The offending value.
         value: f64,
     },
-    /// Population size too small for the configured elitism/selection.
+    /// Population size too small for the configured elitism, or too
+    /// large to allocate.
     BadPopulation {
         /// Human-readable description.
         message: String,
@@ -72,10 +73,10 @@ mod tests {
         };
         assert!(e.to_string().contains("9 parts"));
         let e = GaError::BadRate {
-            name: "crossover_rate",
+            name: "boundary_mutation_rate",
             value: 1.5,
         };
-        assert!(e.to_string().contains("crossover_rate"));
+        assert!(e.to_string().contains("boundary_mutation_rate"));
         let e = GaError::BadSeed {
             message: "wrong length".into(),
         };

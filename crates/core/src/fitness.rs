@@ -7,7 +7,8 @@
 //!
 //! where `C(q)` is the weight of edges leaving part `q` (so each cut edge
 //! contributes to two parts in the Fitness-1 sum). Node/edge weights
-//! generalize `|B(q)|` to weighted loads exactly as §2 defines.
+//! generalize `|B(q)|` to weighted loads exactly as §2 defines. λ is fixed
+//! at 1, so the communication term is added unscaled.
 
 use crate::hillclimb::PartSums;
 use gapart_graph::CsrGraph;
@@ -15,9 +16,9 @@ use gapart_graph::CsrGraph;
 /// Which of the paper's two objectives to optimize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FitnessKind {
-    /// Fitness 1: imbalance + λ · total communication cost `Σ_q C(q)`.
+    /// Fitness 1: imbalance + total communication cost `Σ_q C(q)`.
     TotalCut,
-    /// Fitness 2: imbalance + λ · worst-part cost `max_q C(q)` — the
+    /// Fitness 2: imbalance + worst-part cost `max_q C(q)` — the
     /// non-differentiable objective gradient methods cannot handle (§4.3).
     WorstCut,
 }
@@ -91,21 +92,18 @@ pub struct FitnessEvaluator<'g> {
     graph: &'g CsrGraph,
     num_parts: u32,
     kind: FitnessKind,
-    lambda: f64,
     avg_load: f64,
 }
 
 impl<'g> FitnessEvaluator<'g> {
-    /// Creates an evaluator for `num_parts` parts with weighting `lambda`
-    /// (the paper's experiments use `lambda = 1`).
-    pub fn new(graph: &'g CsrGraph, num_parts: u32, kind: FitnessKind, lambda: f64) -> Self {
+    /// Creates an evaluator of `kind` for `num_parts` parts.
+    pub fn new(graph: &'g CsrGraph, num_parts: u32, kind: FitnessKind) -> Self {
         assert!(num_parts > 0, "num_parts must be positive");
         let avg_load = graph.total_node_weight() as f64 / num_parts as f64;
         FitnessEvaluator {
             graph,
             num_parts,
             kind,
-            lambda,
             avg_load,
         }
     }
@@ -126,12 +124,6 @@ impl<'g> FitnessEvaluator<'g> {
     #[inline]
     pub fn kind(&self) -> FitnessKind {
         self.kind
-    }
-
-    /// The λ weighting between imbalance and communication cost.
-    #[inline]
-    pub fn lambda(&self) -> f64 {
-        self.lambda
     }
 
     /// Ideal per-part load.
@@ -167,7 +159,7 @@ impl<'g> FitnessEvaluator<'g> {
             FitnessKind::TotalCut => cuts.iter().sum::<u64>() as f64,
             FitnessKind::WorstCut => cuts.iter().copied().max().unwrap_or(0) as f64,
         };
-        -(imbalance + self.lambda * comm)
+        -(imbalance + comm)
     }
 
     /// The cut number the paper's tables report for this objective:
@@ -368,7 +360,7 @@ impl<'g> PartitionState<'g> {
                 new_max as f64 - old_max as f64
             }
         };
-        -(imb_delta + self.evaluator.lambda * comm_delta)
+        -(imb_delta + comm_delta)
     }
 
     /// Moves node `v` to part `to`, updating loads and cuts incrementally.
@@ -450,7 +442,7 @@ mod tests {
     #[test]
     fn fitness1_matches_hand_computation() {
         let g = square();
-        let e = FitnessEvaluator::new(&g, 2, FitnessKind::TotalCut, 1.0);
+        let e = FitnessEvaluator::new(&g, 2, FitnessKind::TotalCut);
         // {0,1} vs {2,3}: balanced, 2 cut edges → Σ C(q) = 4.
         assert_eq!(e.evaluate(&[0, 0, 1, 1]), -4.0);
         // {0} vs {1,2,3}: imbalance (1-2)² + (3-2)² = 2, cuts 0-1 and 0-2
@@ -461,18 +453,11 @@ mod tests {
     #[test]
     fn fitness2_uses_max_part_cut() {
         let g = from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]).unwrap();
-        let e = FitnessEvaluator::new(&g, 3, FitnessKind::WorstCut, 1.0);
+        let e = FitnessEvaluator::new(&g, 3, FitnessKind::WorstCut);
         // {0},{1,2},{3,4}: C = [4, 2, 2]; max 4. Loads [1,2,2], avg 5/3;
         // imbalance = (1-5/3)² + 2(2-5/3)² = 4/9 + 2/9 = 6/9.
         let f = e.evaluate(&[0, 1, 1, 2, 2]);
         assert!((f - -(6.0 / 9.0 + 4.0)).abs() < 1e-12, "{f}");
-    }
-
-    #[test]
-    fn lambda_scales_communication_term() {
-        let g = square();
-        let e = FitnessEvaluator::new(&g, 2, FitnessKind::TotalCut, 2.0);
-        assert_eq!(e.evaluate(&[0, 0, 1, 1]), -8.0);
     }
 
     #[test]
@@ -481,7 +466,7 @@ mod tests {
         // and 11100011 > 10101011 (6 inter-part edges).
         let edges: Vec<(u32, u32)> = (0..7).map(|i| (i, i + 1)).collect();
         let g = from_edges(8, &edges).unwrap();
-        let e = FitnessEvaluator::new(&g, 2, FitnessKind::TotalCut, 1.0);
+        let e = FitnessEvaluator::new(&g, 2, FitnessKind::TotalCut);
         let f_11100011 = e.evaluate(&[1, 1, 1, 0, 0, 0, 1, 1]);
         let f_11100001 = e.evaluate(&[1, 1, 1, 0, 0, 0, 0, 1]);
         let f_10101011 = e.evaluate(&[1, 0, 1, 0, 1, 0, 1, 1]);
@@ -493,8 +478,8 @@ mod tests {
     fn reported_cut_total_vs_worst() {
         let g = square();
         let genes = [0u32, 0, 1, 1];
-        let e1 = FitnessEvaluator::new(&g, 2, FitnessKind::TotalCut, 1.0);
-        let e2 = FitnessEvaluator::new(&g, 2, FitnessKind::WorstCut, 1.0);
+        let e1 = FitnessEvaluator::new(&g, 2, FitnessKind::TotalCut);
+        let e2 = FitnessEvaluator::new(&g, 2, FitnessKind::WorstCut);
         assert_eq!(e1.reported_cut(&genes), 2); // Σ C / 2
         assert_eq!(e2.reported_cut(&genes), 2); // max C
     }
@@ -502,7 +487,7 @@ mod tests {
     #[test]
     fn scratch_reuse_matches_fresh_eval() {
         let g = paper_graph(78);
-        let e = FitnessEvaluator::new(&g, 4, FitnessKind::TotalCut, 1.0);
+        let e = FitnessEvaluator::new(&g, 4, FitnessKind::TotalCut);
         let mut scratch = EvalScratch::default();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..10 {
@@ -515,7 +500,7 @@ mod tests {
     fn state_fitness_matches_evaluator() {
         let g = paper_graph(98);
         for kind in [FitnessKind::TotalCut, FitnessKind::WorstCut] {
-            let e = FitnessEvaluator::new(&g, 4, kind, 1.0);
+            let e = FitnessEvaluator::new(&g, 4, kind);
             let mut rng = StdRng::seed_from_u64(7);
             let genes: Vec<u32> = (0..98).map(|_| rng.gen_range(0..4)).collect();
             let state = PartitionState::new(e.clone(), genes.clone());
@@ -530,7 +515,7 @@ mod tests {
     fn gain_predicts_apply_exactly() {
         let g = paper_graph(88);
         for kind in [FitnessKind::TotalCut, FitnessKind::WorstCut] {
-            let e = FitnessEvaluator::new(&g, 8, kind, 1.0);
+            let e = FitnessEvaluator::new(&g, 8, kind);
             let mut rng = StdRng::seed_from_u64(11);
             let genes: Vec<u32> = (0..88).map(|_| rng.gen_range(0..8)).collect();
             let mut state = PartitionState::new(e.clone(), genes);
@@ -564,7 +549,7 @@ mod tests {
             .node_weights(vec![2, 1, 3, 1, 2])
             .build()
             .unwrap();
-        let e = FitnessEvaluator::new(&g, 2, FitnessKind::WorstCut, 1.5);
+        let e = FitnessEvaluator::new(&g, 2, FitnessKind::WorstCut);
         let mut state = PartitionState::new(e.clone(), vec![0, 0, 1, 1, 0]);
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..50 {
@@ -581,7 +566,7 @@ mod tests {
     #[test]
     fn gain_to_same_part_is_zero() {
         let g = square();
-        let e = FitnessEvaluator::new(&g, 2, FitnessKind::TotalCut, 1.0);
+        let e = FitnessEvaluator::new(&g, 2, FitnessKind::TotalCut);
         let state = PartitionState::new(e, vec![0, 0, 1, 1]);
         assert_eq!(state.gain(0, 0), 0.0);
     }

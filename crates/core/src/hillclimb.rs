@@ -425,7 +425,7 @@ mod tests {
     fn repairs_a_single_misplaced_vertex() {
         // Path 0-1-2-3-4-5 with node 1 on the wrong side.
         let g = from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]).unwrap();
-        let e = FitnessEvaluator::new(&g, 2, FitnessKind::TotalCut, 1.0);
+        let e = FitnessEvaluator::new(&g, 2, FitnessKind::TotalCut);
         let mut genes = vec![0u32, 1, 0, 1, 1, 1];
         let before = e.evaluate(&genes);
         let stats = hill_climb(&e, &mut genes, 10);
@@ -440,7 +440,7 @@ mod tests {
         let g = paper_graph(144);
         let mut rng = StdRng::seed_from_u64(5);
         for kind in [FitnessKind::TotalCut, FitnessKind::WorstCut] {
-            let e = FitnessEvaluator::new(&g, 4, kind, 1.0);
+            let e = FitnessEvaluator::new(&g, 4, kind);
             for _ in 0..5 {
                 let mut genes: Vec<u32> = (0..144).map(|_| rng.gen_range(0..4)).collect();
                 let before = e.evaluate(&genes);
@@ -454,7 +454,7 @@ mod tests {
     fn reaches_local_optimum() {
         // After convergence, no single boundary move may improve fitness.
         let g = paper_graph(98);
-        let e = FitnessEvaluator::new(&g, 4, FitnessKind::TotalCut, 1.0);
+        let e = FitnessEvaluator::new(&g, 4, FitnessKind::TotalCut);
         let mut rng = StdRng::seed_from_u64(9);
         let mut genes: Vec<u32> = (0..98).map(|_| rng.gen_range(0..4)).collect();
         hill_climb(&e, &mut genes, 100);
@@ -472,7 +472,7 @@ mod tests {
     #[test]
     fn improves_random_partitions_substantially() {
         let g = paper_graph(167);
-        let e = FitnessEvaluator::new(&g, 4, FitnessKind::TotalCut, 1.0);
+        let e = FitnessEvaluator::new(&g, 4, FitnessKind::TotalCut);
         let mut rng = StdRng::seed_from_u64(3);
         let mut genes: Vec<u32> = (0..167).map(|_| rng.gen_range(0..4)).collect();
         let before = e.reported_cut(&genes);
@@ -487,7 +487,7 @@ mod tests {
     #[test]
     fn stats_report_passes() {
         let g = paper_graph(78);
-        let e = FitnessEvaluator::new(&g, 2, FitnessKind::TotalCut, 1.0);
+        let e = FitnessEvaluator::new(&g, 2, FitnessKind::TotalCut);
         // Already-optimal-ish input: single pass, no moves.
         let mut genes: Vec<u32> = vec![0; 78];
         let stats = hill_climb(&e, &mut genes, 5);
@@ -498,7 +498,7 @@ mod tests {
     #[test]
     fn zero_passes_is_identity() {
         let g = paper_graph(78);
-        let e = FitnessEvaluator::new(&g, 4, FitnessKind::TotalCut, 1.0);
+        let e = FitnessEvaluator::new(&g, 4, FitnessKind::TotalCut);
         let mut genes: Vec<u32> = (0..78).map(|v| v % 4).collect();
         let before = genes.clone();
         let stats = hill_climb(&e, &mut genes, 0);

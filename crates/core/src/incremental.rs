@@ -127,8 +127,9 @@ pub fn greedy_neighbor_assign(graph: &CsrGraph, old: &Partition) -> Result<Parti
 /// extension of `old` (plus the configured perturbation) and optimizes on
 /// the grown graph. This is exactly the paper's §4.2 pipeline.
 ///
-/// The provided `config`'s `init` is overridden; everything else
-/// (operator, rates, budget, fitness kind) is honoured.
+/// The provided `config`'s `init` and `num_parts` are overridden;
+/// everything else (operator, boundary mutation, budget, fitness kind) is
+/// honoured.
 pub fn incremental_ga(
     graph: &CsrGraph,
     old: &Partition,
@@ -222,7 +223,7 @@ mod tests {
         // obtained by a simple deterministic algorithm".
         let (base, grown_g) = grown(118, 41, 5);
         let old = gapart_rsb::rsb_partition(&base, 4, &Default::default()).unwrap();
-        let e = FitnessEvaluator::new(&grown_g, 4, FitnessKind::TotalCut, 1.0);
+        let e = FitnessEvaluator::new(&grown_g, 4, FitnessKind::TotalCut);
 
         let greedy = greedy_neighbor_assign(&grown_g, &old).unwrap();
         let greedy_fit = e.evaluate(greedy.labels());

@@ -9,14 +9,15 @@
 //!   (worst-part communication cost), plus an incremental-move evaluator.
 //! * [`ops`] — crossover operators: 1-point, 2-point, k-point, uniform
 //!   (UX), and the paper's **KNUX** and **DKNUX**; plus mutation.
-//! * [`selection`] — tournament, roulette-wheel and rank selection.
+//! * [`selection`] — binary tournament selection.
 //! * [`hillclimb`] — boundary-vertex hill climbing (§3.6).
 //! * [`population`] — population containers and the seeding strategies of
-//!   §3.5 (random, heuristic-seeded, incremental reuse).
+//!   §3.5 (balanced-random, heuristic-seeded, incremental reuse).
 //! * [`engine`] — the single-population generational GA.
 //! * [`dpga`] — the coarse-grained distributed-population GA (§3.4):
-//!   subpopulations on a hypercube (or ring/mesh) exchanging their best
-//!   individuals, executed on real threads in deterministic lockstep.
+//!   subpopulations on a hypercube (or a ring or complete graph)
+//!   exchanging their best individuals, executed on real threads in
+//!   deterministic lockstep.
 //! * [`incremental`] — incremental repartitioning (§3.5, §4.2) plus the
 //!   greedy neighbour-majority baseline the conclusion mentions.
 //! * [`dynamic`] — the streaming generalization: a [`DynamicSession`]
@@ -44,7 +45,7 @@ pub mod population;
 pub mod selection;
 pub mod topology;
 
-pub use dpga::{DpgaConfig, DpgaEngine, DpgaResult, MigrationPolicy};
+pub use dpga::{DpgaConfig, DpgaEngine, DpgaResult};
 pub use dynamic::{
     BatchAction, BatchRecord, DynamicConfig, DynamicError, DynamicSession, MethodResolver,
     SessionSpec, SessionState, SpecError, DEFAULT_SESSION_SEED,
@@ -56,5 +57,4 @@ pub use history::ConvergenceHistory;
 pub use ops::crossover::CrossoverOp;
 pub use partitioner_impl::{DpgaPartitioner, GaPartitioner};
 pub use population::InitStrategy;
-pub use selection::SelectionScheme;
 pub use topology::Topology;

@@ -1,6 +1,7 @@
 //! Populations and the initialization strategies of §3.5.
 
 use crate::chromosome::Chromosome;
+use crate::error::GaError;
 use crate::fitness::{EvalScratch, FitnessEvaluator};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -18,11 +19,10 @@ pub struct Individual {
 /// How the initial population is generated (§3.5: random, or "seeded with
 /// a pre-estimated heuristic solution such as that obtained through an
 /// Index Based Partitioning scheme or the results of recursive spectral
-/// bisection").
+/// bisection"). A DPGA mixes the two across islands through
+/// [`DpgaConfig::init_overrides`](crate::dpga::DpgaConfig::init_overrides).
 #[derive(Debug, Clone, PartialEq)]
 pub enum InitStrategy {
-    /// Every gene uniform over parts. Maximally diverse, unbalanced.
-    Random,
     /// Each individual is a random permutation cut into equal blocks —
     /// perfectly balanced but locality-blind.
     BalancedRandom,
@@ -37,26 +37,16 @@ pub enum InitStrategy {
         /// individuals.
         perturbation: f64,
     },
-    /// Seed *and* explore: the first individual is the exact seed, a
-    /// `1 − random_fraction` share are perturbed copies, and the rest are
-    /// balanced-random. Pure `Seeded` populations collapse onto the seed
-    /// (DKNUX is a consensus operator), leaving the GA unable to escape
-    /// the seed's local optimum; the random share restores the diversity
-    /// the search feeds on, while elitism guarantees the result is never
-    /// worse than the seed.
-    SeededPlusRandom {
-        /// The heuristic solution (one label per node).
-        partition: Vec<u32>,
-        /// Per-gene perturbation probability for the perturbed copies.
-        perturbation: f64,
-        /// Fraction of the population drawn balanced-random.
-        random_fraction: f64,
-    },
 }
 
 impl InitStrategy {
     /// Generates `pop_size` chromosomes of length `n` over `num_parts`
     /// parts.
+    ///
+    /// # Errors
+    ///
+    /// [`GaError::BadPopulation`] if no population of `pop_size` fits in
+    /// memory.
     ///
     /// # Panics
     ///
@@ -68,29 +58,29 @@ impl InitStrategy {
         num_parts: u32,
         pop_size: usize,
         rng: &mut R,
-    ) -> Vec<Chromosome> {
+    ) -> Result<Vec<Chromosome>, GaError> {
+        let mut out = Vec::new();
+        out.try_reserve_exact(pop_size)
+            .map_err(|_| GaError::BadPopulation {
+                message: format!("cannot allocate a population of {pop_size}"),
+            })?;
         match self {
-            InitStrategy::Random => (0..pop_size)
-                .map(|_| Chromosome::new((0..n).map(|_| rng.gen_range(0..num_parts)).collect()))
-                .collect(),
-            InitStrategy::BalancedRandom => (0..pop_size)
-                .map(|_| {
-                    let mut order: Vec<u32> = (0..n as u32).collect();
-                    order.shuffle(rng);
-                    let mut genes = vec![0u32; n];
-                    let base = n / num_parts as usize;
-                    let extra = n % num_parts as usize;
-                    let mut pos = 0usize;
-                    for part in 0..num_parts {
-                        let take = base + usize::from((part as usize) < extra);
-                        for &v in &order[pos..pos + take] {
-                            genes[v as usize] = part;
-                        }
-                        pos += take;
+            InitStrategy::BalancedRandom => out.extend((0..pop_size).map(|_| {
+                let mut order: Vec<u32> = (0..n as u32).collect();
+                order.shuffle(rng);
+                let mut genes = vec![0u32; n];
+                let base = n / num_parts as usize;
+                let extra = n % num_parts as usize;
+                let mut pos = 0usize;
+                for part in 0..num_parts {
+                    let take = base + usize::from((part as usize) < extra);
+                    for &v in &order[pos..pos + take] {
+                        genes[v as usize] = part;
                     }
-                    Chromosome::new(genes)
-                })
-                .collect(),
+                    pos += take;
+                }
+                Chromosome::new(genes)
+            })),
             InitStrategy::Seeded {
                 partition,
                 perturbation,
@@ -100,37 +90,16 @@ impl InitStrategy {
                     partition.iter().all(|&p| p < num_parts),
                     "seed partition label out of range"
                 );
-                (0..pop_size)
-                    .map(|i| {
-                        let mut genes = partition.clone();
-                        if i > 0 {
-                            crate::ops::mutation::mutate(&mut genes, *perturbation, num_parts, rng);
-                        }
-                        Chromosome::new(genes)
-                    })
-                    .collect()
-            }
-            InitStrategy::SeededPlusRandom {
-                partition,
-                perturbation,
-                random_fraction,
-            } => {
-                assert!(
-                    (0.0..=1.0).contains(random_fraction),
-                    "random_fraction must be a probability"
-                );
-                let random_count =
-                    ((pop_size as f64 * random_fraction).round() as usize).min(pop_size - 1);
-                let seeded_count = pop_size - random_count;
-                let mut out = InitStrategy::Seeded {
-                    partition: partition.clone(),
-                    perturbation: *perturbation,
-                }
-                .generate(n, num_parts, seeded_count, rng);
-                out.extend(InitStrategy::BalancedRandom.generate(n, num_parts, random_count, rng));
-                out
+                out.extend((0..pop_size).map(|i| {
+                    let mut genes = partition.clone();
+                    if i > 0 {
+                        crate::ops::mutation::mutate(&mut genes, *perturbation, num_parts, rng);
+                    }
+                    Chromosome::new(genes)
+                }));
             }
         }
+        Ok(out)
     }
 }
 
@@ -212,7 +181,7 @@ impl Population {
         self.individuals.iter().map(|i| i.fitness).sum::<f64>() / self.len() as f64
     }
 
-    /// Fitness values in population order (for the selection schemes).
+    /// Fitness values in population order (for parent selection).
     pub fn fitness_values(&self) -> Vec<f64> {
         self.individuals.iter().map(|i| i.fitness).collect()
     }
@@ -258,22 +227,11 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn random_init_covers_all_parts() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let chroms = InitStrategy::Random.generate(200, 4, 3, &mut rng);
-        assert_eq!(chroms.len(), 3);
-        for c in &chroms {
-            assert!(c.genes().iter().all(|&g| g < 4));
-            for part in 0..4u32 {
-                assert!(c.genes().contains(&part), "part {part} missing");
-            }
-        }
-    }
-
-    #[test]
     fn balanced_random_is_balanced() {
         let mut rng = StdRng::seed_from_u64(2);
-        let chroms = InitStrategy::BalancedRandom.generate(103, 4, 5, &mut rng);
+        let chroms = InitStrategy::BalancedRandom
+            .generate(103, 4, 5, &mut rng)
+            .unwrap();
         for c in &chroms {
             let mut counts = [0usize; 4];
             for &g in c.genes() {
@@ -293,7 +251,8 @@ mod tests {
             partition: seed.clone(),
             perturbation: 0.2,
         }
-        .generate(50, 3, 10, &mut rng);
+        .generate(50, 3, 10, &mut rng)
+        .unwrap();
         assert_eq!(chroms[0].genes(), &seed[..]);
         // Later individuals perturbed but close.
         let distant = chroms[1..]
@@ -315,15 +274,18 @@ mod tests {
             partition: vec![0; 3],
             perturbation: 0.1,
         }
-        .generate(5, 2, 2, &mut rng);
+        .generate(5, 2, 2, &mut rng)
+        .unwrap();
     }
 
     #[test]
     fn population_best_worst_mean() {
         let g = paper_graph(78);
-        let e = FitnessEvaluator::new(&g, 2, FitnessKind::TotalCut, 1.0);
+        let e = FitnessEvaluator::new(&g, 2, FitnessKind::TotalCut);
         let mut rng = StdRng::seed_from_u64(4);
-        let chroms = InitStrategy::BalancedRandom.generate(78, 2, 20, &mut rng);
+        let chroms = InitStrategy::BalancedRandom
+            .generate(78, 2, 20, &mut rng)
+            .unwrap();
         let pop = Population::evaluate(chroms, &e);
         let best = pop.best().fitness;
         let worst = pop.individuals[pop.worst_index()].fitness;
@@ -335,9 +297,11 @@ mod tests {
     #[test]
     fn top_k_is_sorted_descending() {
         let g = paper_graph(78);
-        let e = FitnessEvaluator::new(&g, 2, FitnessKind::TotalCut, 1.0);
+        let e = FitnessEvaluator::new(&g, 2, FitnessKind::TotalCut);
         let mut rng = StdRng::seed_from_u64(5);
-        let chroms = InitStrategy::Random.generate(78, 2, 30, &mut rng);
+        let chroms = InitStrategy::BalancedRandom
+            .generate(78, 2, 30, &mut rng)
+            .unwrap();
         let pop = Population::evaluate(chroms, &e);
         let top = pop.top_k(5);
         assert_eq!(top.len(), 5);
@@ -350,9 +314,11 @@ mod tests {
     #[test]
     fn replace_worst_upgrades_population() {
         let g = paper_graph(78);
-        let e = FitnessEvaluator::new(&g, 2, FitnessKind::TotalCut, 1.0);
+        let e = FitnessEvaluator::new(&g, 2, FitnessKind::TotalCut);
         let mut rng = StdRng::seed_from_u64(6);
-        let chroms = InitStrategy::Random.generate(78, 2, 10, &mut rng);
+        let chroms = InitStrategy::BalancedRandom
+            .generate(78, 2, 10, &mut rng)
+            .unwrap();
         let mut pop = Population::evaluate(chroms, &e);
         let old_worst = pop.individuals[pop.worst_index()].fitness;
         // Migrate in two copies of the best.

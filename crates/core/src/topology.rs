@@ -12,8 +12,6 @@ pub enum Topology {
     Hypercube(u32),
     /// A cycle of `n` nodes.
     Ring(usize),
-    /// An `rows × cols` torus-free mesh (4-neighbour).
-    Mesh2d(usize, usize),
     /// Every node is everyone's neighbour (panmictic migration — the
     /// degenerate control case).
     Complete(usize),
@@ -25,7 +23,6 @@ impl Topology {
         match self {
             Topology::Hypercube(d) => 1usize << d,
             Topology::Ring(n) => *n,
-            Topology::Mesh2d(r, c) => r * c,
             Topology::Complete(n) => *n,
         }
     }
@@ -49,23 +46,6 @@ impl Topology {
                     vec![(i + n - 1) % n, (i + 1) % n]
                 }
             }
-            Topology::Mesh2d(rows, cols) => {
-                let (r, c) = (i / cols, i % cols);
-                let mut out = Vec::with_capacity(4);
-                if r > 0 {
-                    out.push((r - 1) * cols + c);
-                }
-                if c > 0 {
-                    out.push(r * cols + c - 1);
-                }
-                if c + 1 < *cols {
-                    out.push(r * cols + c + 1);
-                }
-                if r + 1 < *rows {
-                    out.push((r + 1) * cols + c);
-                }
-                out
-            }
             Topology::Complete(n) => (0..*n).filter(|&j| j != i).collect(),
         }
     }
@@ -79,7 +59,6 @@ impl std::fmt::Display for Topology {
         match self {
             Topology::Hypercube(d) => write!(f, "hypercube({d})"),
             Topology::Ring(n) => write!(f, "ring({n})"),
-            Topology::Mesh2d(r, c) => write!(f, "mesh({r}x{c})"),
             Topology::Complete(n) => write!(f, "complete({n})"),
         }
     }
@@ -127,14 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn mesh_corners_and_interior() {
-        let t = Topology::Mesh2d(3, 3);
-        assert_eq!(t.neighbors(0), vec![1, 3]); // top-left
-        assert_eq!(t.neighbors(4), vec![1, 3, 5, 7]); // center
-        assert_eq!(t.neighbors(8), vec![5, 7]); // bottom-right
-    }
-
-    #[test]
     fn complete_connects_everyone() {
         let t = Topology::Complete(4);
         assert_eq!(t.neighbors(2), vec![0, 1, 3]);
@@ -145,7 +116,6 @@ mod tests {
         for t in [
             Topology::Hypercube(3),
             Topology::Ring(7),
-            Topology::Mesh2d(2, 4),
             Topology::Complete(5),
         ] {
             for i in 0..t.size() {

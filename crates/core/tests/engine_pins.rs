@@ -2,8 +2,9 @@
 //! CLI's flat `dpga` (DKNUX, offspring hill climbing, boundary mutation)
 //! under both fitness kinds, `GaConfig::coarse_defaults` (the `mlga`
 //! inner solve) on a graph with non-unit node and edge weights, the same
-//! with multi-pass offspring climbs and a two-pass elite polish, and a
-//! `FinalBest` run that a `target_cut` stops early.
+//! with multi-pass offspring climbs and a two-pass elite polish, the
+//! seeded heterogeneous islands of the paper's seeded tables under both
+//! fitness kinds, and a `FinalBest` run over its whole budget.
 //!
 //! Each pin is the best labels' hash plus the whole convergence history:
 //! the per-generation best cut as a list, and the best/mean fitness as a
@@ -13,6 +14,7 @@
 
 use gapart_core::{
     ConvergenceHistory, DpgaConfig, DpgaEngine, FitnessKind, GaConfig, GaEngine, HillClimbMode,
+    InitStrategy, Topology,
 };
 use gapart_graph::generators::{jittered_mesh, paper_graph};
 use gapart_graph::partition::hash_labels;
@@ -197,11 +199,66 @@ fn multi_pass_climbs_and_polish_on_a_weighted_graph_are_pinned() {
     }
 }
 
-/// Fitness 2 improves in steps with long plateaus here, so the polish
-/// meets an unchanged best many times before the cut reaches the target
-/// at generation 20 of 60.
+/// The heterogeneous islands that `ExperimentProtocol::run_seeded` builds
+/// for Tables 1, 2 and 5 under `GAPART_FAST=1`: every other island starts
+/// from the seed (first copy exact, the rest 10% perturbed), the others
+/// balanced-random, on a 2-d hypercube. The seed deals runs of nine nodes
+/// to the four parts in turn: balanced, but cut far above the GA's result.
 #[test]
-fn final_best_run_stopped_by_target_cut_is_pinned() {
+fn seeded_heterogeneous_islands_are_pinned() {
+    let g = paper_graph(144);
+    let seed = InitStrategy::Seeded {
+        partition: (0..144u32).map(|v| (v / 9) % 4).collect(),
+        perturbation: 0.1,
+    };
+    for (kind, hash, cuts, digest) in [
+        (
+            FitnessKind::TotalCut,
+            "b021c7478f648d47",
+            &[
+                264, 82, 76, 69, 69, 69, 66, 66, 66, 65, 65, 60, 60, 60, 60, 60, 60, 57, 57, 57, 57,
+            ][..],
+            "8270f0cac8cff3bf",
+        ),
+        (
+            FitnessKind::WorstCut,
+            "9b080c51f53a6545",
+            &[
+                137, 118, 109, 98, 74, 74, 54, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48,
+                48,
+            ][..],
+            "80627ba1fa7ed711",
+        ),
+    ] {
+        let mut base = GaConfig::paper_defaults(4)
+            .with_fitness(kind)
+            .with_population_size(64)
+            .with_generations(20)
+            .with_init(seed.clone())
+            .with_hill_climb(HillClimbMode::Offspring { passes: 1 })
+            .with_seed(0x5343_3934);
+        base.boundary_mutation_rate = 0.05;
+        let mut config = DpgaConfig::paper(4)
+            .with_base(base)
+            .with_topology(Topology::Hypercube(2));
+        config.init_overrides = Some(vec![seed.clone(), InitStrategy::BalancedRandom]);
+        let r = DpgaEngine::new(&g, config).unwrap().run();
+        assert_pin(
+            &format!("seeded islands {kind}"),
+            r.best_partition.labels(),
+            &r.history,
+            hash,
+            cuts,
+            digest,
+        );
+    }
+}
+
+/// `FinalBest` climbs the best individual once, after the last of all 60
+/// generations. Fitness 2 improves in steps with long plateaus here, so
+/// the elite polish meets an unchanged best many times.
+#[test]
+fn final_best_run_over_its_whole_budget_is_pinned() {
     let g = paper_graph(144);
     let mut config = GaConfig::paper_defaults(4)
         .with_fitness(FitnessKind::WorstCut)
@@ -210,19 +267,19 @@ fn final_best_run_stopped_by_target_cut_is_pinned() {
         .with_seed(1)
         .with_hill_climb(HillClimbMode::FinalBest { passes: 10 });
     config.boundary_mutation_rate = 0.05;
-    config.target_cut = Some(72);
     let r = GaEngine::new(&g, config).unwrap().run();
-    assert_eq!(r.generations_run, 20);
-    assert_eq!(r.best_cut, 72);
+    assert_eq!(r.generations_run, 60);
+    assert_eq!(r.best_cut, 58);
     assert_pin(
-        "final best with target cut",
+        "final best over the whole budget",
         r.best_partition.labels(),
         &r.history,
-        "b82214487ad44f35",
+        "b9ce6577ceb35d05",
         &[
             144, 134, 134, 111, 111, 111, 111, 111, 111, 111, 111, 77, 77, 77, 77, 77, 77, 77, 77,
-            77, 72,
+            77, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 58, 58, 58, 58,
+            58, 58, 58, 58, 58, 58, 58, 58, 58, 58, 58, 58, 58, 58, 58, 58, 58, 58, 58, 58,
         ],
-        "94c96ad6b3f66083",
+        "bd0b13b2279e4b18",
     );
 }

@@ -214,7 +214,6 @@ fn random_graph(n: usize, rng: &mut StdRng) -> CsrGraph {
 }
 
 const KINDS: [FitnessKind; 2] = [FitnessKind::TotalCut, FitnessKind::WorstCut];
-const LAMBDAS: [f64; 3] = [0.25, 1.0, 1.5];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
@@ -227,13 +226,12 @@ proptest! {
         n in 2usize..60,
         parts in 2u32..=8,
         kind in 0usize..2,
-        lambda in 0usize..3,
         passes in 1usize..=10,
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = random_graph(n, &mut rng);
-        let e = FitnessEvaluator::new(&g, parts, KINDS[kind], LAMBDAS[lambda]);
+        let e = FitnessEvaluator::new(&g, parts, KINDS[kind]);
         let start: Vec<u32> = (0..n).map(|_| rng.gen_range(0..parts)).collect();
 
         let mut want = start.clone();
@@ -263,7 +261,7 @@ fn random_graphs_exercise_accepted_swaps() {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = rng.gen_range(8..60);
         let g = random_graph(n, &mut rng);
-        let e = FitnessEvaluator::new(&g, 4, KINDS[seed as usize % 2], 1.0);
+        let e = FitnessEvaluator::new(&g, 4, KINDS[seed as usize % 2]);
         let mut genes: Vec<u32> = (0..n).map(|_| rng.gen_range(0..4)).collect();
         swaps += reference_swap_climb(&e, &mut genes, 2).swaps;
     }

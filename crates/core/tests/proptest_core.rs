@@ -5,7 +5,7 @@ use gapart_core::fitness::{FitnessEvaluator, FitnessKind, PartitionState};
 use gapart_core::hillclimb::{hill_climb, swap_climb};
 use gapart_core::ops::crossover::{knux_bias, CrossoverCtx, CrossoverOp};
 use gapart_core::ops::mutation::{boundary_mutate, mutate};
-use gapart_core::selection::SelectionScheme;
+use gapart_core::selection::binary_tournament;
 use gapart_core::{GaConfig, GaEngine};
 use gapart_graph::generators::jittered_mesh;
 use proptest::prelude::*;
@@ -21,19 +21,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Incremental gain prediction equals the actual fitness delta for
-    /// arbitrary graphs, objectives, λ, and move sequences.
+    /// arbitrary graphs, objectives and move sequences.
     #[test]
     fn partition_state_gain_exactness(
         n in 6usize..80,
         parts in 2u32..7,
         seed in any::<u64>(),
-        lambda in 0.25f64..3.0,
         kind_idx in 0usize..2,
         moves in proptest::collection::vec((any::<u32>(), any::<u32>()), 1..60),
     ) {
         let kind = [FitnessKind::TotalCut, FitnessKind::WorstCut][kind_idx];
         let g = jittered_mesh(n, seed);
-        let e = FitnessEvaluator::new(&g, parts, kind, lambda);
+        let e = FitnessEvaluator::new(&g, parts, kind);
         let genes = arb_genes(n, parts, seed ^ 3);
         let mut state = PartitionState::new(e.clone(), genes);
         for (rv, rp) in moves {
@@ -60,7 +59,7 @@ proptest! {
     ) {
         let kind = [FitnessKind::TotalCut, FitnessKind::WorstCut][kind_idx];
         let g = jittered_mesh(n, seed);
-        let e = FitnessEvaluator::new(&g, parts, kind, 1.0);
+        let e = FitnessEvaluator::new(&g, parts, kind);
         type Climber = fn(&FitnessEvaluator<'_>, &mut Vec<u32>, usize) -> gapart_core::hillclimb::ClimbStats;
         for (name, f) in [
             ("hill", hill_climb as Climber),
@@ -117,22 +116,16 @@ proptest! {
         }
     }
 
-    /// Selection always returns a valid index, for every scheme and any
-    /// finite fitness landscape.
+    /// Selection always returns a valid index for any finite fitness
+    /// landscape.
     #[test]
     fn selection_index_valid(
         fitness in proptest::collection::vec(-1e7f64..0.0, 1..50),
         seed in any::<u64>(),
-        scheme_idx in 0usize..3,
     ) {
-        let scheme = [
-            SelectionScheme::Tournament(3),
-            SelectionScheme::RouletteWheel,
-            SelectionScheme::Rank,
-        ][scheme_idx];
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..20 {
-            let idx = scheme.select(&fitness, &mut rng);
+            let idx = binary_tournament(&fitness, &mut rng);
             prop_assert!(idx < fitness.len());
         }
     }

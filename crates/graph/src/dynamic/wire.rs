@@ -66,7 +66,6 @@ pub fn format_mutation(m: &Mutation) -> String {
 ///
 /// [`WireError`] naming the offending token or op; the input line is
 /// never partially consumed.
-// gapart-lint: allow(panic-reach) -- std `str::parse` on primitives in `num`; the Baseline::parse edge is a name-collision false positive
 pub fn parse_mutation(line: &str) -> Result<Mutation, WireError> {
     let toks: Vec<&str> = line.split_whitespace().collect();
     match toks.as_slice() {

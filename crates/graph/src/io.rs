@@ -541,7 +541,6 @@ pub fn write_coords(out: &mut String, coords: &[Point2]) {
 }
 
 /// Parses a coordinate document produced by [`coords_to_text`].
-// gapart-lint: allow(panic-reach) -- std `str::parse` on `f64`; the Baseline::parse edge is a name-collision false positive
 pub fn coords_from_text(text: &str) -> Result<Vec<Point2>, GraphError> {
     let mut coords = Vec::new();
     for (i, line) in text.lines().enumerate() {

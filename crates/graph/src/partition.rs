@@ -7,7 +7,9 @@
 //!
 //! and optimizes either `Σ_q I(q) + λ Σ_q C(q)` (total-cost form; note each
 //! cut edge contributes to the `C` of *both* its parts, so the tables report
-//! `Σ_q C(q) / 2`) or `Σ_q I(q) + λ max_q C(q)` (worst-part form).
+//! `Σ_q C(q) / 2`) or `Σ_q I(q) + λ max_q C(q)` (worst-part form), at λ = 1
+//! in its experiments. [`PartitionMetrics`] reports the terms; the
+//! objective itself is `gapart_core::FitnessEvaluator`'s.
 
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
@@ -195,18 +197,6 @@ impl PartitionMetrics {
             avg_load,
         }
     }
-
-    /// The paper's composite cost `Σ I(q) + λ Σ C(q)` (Fitness 1 is its
-    /// negation). Note `Σ C(q) = 2 × total_cut`.
-    pub fn cost_total(&self, lambda: f64) -> f64 {
-        self.imbalance + lambda * (2 * self.total_cut) as f64
-    }
-
-    /// The paper's worst-case cost `Σ I(q) + λ max_q C(q)` (Fitness 2 is
-    /// its negation).
-    pub fn cost_worst(&self, lambda: f64) -> f64 {
-        self.imbalance + lambda * self.max_cut as f64
-    }
 }
 
 /// Total cut `Σ C(q)/2` only — cheaper than full metrics when only the cut
@@ -289,8 +279,6 @@ mod tests {
         assert_eq!(m.total_cut, 2);
         assert_eq!(m.max_cut, 2);
         assert_eq!(m.imbalance, 0.0);
-        assert_eq!(m.cost_total(1.0), 4.0); // Σ C(q) = 4
-        assert_eq!(m.cost_worst(1.0), 2.0);
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //!    the workspace, no edge is created rather than falling through),
 //! 5. unique in the workspace.
 //!
+//! Every tier sees only the functions the caller's crate can call: its
+//! own and those of the workspace crates its manifest depends on,
+//! directly or transitively ([`CrateDeps`]). A `str::parse` in
+//! `gapart-graph` therefore never resolves to the lint's own
+//! `Baseline::parse`.
+//!
 //! A call site that still resolves to several candidates (trait methods
 //! with multiple impls, same-named helpers) keeps **all** edges, marked
 //! [`Edge::ambiguous`] — the taint passes propagate through them but the
@@ -16,7 +22,7 @@
 //! was plural.
 
 use crate::items::{FileItems, FnItem};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One resolved call edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,6 +68,74 @@ impl CallGraph {
     }
 }
 
+/// Which workspace crates each crate's code can call: the crate itself
+/// plus every workspace crate its manifest's `[dependencies]` reach,
+/// directly or transitively. Crates are named as
+/// [`file_mods`](crate::items::file_mods) names them: `graph` for
+/// `crates/graph`, `gapart` for `src/`. A crate without a manifest here
+/// may call into any crate, so fixtures scanned without manifests resolve
+/// across the whole workspace.
+#[derive(Debug, Clone, Default)]
+pub struct CrateDeps {
+    reach: BTreeMap<String, BTreeSet<String>>,
+}
+
+impl CrateDeps {
+    /// The transitive closure of `(crate, Cargo.toml text)` pairs.
+    pub fn from_manifests(manifests: &[(String, String)]) -> Self {
+        let direct: BTreeMap<&str, Vec<String>> = manifests
+            .iter()
+            .map(|(krate, text)| (krate.as_str(), manifest_deps(text)))
+            .collect();
+        let mut reach = BTreeMap::new();
+        for &krate in direct.keys() {
+            let mut seen = BTreeSet::from([krate.to_string()]);
+            let mut stack = vec![krate.to_string()];
+            while let Some(c) = stack.pop() {
+                for d in direct.get(c.as_str()).into_iter().flatten() {
+                    if seen.insert(d.clone()) {
+                        stack.push(d.clone());
+                    }
+                }
+            }
+            reach.insert(krate.to_string(), seen);
+        }
+        CrateDeps { reach }
+    }
+
+    /// Whether code in crate `caller` can call a function of `callee`.
+    pub fn allows(&self, caller: &str, callee: &str) -> bool {
+        self.reach.get(caller).is_none_or(|r| r.contains(callee))
+    }
+}
+
+/// The workspace crates a manifest's `[dependencies]` table names:
+/// `gapart`, and `gapart-<x>` as `<x>`. Dev-dependencies are left out,
+/// since test code makes no edges.
+fn manifest_deps(text: &str) -> Vec<String> {
+    let mut in_deps = false;
+    let mut out = Vec::new();
+    for line in text.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_deps = line == "[dependencies]";
+        } else if in_deps {
+            // `gapart-graph.workspace = true`, `gapart = { path = "." }`.
+            let key = line.split(['=', '.', ' ', '\t']).next().unwrap_or_default();
+            if key == "gapart" {
+                out.push(key.to_string());
+            } else if let Some(x) = key.strip_prefix("gapart-") {
+                out.push(x.to_string());
+            }
+        }
+    }
+    out
+}
+
+/// The crate a function lives in: the first segment of its module path.
+fn crate_of(f: &FnItem) -> &str {
+    f.mods.first().map_or("", String::as_str)
+}
+
 /// Normalizes written path segments: resolves `Self` against the
 /// caller's impl type, drops `crate`/`self`/`super`, and maps
 /// `gapart_<x>` crate names to the bare `<x>` used by module paths.
@@ -89,8 +163,9 @@ fn ends_with(qual: &[String], suffix: &[String]) -> bool {
     suffix.len() <= qual.len() && qual[qual.len() - suffix.len()..] == *suffix
 }
 
-/// Builds the call graph for a set of extracted files.
-pub fn build(files: &[FileItems]) -> CallGraph {
+/// Builds the call graph for a set of extracted files, resolving calls
+/// only into the crates `deps` lets each caller reach.
+pub fn build(files: &[FileItems], deps: &CrateDeps) -> CallGraph {
     let mut g = CallGraph::default();
     let mut file_of: Vec<usize> = Vec::new();
     for (fi, f) in files.iter().enumerate() {
@@ -116,6 +191,7 @@ pub fn build(files: &[FileItems]) -> CallGraph {
             continue;
         }
         let uses = &files[file_of[caller_ix]].uses;
+        let krate = crate_of(caller);
         // (to, line, ambiguous); deduped per callee below.
         let mut edges: Vec<(usize, usize, bool)> = Vec::new();
         for call in &caller.calls {
@@ -125,10 +201,15 @@ pub fn build(files: &[FileItems]) -> CallGraph {
             let Some(cands) = by_name.get(name.as_str()) else {
                 continue;
             };
+            let cands: Vec<usize> = cands
+                .iter()
+                .copied()
+                .filter(|&c| deps.allows(krate, crate_of(&g.fns[c])))
+                .collect();
             let targets: Vec<usize> = if call.segments.len() > 1 && !call.method {
-                resolve_qualified(&g.fns, caller, cands, &call.segments, uses)
+                resolve_qualified(&g.fns, caller, &cands, &call.segments, uses)
             } else {
-                resolve_bare(&g.fns, caller, cands, name, call.method, uses)
+                resolve_bare(&g.fns, caller, &cands, name, call.method, uses)
             };
             let ambiguous = targets.len() > 1;
             for t in targets {
@@ -308,11 +389,15 @@ mod tests {
     use crate::scan::strip;
 
     fn graph_of(files: &[(&str, &str)]) -> CallGraph {
+        graph_with(files, &CrateDeps::default())
+    }
+
+    fn graph_with(files: &[(&str, &str)], deps: &CrateDeps) -> CallGraph {
         let extracted: Vec<FileItems> = files
             .iter()
             .map(|(rel, text)| extract(rel, &strip(text)))
             .collect();
-        build(&extracted)
+        build(&extracted, deps)
     }
 
     fn ix(g: &CallGraph, name: &str) -> usize {
@@ -401,6 +486,57 @@ mod tests {
         ]);
         let e = edge(&g, "go", "only_here").expect("edge");
         assert!(!e.ambiguous);
+    }
+
+    #[test]
+    fn calls_resolve_only_inside_the_dependency_closure() {
+        // graph depends on nothing, core on graph, the facade on core;
+        // dev-dependencies give no edges.
+        let deps = CrateDeps::from_manifests(&[
+            (
+                "graph".into(),
+                "[package]\nname = \"gapart-graph\"\n".into(),
+            ),
+            (
+                "core".into(),
+                "[dependencies]\ngapart-graph.workspace = true\nrand.workspace = true\n\
+                 [dev-dependencies]\ngapart-lint = { path = \"../lint\" }\n"
+                    .into(),
+            ),
+            (
+                "gapart".into(),
+                "[dependencies]\ngapart-core = { path = \"crates/core\" }\n".into(),
+            ),
+            ("lint".into(), "[dependencies]\n".into()),
+        ]);
+        let files = [
+            (
+                "crates/graph/src/io.rs",
+                "pub fn read(s: &str) -> bool { s.parse::<u32>().is_ok() && [1].iter().all(|_| true) }\n\
+                 pub fn scale() -> u32 { 2 }\n",
+            ),
+            ("crates/lint/src/baseline.rs", "pub fn parse() {}\n"),
+            ("src/partitioners.rs", "pub fn all() {}\n"),
+            (
+                "crates/core/src/a.rs",
+                "pub fn go() -> u32 { scale() }\npub fn lint() { parse(); }\n",
+            ),
+            ("src/b.rs", "pub fn top() -> u32 { scale() }\n"),
+        ];
+        // Without manifests, `.parse(` and `.all(` on std types reach the
+        // only same-named workspace fns: the lint's and the facade's.
+        let open = graph_with(&files, &CrateDeps::default());
+        assert!(edge(&open, "read", "parse").is_some());
+        assert!(edge(&open, "read", "all").is_some());
+        assert!(edge(&open, "lint", "parse").is_some());
+
+        let g = graph_with(&files, &deps);
+        let read = ix(&g, "read");
+        assert!(g.out[read].is_empty(), "{:?}", g.out[read]);
+        assert!(edge(&g, "lint", "parse").is_none(), "dev-dependency");
+        // A direct and a transitive dependency still resolve.
+        assert!(!edge(&g, "go", "scale").expect("core -> graph").ambiguous);
+        assert!(edge(&g, "top", "scale").is_some(), "gapart -> graph");
     }
 
     #[test]

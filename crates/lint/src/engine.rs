@@ -3,6 +3,7 @@
 //! ratchet.
 
 use crate::baseline::Baseline;
+use crate::callgraph::CrateDeps;
 use crate::rules::{count_matches, in_scope, rule_by_name, RULES};
 use crate::scan::{strip, StrippedFile};
 use std::collections::BTreeMap;
@@ -309,10 +310,11 @@ pub fn scan_source(relpath: &str, text: &str) -> Vec<Finding> {
 }
 
 /// The deep scan: shallow rules per file, then item extraction, the
-/// cross-file call graph, and both taint propagation passes. A
-/// `panic-reach` finding sits on the `pub fn`'s declaration line and a
-/// `det-taint` finding on the seed line, so suppressions there apply.
-pub fn scan_files(inputs: &[(String, String)]) -> Vec<Finding> {
+/// cross-file call graph (resolved within each crate's `deps`), and both
+/// taint propagation passes. A `panic-reach` finding sits on the `pub
+/// fn`'s declaration line and a `det-taint` finding on the seed line, so
+/// suppressions there apply.
+pub fn scan_files(inputs: &[(String, String)], deps: &CrateDeps) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut extracted = Vec::new();
     let mut panic_seeds = Vec::new();
@@ -329,7 +331,7 @@ pub fn scan_files(inputs: &[(String, String)]) -> Vec<Finding> {
         extracted.push(crate::items::extract(rel, &stripped));
         allows_by_file.insert(rel, allows);
     }
-    let graph = crate::callgraph::build(&extracted);
+    let graph = crate::callgraph::build(&extracted, deps);
     let allowed = |f: &Finding| {
         allows_by_file
             .get(f.file.as_str())
@@ -416,6 +418,28 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<(String, PathBuf)>) -> std:
     Ok(())
 }
 
+/// The manifests of the crates [`workspace_files`] covers, as `(crate,
+/// Cargo.toml text)`: the root's for `gapart` (the facade in `src/`) and
+/// `crates/<name>/Cargo.toml` for `<name>`.
+fn workspace_manifests(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+    let mut manifests = vec![(
+        "gapart".to_string(),
+        std::fs::read_to_string(root.join("Cargo.toml"))?,
+    )];
+    for entry in std::fs::read_dir(root.join("crates"))? {
+        let dir = entry?.path();
+        let manifest = dir.join("Cargo.toml");
+        let Some(name) = dir.file_name() else {
+            continue;
+        };
+        if manifest.is_file() {
+            let text = std::fs::read_to_string(&manifest)?;
+            manifests.push((name.to_string_lossy().into_owned(), text));
+        }
+    }
+    Ok(manifests)
+}
+
 /// Scans every workspace source file — shallow rules plus the
 /// cross-file call-graph passes — and returns all findings.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
@@ -423,7 +447,8 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     for (rel, path) in workspace_files(root)? {
         inputs.push((rel, std::fs::read_to_string(&path)?));
     }
-    Ok(scan_files(&inputs))
+    let deps = CrateDeps::from_manifests(&workspace_manifests(root)?);
+    Ok(scan_files(&inputs, &deps))
 }
 
 /// Outcome of comparing findings against the baseline.

@@ -2,6 +2,7 @@
 //! panic-reachability and determinism taint, finding by finding,
 //! including the exact witness-path text.
 
+use gapart_lint::callgraph::CrateDeps;
 use gapart_lint::engine::scan_files;
 use gapart_lint::Finding;
 
@@ -17,7 +18,7 @@ fn scan_rule(files: &[(&str, &str)], rule: &str) -> Vec<Finding> {
         .iter()
         .map(|(pretend, name)| (pretend.to_string(), fixture(name)))
         .collect();
-    scan_files(&inputs)
+    scan_files(&inputs, &CrateDeps::default())
         .into_iter()
         .filter(|f| f.rule == rule)
         .collect()
@@ -125,7 +126,7 @@ fn det_seed_unreachable_from_entries_is_not_tainted() {
         "crates/core/src/order.rs".to_string(),
         fixture("det_taint_order.rs"),
     )];
-    let all = scan_files(&inputs);
+    let all = scan_files(&inputs, &CrateDeps::default());
     assert!(
         all.iter().all(|f| f.rule != "det-taint"),
         "unexpected: {all:?}"
@@ -141,7 +142,7 @@ fn suppressing_the_pub_fn_silences_panic_reach() {
         "// gapart-lint: allow(panic-reach) -- fixture: slice is never empty here\npub fn cut_cost",
     );
     let inputs = vec![("crates/graph/src/api.rs".to_string(), text)];
-    let f: Vec<Finding> = scan_files(&inputs)
+    let f: Vec<Finding> = scan_files(&inputs, &CrateDeps::default())
         .into_iter()
         .filter(|f| f.rule == "panic-reach")
         .collect();

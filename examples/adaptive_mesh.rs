@@ -38,7 +38,7 @@ fn main() {
 
     // Step 3a: the paper's deterministic baseline — each new node joins
     // the part most of its neighbours are in.
-    let evaluator = FitnessEvaluator::new(&refined.graph, parts, FitnessKind::TotalCut, 1.0);
+    let evaluator = FitnessEvaluator::new(&refined.graph, parts, FitnessKind::TotalCut);
     let greedy = greedy_neighbor_assign(&refined.graph, &initial).expect("prefix partition");
     let greedy_m = PartitionMetrics::compute(&refined.graph, &greedy);
     println!(

@@ -4,7 +4,6 @@
 //!
 //! Run: `cargo run --release --example refine_heuristic`
 
-use gapart::core::dpga::MigrationPolicy;
 use gapart::core::population::InitStrategy;
 use gapart::core::{DpgaConfig, DpgaEngine, FitnessKind, GaConfig};
 use gapart::graph::generators::paper_graph;
@@ -33,8 +32,6 @@ fn refine(graph: &CsrGraph, seed: &Partition, kind: FitnessKind) -> Partition {
         base,
         topology: gapart::core::Topology::Hypercube(3),
         migration_interval: 5,
-        num_migrants: 2,
-        migration_policy: MigrationPolicy::Best,
         init_overrides: Some(vec![seeded, InitStrategy::BalancedRandom]),
     };
     DpgaEngine::new(graph, config)

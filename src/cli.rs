@@ -121,8 +121,10 @@ pub const USAGE: &str = "\
 gapart-cli — GA graph partitioning (Maini et al., SC'94)
 
 GLOBAL FLAGS (any subcommand):
-  --threads N   worker threads for the parallel phases (coarsening,
-                refinement, GA evaluation); 0 or absent = all cores.
+  --threads N   worker threads for the parallel phases (coarsening's
+                handshake scan and contraction, GA population
+                evaluation, DPGA islands; FM refinement is sequential);
+                0 or absent = all cores.
                 Output is bit-identical for every thread count.
 
 USAGE:
@@ -176,8 +178,9 @@ USAGE:
 /// Executes a parsed command, returning the text to print.
 ///
 /// The global `--threads N` flag bounds the worker pool every parallel
-/// phase (coarsening, refinement, GA evaluation) runs under; `0` or
-/// absent means one worker per hardware core. Results are bit-identical
+/// phase (coarsening's handshake scan and contraction, the GA's
+/// population evaluation, the DPGA islands) runs under; FM refinement is
+/// sequential. `0` or absent means one worker per hardware core. Results are bit-identical
 /// for any thread count — the flag trades wall time, never output.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let threads: usize = args.flag_parse("threads", 0usize)?;

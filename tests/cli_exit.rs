@@ -133,6 +133,30 @@ fn failed_operations_exit_1_without_panicking() {
         assert!(err.contains("vertex lines, got 0"), "{err}");
     }
 
+    // A population no memory holds: the typed population error, not an
+    // allocation of the requested size (it once panicked on "capacity
+    // overflow").
+    for method in ["ga", "dpga"] {
+        let out = cli()
+            .args([
+                "partition",
+                gs,
+                "--parts",
+                "2",
+                "--method",
+                method,
+                "--pop",
+                "18446744073709551615",
+            ])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{method}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "{method}: {err}");
+        assert!(err.contains("bad population"), "{method}: {err}");
+        assert!(!err.contains("panicked"), "{method}: {err}");
+    }
+
     std::fs::remove_dir_all(&dir).ok();
 }
 

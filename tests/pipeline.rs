@@ -2,7 +2,6 @@
 //! crate would run, spanning graph generation, baselines, the GA, and
 //! incremental repartitioning.
 
-use gapart::core::dpga::MigrationPolicy;
 use gapart::core::incremental::{greedy_neighbor_assign, incremental_ga};
 use gapart::core::population::InitStrategy;
 use gapart::core::{
@@ -51,7 +50,7 @@ fn ga_refines_rsb_without_regression() {
     let g = paper_graph(139);
     for parts in [2u32, 4, 8] {
         let rsb = rsb_partition(&g, parts, &RsbOptions::default()).unwrap();
-        let evaluator = FitnessEvaluator::new(&g, parts, FitnessKind::TotalCut, 1.0);
+        let evaluator = FitnessEvaluator::new(&g, parts, FitnessKind::TotalCut);
         let seed_fitness = evaluator.evaluate(rsb.labels());
         let config = quick_ga(parts, 40).seeded_from(&rsb);
         let result = GaEngine::new(&g, config).unwrap().run();
@@ -93,7 +92,7 @@ fn incremental_pipeline_end_to_end() {
     let result = incremental_ga(&grown.graph, &old, quick_ga(4, 40)).unwrap();
     assert_eq!(result.best_partition.num_nodes(), 139);
 
-    let e = FitnessEvaluator::new(&grown.graph, 4, FitnessKind::TotalCut, 1.0);
+    let e = FitnessEvaluator::new(&grown.graph, 4, FitnessKind::TotalCut);
     assert!(
         e.evaluate(result.best_partition.labels()) >= e.evaluate(greedy.labels()),
         "incremental GA lost to the greedy baseline"
@@ -117,12 +116,10 @@ fn heterogeneous_islands_never_lose_the_seed() {
             .with_seed(9),
         topology: Topology::Hypercube(2),
         migration_interval: 5,
-        num_migrants: 2,
-        migration_policy: MigrationPolicy::Best,
         init_overrides: Some(vec![seeded, InitStrategy::BalancedRandom]),
     };
     let result = DpgaEngine::new(&g, config).unwrap().run();
-    let e = FitnessEvaluator::new(&g, parts, FitnessKind::TotalCut, 1.0);
+    let e = FitnessEvaluator::new(&g, parts, FitnessKind::TotalCut);
     assert!(result.best_fitness >= e.evaluate(ibp.labels()));
 }
 
@@ -181,8 +178,8 @@ fn metis_round_trip_preserves_ga_results() {
     let g = paper_graph(88);
     let text = gapart::graph::io::to_metis(&g);
     let g2 = gapart::graph::io::from_metis(&text).unwrap();
-    let e1 = FitnessEvaluator::new(&g, 4, FitnessKind::TotalCut, 1.0);
-    let e2 = FitnessEvaluator::new(&g2, 4, FitnessKind::TotalCut, 1.0);
+    let e1 = FitnessEvaluator::new(&g, 4, FitnessKind::TotalCut);
+    let e2 = FitnessEvaluator::new(&g2, 4, FitnessKind::TotalCut);
     let genes: Vec<u32> = (0..88).map(|v| v % 4).collect();
     assert_eq!(e1.evaluate(&genes), e2.evaluate(&genes));
 }

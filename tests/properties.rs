@@ -27,26 +27,26 @@ proptest! {
     }
 
     /// Fitness decomposition: for any chromosome, −fitness equals
-    /// imbalance + λ·ΣC(q), and reported total cut equals `cut_size`.
+    /// imbalance + ΣC(q) (the paper's λ = 1), and reported total cut
+    /// equals `cut_size`.
     #[test]
     fn fitness_matches_metrics(
         n in 8usize..200,
         parts in 2u32..9,
         seed in any::<u64>(),
-        lambda in 0.1f64..4.0,
     ) {
         let g = jittered_mesh(n, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 1);
         let labels: Vec<u32> = (0..n).map(|_| rng.gen_range(0..parts)).collect();
         let p = Partition::new(labels.clone(), parts).unwrap();
         let m = PartitionMetrics::compute(&g, &p);
-        let e = FitnessEvaluator::new(&g, parts, FitnessKind::TotalCut, lambda);
-        let expected = -(m.imbalance + lambda * (2 * m.total_cut) as f64);
+        let e = FitnessEvaluator::new(&g, parts, FitnessKind::TotalCut);
+        let expected = -(m.imbalance + (2 * m.total_cut) as f64);
         prop_assert!((e.evaluate(&labels) - expected).abs() < 1e-6);
         prop_assert_eq!(e.reported_cut(&labels), cut_size(&g, &p));
 
-        let e2 = FitnessEvaluator::new(&g, parts, FitnessKind::WorstCut, lambda);
-        let expected2 = -(m.imbalance + lambda * m.max_cut as f64);
+        let e2 = FitnessEvaluator::new(&g, parts, FitnessKind::WorstCut);
+        let expected2 = -(m.imbalance + m.max_cut as f64);
         prop_assert!((e2.evaluate(&labels) - expected2).abs() < 1e-6);
     }
 
@@ -82,14 +82,14 @@ proptest! {
         let partition = Partition::new(labels.clone(), parts).unwrap();
         let m = PartitionMetrics::compute(&g, &partition);
 
-        // Fitness 1: −(imbalance + λ·ΣC(q)) with ΣC(q) = 2·total_cut.
-        let e1 = FitnessEvaluator::new(&g, parts, FitnessKind::TotalCut, 1.0);
+        // Fitness 1: −(imbalance + ΣC(q)) with ΣC(q) = 2·total_cut.
+        let e1 = FitnessEvaluator::new(&g, parts, FitnessKind::TotalCut);
         prop_assert!(
             (e1.evaluate(&labels) + m.imbalance + (2 * m.total_cut) as f64).abs() < 1e-6
         );
         prop_assert_eq!(e1.reported_cut(&labels), m.total_cut);
-        // Fitness 2: −(imbalance + λ·max C(q)).
-        let e2 = FitnessEvaluator::new(&g, parts, FitnessKind::WorstCut, 1.0);
+        // Fitness 2: −(imbalance + max C(q)).
+        let e2 = FitnessEvaluator::new(&g, parts, FitnessKind::WorstCut);
         prop_assert!(
             (e2.evaluate(&labels) + m.imbalance + m.max_cut as f64).abs() < 1e-6
         );
