@@ -30,7 +30,7 @@
 //! is unreadable or invalid, the gate fails or the smoke budget is blown;
 //! 2 with the usage lines on a malformed command line.
 
-use gapart::core::dynamic::{BatchAction, DynamicConfig, DynamicSession};
+use gapart::core::dynamic::{BatchAction, SessionSpec};
 use gapart::core::GaConfig;
 use gapart::graph::dynamic::apply_batch;
 use gapart::graph::dynamic::scenario::{generate, Scenario, TraceSpec};
@@ -248,15 +248,11 @@ fn run_stream(
     let start = Instant::now();
     let (session, records) = pool(threads)
         .install(|| {
-            let full = partitioners::by_name("mlga").expect("mlga is registered");
-            let mut s = DynamicSession::new(
-                graph.clone(),
-                full,
-                DynamicConfig {
-                    seed: SEED,
-                    ..DynamicConfig::new(PARTS)
-                },
-            )?;
+            let mut s = SessionSpec {
+                seed: SEED,
+                ..SessionSpec::new(PARTS)
+            }
+            .open(graph.clone(), partitioners::by_name)?;
             let records = s.replay(&trace)?;
             Ok::<_, gapart::core::dynamic::DynamicError>((s, records))
         })

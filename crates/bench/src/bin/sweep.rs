@@ -7,9 +7,13 @@
 //! algorithm from which we can expect near-linear speedups". The last
 //! runs the protocol's DPGA (16 islands at §4 sizes) on the 309-node
 //! graph under rayon pools of 1, 2, 4, … threads and the host's
-//! `available_parallelism`, reporting wall time and speedup versus the
-//! 1-thread pool. Results are bit-identical by construction, so only
-//! time differs; on a single-core host every row honestly shows ~1×.
+//! `available_parallelism`. After one untimed warm-up run it times 5
+//! rounds, each running every pool size once in turn, and prints per
+//! pool the median wall time in ms, the min-max range over the rounds,
+//! and the speedup of the medians versus the 1-thread pool. Results are
+//! bit-identical by construction (every run's cut is asserted equal),
+//! so only time differs; on a single-core host every row honestly shows
+//! ~1×.
 //!
 //! Run: `cargo run -p gapart-bench --release --bin sweep`
 
@@ -98,6 +102,7 @@ fn main() {
 
     // --- pool-size speedup (§5) ---------------------------------------------
     {
+        const ROUNDS: usize = 5;
         let graph = paper_graph(309);
         let parts = 8u32;
         let available = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -108,34 +113,63 @@ fn main() {
         if !threads.contains(&available) {
             threads.push(available);
         }
-        let mut t = TextTable::new(["threads", "wall time", "speedup", "best cut"]);
-        let mut baseline: Option<f64> = None;
-        for &nthreads in &threads {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(nthreads)
-                .build()
-                .expect("thread pool");
-            let config = protocol.dpga_config(
-                parts,
-                FitnessKind::TotalCut,
-                InitStrategy::BalancedRandom,
-                None,
-                0,
-            );
+        let pools: Vec<rayon::ThreadPool> = threads
+            .iter()
+            .map(|&n| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(n)
+                    .build()
+                    .expect("thread pool")
+            })
+            .collect();
+        let config = protocol.dpga_config(
+            parts,
+            FitnessKind::TotalCut,
+            InitStrategy::BalancedRandom,
+            None,
+            0,
+        );
+        let run = |pool: &rayon::ThreadPool| {
+            let config = config.clone();
             let start = Instant::now();
-            let res = pool.install(|| DpgaEngine::new(&graph, config).expect("valid config").run());
-            let secs = start.elapsed().as_secs_f64();
-            let base = *baseline.get_or_insert(secs);
+            let cut = pool.install(|| {
+                DpgaEngine::new(&graph, config)
+                    .expect("valid config")
+                    .run()
+                    .best_cut
+            });
+            (start.elapsed().as_secs_f64() * 1e3, cut)
+        };
+        // The warm-up keeps the first timed pool from also being the
+        // cold run; the rounds interleave pools so drift hits them alike.
+        let (_, cut) = run(&pools[0]);
+        let mut ms = vec![Vec::with_capacity(ROUNDS); pools.len()];
+        for _ in 0..ROUNDS {
+            for ((pool, times), nthreads) in pools.iter().zip(&mut ms).zip(&threads) {
+                let (elapsed, c) = run(pool);
+                assert_eq!(c, cut, "a pool of {nthreads} threads changed the cut");
+                times.push(elapsed);
+            }
+        }
+        for times in &mut ms {
+            times.sort_by(f64::total_cmp);
+        }
+        let base = ms[0][ROUNDS / 2];
+        let mut t = TextTable::new(["threads", "median ms", "range ms", "speedup", "best cut"]);
+        for (nthreads, times) in threads.iter().zip(&ms) {
+            let median = times[ROUNDS / 2];
             t.row([
                 nthreads.to_string(),
-                format!("{secs:.2}s"),
-                format!("{:.2}x", base / secs),
-                res.best_cut.to_string(),
+                format!("{median:.1}"),
+                format!("{:.1}-{:.1}", times[0], times[ROUNDS - 1]),
+                format!("{:.2}x", base / median),
+                cut.to_string(),
             ]);
         }
         println!(
             "DPGA pool-size speedup on the 309-node graph, {parts} parts, {} islands, {} generations \
-             ({available} threads available; identical cuts, only time changes)\n{}",
+             ({available} threads available; median of {ROUNDS} rounds; identical cuts, only time \
+             changes)\n{}",
             protocol.topology.size(),
             protocol.generations,
             t.render()

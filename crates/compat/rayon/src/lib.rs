@@ -166,43 +166,14 @@ fn join_unwinding<R>(handle: std::thread::ScopedJoinHandle<'_, R>) -> R {
 /// Runs `f` over `items`, in parallel when worthwhile, preserving input
 /// order in the returned vector.
 fn drive<T: Send, R: Send>(items: Vec<T>, min_len: usize, f: &(impl Fn(T) -> R + Sync)) -> Vec<R> {
-    let threads = effective_threads(items.len(), min_len);
-    if threads <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let n = items.len();
-    let chunk = n.div_ceil(threads);
-    let mut chunks: Vec<Vec<T>> = Vec::new();
-    let mut it = items.into_iter();
-    loop {
-        let c: Vec<T> = it.by_ref().take(chunk).collect();
-        if c.is_empty() {
-            break;
-        }
-        chunks.push(c);
-    }
-    let mut results: Vec<Vec<R>> = Vec::with_capacity(chunks.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|c| {
-                scope.spawn(move || {
-                    IN_WORKER.with(|w| w.set(true));
-                    c.into_iter().map(f).collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            results.push(join_unwinding(h));
-        }
-    });
-    results.into_iter().flatten().collect()
+    drive_init(items, min_len, &|| (), &|_: &mut (), t| f(t))
 }
 
-/// Like [`drive`] but threading per-worker state: `init` runs once per
-/// worker chunk (once total on the sequential path) and `f` receives
-/// `&mut` access to it — the shim's `map_init`, for amortizing scratch
-/// allocations across a chunk.
+/// The one chunk, spawn, join and flatten loop behind [`drive`]: runs
+/// `f` over `items` like it, threading per-worker state — `init` runs
+/// once per worker chunk (once total on the sequential path) and `f`
+/// receives `&mut` access to it, the shim's `map_init`, for amortizing
+/// scratch allocations across a chunk.
 fn drive_init<T, R, S, INIT, F>(items: Vec<T>, min_len: usize, init: &INIT, f: &F) -> Vec<R>
 where
     T: Send,

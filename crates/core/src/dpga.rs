@@ -160,7 +160,16 @@ impl<'g> DpgaEngine<'g> {
                 .seed
                 .wrapping_add((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
                 .rotate_left(i as u32);
-            engines.push(GaEngine::new(graph, sub)?);
+            // `validate` gave every island at least 2 individuals and
+            // elitism is clamped above, so an island's population error
+            // can only be its allocation: report the total asked for.
+            let engine = GaEngine::new(graph, sub).map_err(|e| match e {
+                GaError::BadPopulation { .. } => GaError::BadPopulation {
+                    message: format!("cannot allocate a population of {total} ({subpops} islands)"),
+                },
+                other => other,
+            })?;
+            engines.push(engine);
         }
         Ok(DpgaEngine {
             engines,
@@ -370,10 +379,11 @@ mod tests {
         let g = paper_graph(78);
         let mut cfg = small_dpga(4);
         cfg.base.population_size = usize::MAX;
-        assert!(matches!(
-            DpgaEngine::new(&g, cfg).unwrap_err(),
-            GaError::BadPopulation { .. }
-        ));
+        let err = DpgaEngine::new(&g, cfg).unwrap_err();
+        assert!(matches!(err, GaError::BadPopulation { .. }), "{err}");
+        // The message names the population asked for, not one island's
+        // share of it.
+        assert!(err.to_string().contains(&usize::MAX.to_string()), "{err}");
     }
 
     #[test]

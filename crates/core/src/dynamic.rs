@@ -18,20 +18,24 @@
 //! 2. **Localized refine** — the boundary FM refiner
 //!    ([`gapart_graph::fm::FmRefiner`], reusing the session's workspace
 //!    so only the dirty frontier's buckets are rebuilt) touches only the
-//!    frontier (the mutated nodes plus a configurable BFS halo). The
-//!    cut is maintained incrementally (batch edge deltas plus the
-//!    refiner's exact gain), so outside escalations a batch costs the
-//!    frontier work plus `O(V)` tallies — never a full edge-set pass.
+//!    frontier (the mutated nodes plus a BFS halo of
+//!    [`SessionSpec::hops`]). The cut is maintained incrementally (batch
+//!    edge deltas plus the refiner's exact gain), so outside escalations
+//!    a batch costs the frontier work plus `O(V)` tallies — never a full
+//!    edge-set pass.
 //! 3. **Escalate when degraded** — when the maintained cut exceeds
-//!    `escalate_ratio ×` the epoch's baseline cut
-//!    ([`DynamicSession::baseline_cut`]), the session runs its full
-//!    partitioner (typically the multilevel V-cycle from PR 2) from
-//!    scratch, keeps the better of the two partitions, starts a new
-//!    *epoch*, and re-anchors the baseline at the survivor's cut.
+//!    [`SessionSpec::threshold`] `×` the epoch's baseline cut
+//!    ([`SessionState::baseline_cut`]), the session runs its full
+//!    partitioner ([`SessionSpec::method`], typically the multilevel
+//!    V-cycle) from scratch, keeps the better of the two partitions,
+//!    starts a new *epoch*, and re-anchors the baseline at the
+//!    survivor's cut.
 //!
-//! Every step is deterministic: replaying the same trace through the
-//! same configuration yields a bit-identical partition, regardless of
-//! thread count (asserted in `tests/stream_contract.rs`).
+//! A [`SessionSpec`] describes every session, and [`SessionSpec::open`]
+//! (a full solve) and [`SessionSpec::resume`] (persisted state) are the
+//! only ways to build one. Every step is deterministic: replaying the
+//! same trace through the same spec yields a bit-identical partition,
+//! regardless of thread count (asserted in `tests/stream_contract.rs`).
 //!
 //! A session keeps no per-batch history: memory stays bounded however
 //! long it runs. [`DynamicSession::apply_batch`] and
@@ -79,52 +83,6 @@ impl std::error::Error for DynamicError {}
 impl From<GraphError> for DynamicError {
     fn from(e: GraphError) -> Self {
         DynamicError::Graph(e)
-    }
-}
-
-/// Knobs of a [`DynamicSession`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DynamicConfig {
-    /// Number of parts to maintain.
-    pub num_parts: u32,
-    /// Seed for every stochastic step (balanced seeding, escalations).
-    /// Batch `i` derives its sub-seed from `seed` and `i`, so a replay
-    /// is a pure function of `(graph, trace, config)`.
-    pub seed: u64,
-    /// BFS halo around the dirty nodes that the localized refinement may
-    /// move (hops; 2 by default). Larger values trade batch latency for
-    /// cut quality.
-    pub frontier_hops: usize,
-    /// Escalate to a full repartition when the maintained cut exceeds
-    /// this multiple of the epoch's baseline cut
-    /// ([`DynamicSession::baseline_cut`]; 1.5 by default).
-    /// `f64::INFINITY` disables escalation entirely.
-    pub escalate_ratio: f64,
-}
-
-impl Default for DynamicConfig {
-    fn default() -> Self {
-        DynamicConfig {
-            num_parts: 2,
-            seed: 0x5354_5245, // "STRE"
-            frontier_hops: 2,
-            escalate_ratio: 1.5,
-        }
-    }
-}
-
-impl DynamicConfig {
-    /// Default configuration for `num_parts` parts. The fields are
-    /// public — adjust them with struct-update syntax
-    /// (`DynamicConfig { seed: 7, ..DynamicConfig::new(4) }`) or go
-    /// through [`SessionSpec`], the validated front door every session
-    /// surface (CLI `stream`, the `serve` daemon, library callers)
-    /// shares.
-    pub fn new(num_parts: u32) -> Self {
-        DynamicConfig {
-            num_parts,
-            ..DynamicConfig::default()
-        }
     }
 }
 
@@ -201,13 +159,20 @@ pub struct SessionSpec {
     /// and escalations (`method=`, default `mlga`). Validated at open
     /// time by the injected [`MethodResolver`].
     pub method: String,
-    /// RNG seed (`seed=`, decimal or `0x`-hex; default
-    /// [`DEFAULT_SESSION_SEED`]).
+    /// RNG seed for every stochastic step: the opening solve, balanced
+    /// seeding and escalations (`seed=`, decimal or `0x`-hex; default
+    /// [`DEFAULT_SESSION_SEED`]). Batch `i` derives its sub-seed from
+    /// `seed` and `i`, so a replay is a pure function of `(graph, trace,
+    /// spec)`.
     pub seed: u64,
-    /// Escalation threshold as a multiple of the epoch baseline cut
-    /// (`threshold=`, default 1.5; `inf` disables escalation).
+    /// Escalate to a full repartition when the maintained cut exceeds
+    /// this multiple of the epoch's baseline cut
+    /// ([`SessionState::baseline_cut`]; `threshold=`, default 1.5).
+    /// `inf` disables escalation entirely.
     pub threshold: f64,
-    /// Refinement frontier radius in BFS hops (`hops=`, default 2).
+    /// BFS halo around the dirty nodes that the localized refinement
+    /// may move (`hops=`, default 2). Larger values trade batch latency
+    /// for cut quality.
     pub hops: usize,
 }
 
@@ -303,43 +268,50 @@ impl SessionSpec {
         )
     }
 
-    /// Lowers the spec to the session's internal knob struct: every
-    /// field but `method`, which resolves to the full partitioner.
-    pub fn config(&self) -> DynamicConfig {
-        DynamicConfig {
-            num_parts: self.parts,
-            seed: self.seed,
-            frontier_hops: self.hops,
-            escalate_ratio: self.threshold,
-        }
-    }
-
-    /// Resolves the method and opens a fresh session on `graph` (full
-    /// solve, epoch 1). See [`DynamicSession::new`].
+    /// Resolves the method and opens a fresh session on `graph`: the
+    /// full partitioner solves it once, and that solve's cut is epoch
+    /// 1's baseline.
     ///
     /// # Errors
     ///
     /// [`DynamicError::UnknownMethod`] when `resolver` does not know
-    /// [`SessionSpec::method`]; otherwise as [`DynamicSession::new`].
+    /// [`SessionSpec::method`]; [`DynamicError::Escalation`] if the
+    /// opening solve fails.
     pub fn open(
         &self,
         graph: CsrGraph,
         resolver: MethodResolver,
     ) -> Result<DynamicSession, DynamicError> {
-        let full = resolver(&self.method)
-            .ok_or_else(|| DynamicError::UnknownMethod(self.method.clone()))?;
-        DynamicSession::new(graph, full, self.config())
+        let full = self.resolve(resolver)?;
+        let report = full
+            .partition(&graph, self.parts, self.seed)
+            .map_err(DynamicError::Escalation)?;
+        let cut = report.metrics.total_cut;
+        let state = SessionState {
+            batches: 0,
+            epoch: 1,
+            baseline_cut: cut,
+            current_cut: cut,
+        };
+        Ok(self.assemble(graph, report.partition, full, state))
     }
 
-    /// Resolves the method and restores a session around persisted
-    /// `(graph, partition, state)` — the serve daemon's
-    /// snapshot-recovery path. See [`DynamicSession::resume`].
+    /// Resolves the method and restores a session from persisted
+    /// `(graph, partition, state)` — the serve daemon's crash-recovery
+    /// path: a tape snapshot carries exactly these three plus the spec.
+    /// Restoring `state.batches` keeps the per-batch sub-seed derivation
+    /// aligned, so replaying the post-snapshot tail reproduces the
+    /// uninterrupted run bit for bit.
     ///
     /// # Errors
     ///
     /// [`DynamicError::UnknownMethod`] when `resolver` does not know
-    /// [`SessionSpec::method`]; otherwise as [`DynamicSession::resume`].
-    // gapart-lint: allow(panic-reach) -- cut_size indexing is unreachable: check_pair validates labels/graph shape first
+    /// [`SessionSpec::method`]; [`DynamicError::Seed`] if `partition`
+    /// does not cover `graph` or disagrees with [`SessionSpec::parts`];
+    /// [`DynamicError::Resume`] if the recomputed cut of the restored
+    /// partition disagrees with `state.current_cut` (a corrupt or
+    /// mismatched snapshot).
+    // gapart-lint: allow(panic-reach) -- cut_size indexes labels by node id, and the shape check above proves the partition labels every node of the graph
     pub fn resume(
         &self,
         graph: CsrGraph,
@@ -347,9 +319,47 @@ impl SessionSpec {
         state: SessionState,
         resolver: MethodResolver,
     ) -> Result<DynamicSession, DynamicError> {
-        let full = resolver(&self.method)
-            .ok_or_else(|| DynamicError::UnknownMethod(self.method.clone()))?;
-        DynamicSession::resume(graph, partition, full, self.config(), state)
+        let full = self.resolve(resolver)?;
+        if partition.num_nodes() != graph.num_nodes() || partition.num_parts() != self.parts {
+            return Err(DynamicError::Seed(GaError::BadSeed {
+                message: format!(
+                    "partition covers {} nodes / {} parts, session wants {} / {}",
+                    partition.num_nodes(),
+                    partition.num_parts(),
+                    graph.num_nodes(),
+                    self.parts
+                ),
+            }));
+        }
+        let actual = cut_size(&graph, &partition);
+        if actual != state.current_cut {
+            return Err(DynamicError::Resume(format!(
+                "snapshot says cut {}, restored partition has cut {actual}",
+                state.current_cut
+            )));
+        }
+        Ok(self.assemble(graph, partition, full, state))
+    }
+
+    fn resolve(&self, resolver: MethodResolver) -> Result<Box<dyn Partitioner>, DynamicError> {
+        resolver(&self.method).ok_or_else(|| DynamicError::UnknownMethod(self.method.clone()))
+    }
+
+    fn assemble(
+        &self,
+        graph: CsrGraph,
+        partition: Partition,
+        full: Box<dyn Partitioner>,
+        state: SessionState,
+    ) -> DynamicSession {
+        DynamicSession {
+            graph,
+            partition,
+            full,
+            spec: self.clone(),
+            state,
+            fm: FmRefiner::new(),
+        }
     }
 }
 
@@ -365,11 +375,16 @@ impl SessionSpec {
 pub struct SessionState {
     /// Batches absorbed so far (the next batch's 0-based index).
     pub batches: usize,
-    /// Full solves so far (see [`DynamicSession::epoch`]).
+    /// Full solves so far: the opening solve plus one per escalation.
     pub epoch: usize,
-    /// The cut the current epoch started from.
+    /// The cut the current epoch started from — what escalation
+    /// triggers relative to. After the opening solve, or an escalation
+    /// where the fresh solve won, this is that full solve's cut; when
+    /// the incremental partition beat the fresh solve at an escalation,
+    /// it is the (better) incremental cut instead.
     pub baseline_cut: u64,
-    /// The maintained cut of the partition.
+    /// The maintained cut of the partition (edge deltas plus refinement
+    /// gain; always equal to `cut_size(graph, partition)`).
     pub current_cut: u64,
 }
 
@@ -409,23 +424,16 @@ pub struct BatchRecord {
 }
 
 /// A live dynamic-repartitioning session: current graph + partition
-/// and a full repartitioner for escalations.
+/// and a full repartitioner for escalations, built by
+/// [`SessionSpec::open`] or [`SessionSpec::resume`].
 ///
 /// See the [module docs](self) for the per-batch pipeline.
 pub struct DynamicSession {
     graph: CsrGraph,
     partition: Partition,
     full: Box<dyn Partitioner>,
-    config: DynamicConfig,
-    /// Cut the current epoch started from: the result of the last full
-    /// solve, or of the incremental partition when it beat that solve
-    /// at the escalation. Escalation triggers relative to this.
-    baseline_cut: u64,
-    /// Maintained incrementally (edge deltas + refinement gain); always
-    /// equal to `cut_size(&graph, &partition)`.
-    current_cut: u64,
-    epoch: usize,
-    batches: usize,
+    spec: SessionSpec,
+    state: SessionState,
     /// Reusable boundary-FM workspace (gain buckets, degree caches):
     /// batch refinement touches only the dirty frontier's buckets and
     /// allocates nothing steady-state.
@@ -436,155 +444,19 @@ impl std::fmt::Debug for DynamicSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DynamicSession")
             .field("nodes", &self.graph.num_nodes())
-            .field("parts", &self.config.num_parts)
+            .field("parts", &self.spec.parts)
             .field("full", &self.full.name())
-            .field("epoch", &self.epoch)
-            .field("batches", &self.batches)
+            .field("epoch", &self.state.epoch)
+            .field("batches", &self.state.batches)
             .finish()
     }
 }
 
 impl DynamicSession {
-    /// Opens a session by running `full` once on `graph` — epoch 0's
-    /// baseline solve.
-    ///
-    /// # Errors
-    ///
-    /// [`DynamicError::Escalation`] if the initial full solve fails.
-    pub fn new(
-        graph: CsrGraph,
-        full: Box<dyn Partitioner>,
-        config: DynamicConfig,
-    ) -> Result<Self, DynamicError> {
-        let report = full
-            .partition(&graph, config.num_parts, config.seed)
-            .map_err(DynamicError::Escalation)?;
-        let cut = report.metrics.total_cut;
-        Ok(DynamicSession {
-            graph,
-            partition: report.partition,
-            full,
-            config,
-            baseline_cut: cut,
-            current_cut: cut,
-            epoch: 1,
-            batches: 0,
-            fm: FmRefiner::new(),
-        })
-    }
-
-    /// Opens a session around an existing partition (e.g. one loaded
-    /// from disk), using its cut as the escalation baseline.
-    ///
-    /// # Errors
-    ///
-    /// [`DynamicError::Seed`] if `partition` does not cover `graph` or
-    /// disagrees with the configured part count.
-    pub fn with_partition(
-        graph: CsrGraph,
-        partition: Partition,
-        full: Box<dyn Partitioner>,
-        config: DynamicConfig,
-    ) -> Result<Self, DynamicError> {
-        Self::check_pair(&graph, &partition, &config)?;
-        let cut = cut_size(&graph, &partition);
-        Ok(Self::assemble(
-            graph,
-            partition,
-            full,
-            config,
-            // No full solve has run: the supplied partition is the
-            // epoch-0 baseline.
-            SessionState {
-                batches: 0,
-                epoch: 0,
-                baseline_cut: cut,
-                current_cut: cut,
-            },
-        ))
-    }
-
-    /// Restores a session from persisted `(graph, partition, state)` —
-    /// the crash-recovery path: a tape snapshot carries exactly these
-    /// three plus the [`SessionSpec`]. Restoring `state.batches` keeps
-    /// the per-batch sub-seed derivation aligned, so replaying the
-    /// post-snapshot tail reproduces the uninterrupted run bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// [`DynamicError::Seed`] if `partition` does not cover `graph` or
-    /// disagrees with the configured part count;
-    /// [`DynamicError::Resume`] if the recomputed cut of the restored
-    /// partition disagrees with `state.current_cut` (a corrupt or
-    /// mismatched snapshot).
-    // gapart-lint: allow(panic-reach) -- cut_size indexing is unreachable: check_pair validates labels/graph shape first
-    pub fn resume(
-        graph: CsrGraph,
-        partition: Partition,
-        full: Box<dyn Partitioner>,
-        config: DynamicConfig,
-        state: SessionState,
-    ) -> Result<Self, DynamicError> {
-        Self::check_pair(&graph, &partition, &config)?;
-        let actual = cut_size(&graph, &partition);
-        if actual != state.current_cut {
-            return Err(DynamicError::Resume(format!(
-                "snapshot says cut {}, restored partition has cut {actual}",
-                state.current_cut
-            )));
-        }
-        Ok(Self::assemble(graph, partition, full, config, state))
-    }
-
-    /// Shared shape check for externally supplied partitions.
-    fn check_pair(
-        graph: &CsrGraph,
-        partition: &Partition,
-        config: &DynamicConfig,
-    ) -> Result<(), DynamicError> {
-        if partition.num_nodes() != graph.num_nodes() || partition.num_parts() != config.num_parts {
-            return Err(DynamicError::Seed(GaError::BadSeed {
-                message: format!(
-                    "partition covers {} nodes / {} parts, session wants {} / {}",
-                    partition.num_nodes(),
-                    partition.num_parts(),
-                    graph.num_nodes(),
-                    config.num_parts
-                ),
-            }));
-        }
-        Ok(())
-    }
-
-    fn assemble(
-        graph: CsrGraph,
-        partition: Partition,
-        full: Box<dyn Partitioner>,
-        config: DynamicConfig,
-        state: SessionState,
-    ) -> Self {
-        DynamicSession {
-            graph,
-            partition,
-            full,
-            config,
-            baseline_cut: state.baseline_cut,
-            current_cut: state.current_cut,
-            epoch: state.epoch,
-            batches: state.batches,
-            fm: FmRefiner::new(),
-        }
-    }
-
     /// The restorable counters — what a snapshot must persist alongside
-    /// the graph and partition (see [`DynamicSession::resume`]).
+    /// the graph and partition (see [`SessionSpec::resume`]).
     pub fn state(&self) -> SessionState {
-        SessionState {
-            batches: self.batches,
-            epoch: self.epoch,
-            baseline_cut: self.baseline_cut,
-            current_cut: self.current_cut,
-        }
+        self.state
     }
 
     /// The current graph.
@@ -597,40 +469,26 @@ impl DynamicSession {
         &self.partition
     }
 
-    /// The session configuration.
-    pub fn config(&self) -> &DynamicConfig {
-        &self.config
-    }
-
-    /// Number of full solves so far: the initial solve when the session
-    /// was opened with [`DynamicSession::new`] (a
-    /// [`DynamicSession::with_partition`] session starts at 0) plus one
-    /// per escalation.
-    pub fn epoch(&self) -> usize {
-        self.epoch
-    }
-
-    /// The cut the current epoch started from — what escalation
-    /// triggers relative to. After a [`DynamicSession::new`] open or an
-    /// escalation where the fresh solve won, this is that full solve's
-    /// cut; when the incremental partition beat the fresh solve at an
-    /// escalation, it is the (better) incremental cut instead.
-    pub fn baseline_cut(&self) -> u64 {
-        self.baseline_cut
+    /// The spec the session was opened or resumed with.
+    pub fn spec(&self) -> &SessionSpec {
+        &self.spec
     }
 
     /// Current cut of the maintained partition (tracked incrementally;
     /// `O(1)`).
     pub fn current_cut(&self) -> u64 {
-        debug_assert_eq!(self.current_cut, cut_size(&self.graph, &self.partition));
-        self.current_cut
+        debug_assert_eq!(
+            self.state.current_cut,
+            cut_size(&self.graph, &self.partition)
+        );
+        self.state.current_cut
     }
 
     /// Deterministic per-batch sub-seed.
     fn batch_seed(&self) -> u64 {
-        self.config
+        self.spec
             .seed
-            .wrapping_add((self.batches as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add((self.state.batches as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
     /// Applies one mutation batch and returns its record.
@@ -643,7 +501,7 @@ impl DynamicSession {
         let seed = self.batch_seed();
         let n_old = self.partition.num_nodes();
         let new_nodes = graph.num_nodes() - n_old;
-        let n_parts = self.config.num_parts as usize;
+        let n_parts = self.spec.parts as usize;
 
         // Cut delta contributed by the batch's edges under a given
         // labelling: every `AddEdge` op adds its weight to the (possibly
@@ -689,7 +547,7 @@ impl DynamicSession {
                         d * d
                     })
                     .sum();
-                let cut = self.current_cut + added_cut(p);
+                let cut = self.state.current_cut + added_cut(p);
                 (imbalance + (2 * cut) as f64, cut)
             };
             let (cost_b, cut_b) = score(&balanced);
@@ -700,7 +558,7 @@ impl DynamicSession {
                 (balanced, cut_b)
             }
         } else {
-            let cut = self.current_cut + added_cut(&self.partition);
+            let cut = self.state.current_cut + added_cut(&self.partition);
             (self.partition.clone(), cut)
         };
         debug_assert_eq!(cut_seeded, cut_size(&graph, &partition));
@@ -710,7 +568,7 @@ impl DynamicSession {
         //    cut stays maintained without an edge-set pass. Boundary FM
         //    rebuilds only the frontier's buckets inside the session's
         //    persistent workspace.
-        let frontier = dirty.frontier(&graph, self.config.frontier_hops);
+        let frontier = dirty.frontier(&graph, self.spec.hops);
         let refine = self.fm.refine_local(
             &graph,
             &mut partition,
@@ -722,11 +580,11 @@ impl DynamicSession {
         debug_assert_eq!(cut_after, cut_size(&graph, &partition));
 
         // 3. Escalate when quality degraded past the threshold.
-        let degraded = cut_after as f64 > self.config.escalate_ratio * self.baseline_cut as f64;
+        let degraded = cut_after as f64 > self.spec.threshold * self.state.baseline_cut as f64;
         let action = if degraded {
             let report = self
                 .full
-                .partition(&graph, self.config.num_parts, seed)
+                .partition(&graph, self.spec.parts, seed)
                 .map_err(DynamicError::Escalation)?;
             // Keep whichever side of the escalation is actually better:
             // a small-budget full solve can lose to a well-maintained
@@ -737,8 +595,8 @@ impl DynamicSession {
                 partition = report.partition;
                 cut_after = report.metrics.total_cut;
             }
-            self.baseline_cut = cut_after;
-            self.epoch += 1;
+            self.state.baseline_cut = cut_after;
+            self.state.epoch += 1;
             BatchAction::FullRepartition
         } else {
             BatchAction::Incremental
@@ -746,10 +604,10 @@ impl DynamicSession {
 
         self.graph = graph;
         self.partition = partition;
-        self.current_cut = cut_after;
+        self.state.current_cut = cut_after;
         let record = BatchRecord {
-            batch: self.batches,
-            epoch: self.epoch,
+            batch: self.state.batches,
+            epoch: self.state.epoch,
             mutations: batch.len(),
             new_nodes,
             frontier: frontier.len(),
@@ -758,7 +616,7 @@ impl DynamicSession {
             refine,
             action,
         };
-        self.batches += 1;
+        self.state.batches += 1;
         Ok(record)
     }
 
@@ -795,24 +653,27 @@ mod tests {
         ))
     }
 
+    /// Resolver over the test `mlga`, matching the [`MethodResolver`]
+    /// shape the CLI and daemon inject.
+    fn resolve(name: &str) -> Option<Box<dyn Partitioner>> {
+        (name == "mlga").then(mlga)
+    }
+
     fn session(n: usize, parts: u32) -> DynamicSession {
-        DynamicSession::new(
-            jittered_mesh(n, 11),
-            mlga(),
-            DynamicConfig {
-                seed: 5,
-                ..DynamicConfig::new(parts)
-            },
-        )
+        SessionSpec {
+            seed: 5,
+            ..SessionSpec::new(parts)
+        }
+        .open(jittered_mesh(n, 11), resolve)
         .unwrap()
     }
 
     #[test]
     fn opens_with_a_full_solve() {
         let s = session(150, 4);
-        assert_eq!(s.epoch(), 1);
+        assert_eq!(s.state().epoch, 1);
         assert_eq!(s.partition().num_nodes(), 150);
-        assert_eq!(s.baseline_cut(), s.current_cut());
+        assert_eq!(s.state().baseline_cut, s.current_cut());
         assert_eq!(s.state().batches, 0);
     }
 
@@ -859,16 +720,12 @@ mod tests {
     fn escalation_trips_on_degradation_and_starts_an_epoch() {
         // Forcing the threshold to 0 makes any positive cut "degraded",
         // so every batch must escalate.
-        let g = jittered_mesh(150, 11);
-        let mut s = DynamicSession::new(
-            g,
-            mlga(),
-            DynamicConfig {
-                seed: 5,
-                escalate_ratio: 0.0,
-                ..DynamicConfig::new(4)
-            },
-        )
+        let mut s = SessionSpec {
+            seed: 5,
+            threshold: 0.0,
+            ..SessionSpec::new(4)
+        }
+        .open(jittered_mesh(150, 11), resolve)
         .unwrap();
         let trace = generate(
             s.graph(),
@@ -881,39 +738,31 @@ mod tests {
         )
         .unwrap();
         let records = s.replay(&trace).unwrap();
-        assert_eq!(s.epoch(), 4, "every batch should escalate");
+        assert_eq!(s.state().epoch, 4, "every batch should escalate");
         assert!(records
             .iter()
             .all(|r| r.action == BatchAction::FullRepartition));
 
         // And an infinite threshold never escalates.
-        let g = jittered_mesh(150, 11);
-        let mut s = DynamicSession::new(
-            g,
-            mlga(),
-            DynamicConfig {
-                seed: 5,
-                escalate_ratio: f64::INFINITY,
-                ..DynamicConfig::new(4)
-            },
-        )
+        let mut s = SessionSpec {
+            seed: 5,
+            threshold: f64::INFINITY,
+            ..SessionSpec::new(4)
+        }
+        .open(jittered_mesh(150, 11), resolve)
         .unwrap();
         s.replay(&trace).unwrap();
-        assert_eq!(s.epoch(), 1);
+        assert_eq!(s.state().epoch, 1);
     }
 
     #[test]
     fn escalation_never_regresses_the_cut() {
-        let g = jittered_mesh(180, 4);
-        let mut s = DynamicSession::new(
-            g,
-            mlga(),
-            DynamicConfig {
-                seed: 9,
-                escalate_ratio: 0.0,
-                ..DynamicConfig::new(4)
-            },
-        )
+        let mut s = SessionSpec {
+            seed: 9,
+            threshold: 0.0,
+            ..SessionSpec::new(4)
+        }
+        .open(jittered_mesh(180, 4), resolve)
         .unwrap();
         let trace = generate(
             s.graph(),
@@ -976,29 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn with_partition_validates_and_uses_the_given_baseline() {
-        let g = jittered_mesh(80, 3);
-        let p = Partition::round_robin(80, 4);
-        let baseline = cut_size(&g, &p);
-        let s = DynamicSession::with_partition(g, p, mlga(), DynamicConfig::new(4)).unwrap();
-        assert_eq!(s.baseline_cut(), baseline);
-        assert_eq!(s.epoch(), 0, "no full solve has run yet");
-
-        let g = jittered_mesh(80, 3);
-        let wrong = Partition::round_robin(80, 8);
-        assert!(matches!(
-            DynamicSession::with_partition(g, wrong, mlga(), DynamicConfig::new(4)).unwrap_err(),
-            DynamicError::Seed(_)
-        ));
-    }
-
-    /// Resolver over the test `mlga`, matching the [`MethodResolver`]
-    /// shape the CLI and daemon inject.
-    fn resolve(name: &str) -> Option<Box<dyn Partitioner>> {
-        (name == "mlga").then(mlga)
-    }
-
-    #[test]
     fn spec_parses_validates_and_round_trips() {
         let spec =
             SessionSpec::parse_kv("parts=4 seed=0x2A threshold=inf hops=3 refine=fm").unwrap();
@@ -1056,9 +882,8 @@ mod tests {
             ..SessionSpec::new(4)
         };
         let s = spec.open(jittered_mesh(120, 11), resolve).unwrap();
-        assert_eq!(s.epoch(), 1);
-        assert_eq!(s.config().num_parts, 4);
-        assert_eq!(s.config().seed, 5);
+        assert_eq!(s.state().epoch, 1);
+        assert_eq!(s.spec(), &spec);
 
         let unknown = SessionSpec {
             method: "frob".into(),
@@ -1088,14 +913,15 @@ mod tests {
         let mut live = session(150, 4);
         live.replay(&trace[..3]).unwrap();
 
-        let mut resumed = DynamicSession::resume(
-            live.graph().clone(),
-            live.partition().clone(),
-            mlga(),
-            *live.config(),
-            live.state(),
-        )
-        .unwrap();
+        let mut resumed = live
+            .spec()
+            .resume(
+                live.graph().clone(),
+                live.partition().clone(),
+                live.state(),
+                resolve,
+            )
+            .unwrap();
         assert_eq!(resumed.state(), live.state());
 
         assert_eq!(
@@ -1109,15 +935,19 @@ mod tests {
         let mut bad = live.state();
         bad.current_cut += 1;
         assert!(matches!(
-            DynamicSession::resume(
-                live.graph().clone(),
-                live.partition().clone(),
-                mlga(),
-                *live.config(),
-                bad,
-            )
-            .unwrap_err(),
+            live.spec()
+                .resume(live.graph().clone(), live.partition().clone(), bad, resolve)
+                .unwrap_err(),
             DynamicError::Resume(_)
+        ));
+
+        // So is a partition into a part count the spec does not name.
+        let wrong = Partition::round_robin(live.graph().num_nodes(), 8);
+        assert!(matches!(
+            live.spec()
+                .resume(live.graph().clone(), wrong, live.state(), resolve)
+                .unwrap_err(),
+            DynamicError::Seed(_)
         ));
     }
 
@@ -1136,7 +966,7 @@ mod tests {
         let run = || {
             let mut s = session(150, 4);
             let records = s.replay(&trace).unwrap();
-            (s.partition().clone(), records, s.epoch())
+            (s.partition().clone(), records, s.state())
         };
         assert_eq!(run(), run());
     }

@@ -47,8 +47,8 @@ pub mod topology;
 
 pub use dpga::{DpgaConfig, DpgaEngine, DpgaResult};
 pub use dynamic::{
-    BatchAction, BatchRecord, DynamicConfig, DynamicError, DynamicSession, MethodResolver,
-    SessionSpec, SessionState, SpecError, DEFAULT_SESSION_SEED,
+    BatchAction, BatchRecord, DynamicError, DynamicSession, MethodResolver, SessionSpec,
+    SessionState, SpecError, DEFAULT_SESSION_SEED,
 };
 pub use engine::{GaConfig, GaEngine, GaResult, HillClimbMode};
 pub use error::GaError;

@@ -37,7 +37,7 @@
 //! * `det-taint` — call-graph pass: a nondeterminism site
 //!   (hash-iteration, wall-clock, thread-identity) reachable from a
 //!   pipeline entry point (`Partitioner::partition` impls,
-//!   `MultilevelPartitioner`, `DynamicSession`).
+//!   `MultilevelPartitioner`, `DynamicSession`, `SessionSpec`).
 //! * `suppression-syntax` — a malformed or unknown-rule suppression
 //!   directive. A typo'd suppression must fail loudly, not silently
 //!   leave the finding live (or worse, look suppressed in review).
@@ -158,7 +158,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         name: "det-taint",
-        desc: "nondeterminism site reachable from a pipeline entry point (partition impls, MultilevelPartitioner, DynamicSession)",
+        desc: "nondeterminism site reachable from a pipeline entry point (partition impls, MultilevelPartitioner, DynamicSession, SessionSpec)",
         patterns: &[],
         why: "A hash-order iteration (or wall-clock/thread-identity read) is only \
               fatal when the pipeline can actually reach it. This call-graph pass \

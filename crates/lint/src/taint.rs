@@ -10,8 +10,8 @@
 //!   `det-hash-iter`/`det-wallclock`/`det-thread-id` site and
 //!   propagates *down* from the pipeline entry points
 //!   (`Partitioner::partition` impls, `MultilevelPartitioner`,
-//!   `DynamicSession`). Reported at the seed line,
-//!   with the entry-to-site witness path.
+//!   `DynamicSession` and its constructors on `SessionSpec`). Reported
+//!   at the seed line, with the entry-to-site witness path.
 //!
 //! Both BFS walks keep a visited set, so recursion and mutual recursion
 //! terminate; hops over ambiguous edges render as `~>` instead of `->`
@@ -199,7 +199,7 @@ fn is_entry(f: &crate::items::FnItem) -> bool {
     f.name == "partition"
         || matches!(
             f.self_ty.as_deref(),
-            Some("MultilevelPartitioner" | "DynamicSession")
+            Some("MultilevelPartitioner" | "DynamicSession" | "SessionSpec")
         )
 }
 

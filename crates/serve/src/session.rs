@@ -28,11 +28,11 @@ use std::path::Path;
 use crate::tape::{scan_tape, LiveSnapshot, Record, Snapshot, TapeWriter};
 use crate::ServeError;
 
-/// A live named session: the dynamic-repartitioning engine, its spec,
-/// its tape, and the not-yet-committed mutation buffer.
+/// A live named session: the dynamic-repartitioning engine (which
+/// carries its spec), its tape, and the not-yet-committed mutation
+/// buffer.
 #[derive(Debug)]
 pub struct ManagedSession {
-    spec: SessionSpec,
     inner: DynamicSession,
     /// The graph's coordinate text ([`coords_to_text`] of its
     /// coordinates), when it has coordinates. No mutation moves or
@@ -102,7 +102,6 @@ impl ManagedSession {
             coords: coords_text.clone(),
         })?;
         Ok(ManagedSession {
-            spec,
             inner,
             coords_text,
             tape,
@@ -205,7 +204,6 @@ impl ManagedSession {
         let tape = TapeWriter::append_to(tape_path)?;
         Ok((
             ManagedSession {
-                spec,
                 inner,
                 coords_text,
                 tape,
@@ -218,7 +216,7 @@ impl ManagedSession {
 
     /// The session's spec.
     pub fn spec(&self) -> &SessionSpec {
-        &self.spec
+        self.inner.spec()
     }
 
     /// The underlying dynamic session.

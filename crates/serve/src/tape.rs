@@ -84,7 +84,7 @@ pub enum Record {
 }
 
 /// The payload of a [`Record::Snapshot`]: everything
-/// [`gapart_core::DynamicSession::resume`] needs.
+/// [`gapart_core::SessionSpec::resume`] needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Batches absorbed at snapshot time.

@@ -637,7 +637,7 @@ fn cmd_stream(args: &Args) -> Result<String, CliError> {
         session.graph().num_nodes(),
         spec.parts,
         spec.method,
-        session.baseline_cut()
+        session.state().baseline_cut
     );
     let _ = writeln!(
         out,

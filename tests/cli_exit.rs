@@ -135,8 +135,8 @@ fn failed_operations_exit_1_without_panicking() {
 
     // A population no memory holds: the typed population error, not an
     // allocation of the requested size (it once panicked on "capacity
-    // overflow").
-    for method in ["ga", "dpga"] {
+    // overflow"), naming the size typed, not one island's share.
+    for method in ["ga", "dpga", "mlga", "mldpga"] {
         let out = cli()
             .args([
                 "partition",
@@ -154,6 +154,7 @@ fn failed_operations_exit_1_without_panicking() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(err.lines().count(), 1, "{method}: {err}");
         assert!(err.contains("bad population"), "{method}: {err}");
+        assert!(err.contains("18446744073709551615"), "{method}: {err}");
         assert!(!err.contains("panicked"), "{method}: {err}");
     }
 

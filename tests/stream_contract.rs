@@ -1,16 +1,14 @@
 //! Contract tests for the streaming dynamic-repartitioning subsystem:
 //! replaying a mutation trace through a [`DynamicSession`] must be a pure
-//! function of `(graph, trace, config)` — bit-identical across thread
+//! function of `(graph, trace, spec)` — bit-identical across thread
 //! counts, including through GA-backed escalations — and every scenario
 //! generator must produce a replayable trace.
 
-use gapart::core::dynamic::{BatchAction, BatchRecord, DynamicConfig, DynamicSession};
-use gapart::core::GaConfig;
+use gapart::core::dynamic::{BatchAction, BatchRecord, DynamicSession, SessionSpec, SessionState};
 use gapart::graph::dynamic::scenario::{generate, Scenario, TraceSpec};
 use gapart::graph::dynamic::trace::{parse_trace, trace_to_text};
 use gapart::graph::generators::jittered_mesh;
-use gapart::graph::multilevel::MultilevelPartitioner;
-use gapart::graph::partitioner::Partitioner;
+use gapart::graph::partition::hash_labels;
 use gapart::graph::CsrGraph;
 use gapart::partitioners;
 
@@ -21,30 +19,20 @@ fn mesh() -> CsrGraph {
     jittered_mesh(220, 13)
 }
 
-/// The intended production escalation partitioner: the multilevel GA.
-fn mlga() -> Box<dyn Partitioner> {
-    Box::new(MultilevelPartitioner::new(
-        "mlga",
-        partitioners::tuned_ga(GaConfig::coarse_defaults(PARTS)),
-    ))
-}
-
-/// Replays `trace` through a fresh `mlga` session; returns the session
-/// and the record of every batch.
+/// Replays `trace` through a fresh session escalating to the registry's
+/// `mlga`, the intended production partitioner; returns the session and
+/// the record of every batch.
 fn replay(
     graph: &CsrGraph,
     trace: &[Vec<gapart::graph::Mutation>],
-    escalate_ratio: f64,
+    threshold: f64,
 ) -> (DynamicSession, Vec<BatchRecord>) {
-    let mut s = DynamicSession::new(
-        graph.clone(),
-        mlga(),
-        DynamicConfig {
-            seed: SEED,
-            escalate_ratio,
-            ..DynamicConfig::new(PARTS)
-        },
-    )
+    let mut s = SessionSpec {
+        seed: SEED,
+        threshold,
+        ..SessionSpec::new(PARTS)
+    }
+    .open(graph.clone(), partitioners::by_name)
     .unwrap();
     let records = s.replay(trace).unwrap();
     (s, records)
@@ -89,7 +77,7 @@ fn replay_is_bit_identical_between_a_forced_pool_and_a_direct_run() {
             "{}: batch records differ",
             scenario.name()
         );
-        assert_eq!(pooled.epoch(), direct.epoch(), "{}", scenario.name());
+        assert_eq!(pooled.state(), direct.state(), "{}", scenario.name());
         escalations += pooled_records
             .iter()
             .filter(|r| r.action == BatchAction::FullRepartition)
@@ -183,11 +171,103 @@ fn escalations_are_recorded_as_epochs() {
         .filter(|r| r.action == BatchAction::FullRepartition)
         .count();
     assert_eq!(
-        s.epoch(),
+        s.state().epoch,
         1 + escalations,
         "epoch must count the initial solve plus every escalation"
     );
     // Heavy churn at a tight threshold must escalate at least once,
     // otherwise this test exercises nothing.
     assert!(escalations > 0, "no escalation at ratio 1.0 under churn");
+}
+
+/// One pinned replay: the scenario, its final labels hash and
+/// [`SessionState`], and every batch's `(cut_seeded, cut_after, action)`.
+type Pin = (
+    Scenario,
+    &'static str,
+    SessionState,
+    [(u64, u64, BatchAction); 5],
+);
+
+#[test]
+fn replay_is_pinned() {
+    // Absolute values of the replay at ratio 1.02 on the file's mesh:
+    // a refactor of the session must reproduce them bit for bit.
+    const FULL: BatchAction = BatchAction::FullRepartition;
+    const INCR: BatchAction = BatchAction::Incremental;
+    const PINS: [Pin; 3] = [
+        (
+            Scenario::MeshGrowth,
+            "0d8c44ce9a64bb55",
+            SessionState {
+                batches: 5,
+                epoch: 6,
+                baseline_cut: 61,
+                current_cut: 61,
+            },
+            [
+                (90, 64, FULL),
+                (92, 62, FULL),
+                (88, 65, FULL),
+                (82, 61, FULL),
+                (89, 61, FULL),
+            ],
+        ),
+        (
+            Scenario::RandomChurn,
+            "2556f276aa4df8f7",
+            SessionState {
+                batches: 5,
+                epoch: 6,
+                baseline_cut: 82,
+                current_cut: 82,
+            },
+            [
+                (70, 64, FULL),
+                (76, 66, FULL),
+                (70, 70, FULL),
+                (81, 75, FULL),
+                (85, 82, FULL),
+            ],
+        ),
+        (
+            Scenario::HotspotDrift,
+            "4489cef42dc553f4",
+            SessionState {
+                batches: 5,
+                epoch: 1,
+                baseline_cut: 59,
+                current_cut: 58,
+            },
+            [
+                (59, 59, INCR),
+                (59, 58, INCR),
+                (58, 58, INCR),
+                (58, 58, INCR),
+                (58, 58, INCR),
+            ],
+        ),
+    ];
+    let graph = mesh();
+    for (scenario, hash, state, cuts) in PINS {
+        let trace = generate(
+            &graph,
+            scenario,
+            &TraceSpec {
+                batches: 5,
+                ops_per_batch: 12,
+                seed: 21,
+            },
+        )
+        .unwrap();
+        let (s, records) = replay(&graph, &trace, 1.02);
+        let name = scenario.name();
+        assert_eq!(hash_labels(s.partition().labels()), hash, "{name}");
+        assert_eq!(s.state(), state, "{name}");
+        let got: Vec<_> = records
+            .iter()
+            .map(|r| (r.cut_seeded, r.cut_after, r.action))
+            .collect();
+        assert_eq!(got, cuts, "{name}");
+    }
 }
