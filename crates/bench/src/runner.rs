@@ -248,10 +248,10 @@ impl RunSummary {
 }
 
 /// Seed used for baseline partitioners run through
-/// [`ExperimentProtocol::baseline`] — RSB's traditional default, so trait
-/// dispatch reproduces the historical direct-call results exactly (IBP
-/// has no randomness and ignores it).
-pub const BASELINE_SEED: u64 = 0x5253_4200;
+/// [`ExperimentProtocol::baseline`] — RSB's default, so trait dispatch
+/// reproduces the direct-call results exactly (IBP has no randomness and
+/// ignores it).
+pub const BASELINE_SEED: u64 = gapart_rsb::DEFAULT_SEED;
 
 /// Standard graph fixtures shared by the binaries: the deterministic growth
 /// seed used for the incremental experiments (Tables 3 & 6), so every
@@ -309,7 +309,7 @@ mod tests {
     #[test]
     fn seeded_run_accepts_rsb_partition() {
         let g = paper_graph(78);
-        let rsb = gapart_rsb::rsb_partition(&g, 4, &Default::default()).unwrap();
+        let rsb = gapart_rsb::rsb_partition(&g, 4, gapart_rsb::DEFAULT_SEED).unwrap();
         let s = tiny().run_seeded(&g, 4, FitnessKind::WorstCut, &rsb);
         assert!(s.best_cut > 0);
     }

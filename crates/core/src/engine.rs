@@ -635,7 +635,7 @@ mod tests {
         // With elitism, a run seeded from a good partition must end at
         // least as fit as the seed.
         let g = paper_graph(144);
-        let seed = gapart_ibp::ibp_partition(&g, 4, &Default::default()).unwrap();
+        let seed = gapart_ibp::ibp_partition(&g, 4).unwrap();
         let e = FitnessEvaluator::new(&g, 4, FitnessKind::TotalCut);
         let seed_fit = e.evaluate(seed.labels());
         let cfg = small_config(4).seeded_from(&seed);

@@ -160,7 +160,7 @@ mod tests {
     #[test]
     fn balanced_extension_preserves_old_labels() {
         let (base, grown) = grown(118, 21, 1);
-        let old = gapart_rsb::rsb_partition(&base, 4, &Default::default()).unwrap();
+        let old = gapart_rsb::rsb_partition(&base, 4, gapart_rsb::DEFAULT_SEED).unwrap();
         let ext = extend_partition_balanced(&grown, &old, 7).unwrap();
         assert_eq!(ext.num_nodes(), 139);
         for v in 0..118u32 {
@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn greedy_assigns_to_majority_part() {
         let (base, grown_g) = grown(98, 20, 4);
-        let old = gapart_rsb::rsb_partition(&base, 4, &Default::default()).unwrap();
+        let old = gapart_rsb::rsb_partition(&base, 4, gapart_rsb::DEFAULT_SEED).unwrap();
         let greedy = greedy_neighbor_assign(&grown_g, &old).unwrap();
         // Every new node's part must be the weighted-majority part among
         // its already-assigned (lower-id or earlier-new) neighbours.
@@ -222,7 +222,7 @@ mod tests {
         // The paper's conclusion: DKNUX incremental results "could not be
         // obtained by a simple deterministic algorithm".
         let (base, grown_g) = grown(118, 41, 5);
-        let old = gapart_rsb::rsb_partition(&base, 4, &Default::default()).unwrap();
+        let old = gapart_rsb::rsb_partition(&base, 4, gapart_rsb::DEFAULT_SEED).unwrap();
         let e = FitnessEvaluator::new(&grown_g, 4, FitnessKind::TotalCut);
 
         let greedy = greedy_neighbor_assign(&grown_g, &old).unwrap();

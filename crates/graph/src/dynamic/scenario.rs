@@ -79,7 +79,9 @@ pub struct TraceSpec {
 /// # Errors
 ///
 /// [`GraphError::MissingCoordinates`] if [`Scenario::MeshGrowth`] is
-/// requested for a graph without coordinates. Other errors cannot occur:
+/// requested for a graph without coordinates;
+/// [`GraphError::UnboundedCoords`] if the graph's coordinates span more
+/// than an `f64` measures. Other errors cannot occur:
 /// generated batches are applied as they are produced, so invalid
 /// references would be a bug, not an input condition.
 pub fn generate(
@@ -103,7 +105,7 @@ fn mesh_growth(
     let mut coords = graph.coords_required()?.to_vec();
     // Length scale from the measured point density, so growth looks the
     // same whatever the coordinate units are.
-    let spacing = density_cell(&coords);
+    let spacing = density_cell(&coords)?;
     let mut index = NearestGrid::new(&coords, spacing);
     let mut batches = Vec::with_capacity(spec.batches);
     for _ in 0..spec.batches {
@@ -139,7 +141,10 @@ fn random_churn(
     for _ in 0..spec.batches {
         let mut log = MutationLog::new(g.num_nodes());
         let n = g.num_nodes() as u32;
-        let jitter = g.coords().map_or(0.0, |c| 0.5 * density_cell(c));
+        let jitter = match g.coords() {
+            Some(c) => 0.5 * density_cell(c)?,
+            None => 0.0,
+        };
         for _ in 0..spec.ops_per_batch {
             let roll = rng.gen_range(0u32..10);
             if roll < 5 {

@@ -41,6 +41,14 @@ pub enum GraphError {
         /// Number of adjacency entries requested.
         entries: usize,
     },
+    /// A partition into zero parts, or into more parts than nodes, was
+    /// requested.
+    BadPartCount {
+        /// Requested number of parts.
+        num_parts: u32,
+        /// Number of nodes available.
+        num_nodes: usize,
+    },
     /// A parse error while reading a graph file.
     Parse {
         /// 1-based line number of the offending line.
@@ -57,6 +65,10 @@ pub enum GraphError {
     },
     /// The operation requires vertex coordinates but the graph has none.
     MissingCoordinates,
+    /// The coordinates lie further apart than an `f64` measures (`1e308`
+    /// and `-1e308` are finite, their distance is not), so no length
+    /// scale or grid fits them.
+    UnboundedCoords,
     /// A coordinate set did not match the graph's node count.
     CoordsMismatch {
         /// Number of coordinates supplied.
@@ -100,10 +112,19 @@ impl fmt::Display for GraphError {
                     "part label {part} out of range (partition has {num_parts} parts)"
                 )
             }
+            GraphError::BadPartCount {
+                num_parts,
+                num_nodes,
+            } => {
+                write!(f, "cannot split {num_nodes} nodes into {num_parts} parts")
+            }
             GraphError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
             }
             GraphError::MissingCoordinates => write!(f, "graph has no vertex coordinates"),
+            GraphError::UnboundedCoords => {
+                write!(f, "coordinates span more than an f64 measures")
+            }
             GraphError::CoordsMismatch { coords, nodes } => {
                 write!(f, "{coords} coordinates for {nodes} nodes")
             }

@@ -194,19 +194,24 @@ impl FmRefiner {
         self.run(graph, partition, opts, seed, None, None, None)
     }
 
-    /// [`FmRefiner::refine`] with a boundary *hint*: `hint` must contain
-    /// every vertex currently on the cut boundary (it may contain more —
-    /// internal vertices are skipped — and duplicates are tolerated).
-    /// The first pass then scans only
-    /// the hint instead of the whole graph; moves are **not** restricted
-    /// to it, and the result is bit-identical to [`FmRefiner::refine`]
-    /// (asserted in tests).
+    /// [`FmRefiner::refine`] with a boundary *hint* and the partition's
+    /// per-part `loads` and `counts` — the multilevel fast path.
     ///
-    /// This is the multilevel fast path: after projecting a coarse
-    /// partition, the fine boundary is exactly the preimage of the
-    /// coarse boundary (a cut fine edge maps to a cut coarse edge), so
-    /// the V-cycle hands that preimage over and skips the `O(V + E)`
-    /// boundary discovery on every level.
+    /// `hint` must contain every vertex currently on the cut boundary (it
+    /// may contain more — internal vertices are skipped — and duplicates
+    /// are tolerated). The first pass then scans only the hint instead of
+    /// the whole graph; moves are **not** restricted to it, and the
+    /// result is bit-identical to [`FmRefiner::refine`] (asserted in
+    /// tests). After projecting a coarse partition, the fine boundary is
+    /// exactly the preimage of the coarse boundary (a cut fine edge maps
+    /// to a cut coarse edge), so the V-cycle hands that preimage over and
+    /// skips the `O(V + E)` boundary discovery on every level.
+    ///
+    /// The tallies replace a re-tally:
+    /// [`crate::coarsen::Coarsening::project_for_fm`] produces hint,
+    /// loads and counts in the projection pass itself, so an uncoarsening
+    /// level runs zero extra full-vertex scans. The caller owns the
+    /// exactness of the tallies (debug-asserted).
     ///
     /// # Panics
     ///
@@ -214,29 +219,6 @@ impl FmRefiner {
     /// `graph`, or if `hint` contains a node id `≥ graph.num_nodes()`.
     /// A hint that *misses* boundary vertices is not detected — it
     /// merely refines a subset (callers own the superset argument).
-    pub fn refine_hinted(
-        &mut self,
-        graph: &CsrGraph,
-        partition: &mut Partition,
-        opts: &RefineOptions,
-        seed: u64,
-        hint: &[u32],
-    ) -> RefineStats {
-        if let Some(&max) = hint.iter().max() {
-            assert!(
-                (max as usize) < graph.num_nodes(),
-                "hint node {max} out of range"
-            );
-        }
-        self.run(graph, partition, opts, seed, None, Some(hint), None)
-    }
-
-    /// The multilevel fast path: [`FmRefiner::refine_hinted`] that also
-    /// takes the partition's per-part `loads` and `counts` instead of
-    /// re-tallying them — [`crate::coarsen::Coarsening::project_for_fm`]
-    /// produces all three in the projection pass itself, so an
-    /// uncoarsening level runs zero extra full-vertex scans. The caller
-    /// owns the exactness of the tallies (debug-asserted).
     #[allow(clippy::too_many_arguments)]
     pub fn refine_primed(
         &mut self,
@@ -949,9 +931,19 @@ mod tests {
             let mut duplicated = boundary.clone();
             duplicated.extend_from_slice(&boundary);
             duplicated.push(boundary[0]);
+            let loads = PartitionMetrics::compute(&g, &base).part_loads;
+            let counts = base.part_sizes();
             for hint in [&boundary, &padded, &duplicated] {
                 let mut hinted = base.clone();
-                let sh = FmRefiner::new().refine_hinted(&g, &mut hinted, &opts(0.1, 6), SEED, hint);
+                let sh = FmRefiner::new().refine_primed(
+                    &g,
+                    &mut hinted,
+                    &opts(0.1, 6),
+                    SEED,
+                    hint,
+                    loads.clone(),
+                    counts.clone(),
+                );
                 assert_eq!(full, hinted, "hinted run diverged (seed {seed})");
                 assert_eq!(sf, sh);
             }

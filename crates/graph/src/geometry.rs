@@ -4,6 +4,8 @@
 //! index-based partitioner (appendix) maps coordinates to space-filling
 //! indices, so graphs optionally carry one [`Point2`] per vertex.
 
+use crate::error::GraphError;
+
 /// A point in the plane. Coordinates are `f64` in arbitrary units; the
 /// generators in this crate place vertices inside the unit square.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,18 +106,28 @@ pub fn quantize(points: &[Point2], resolution: u32) -> Vec<(u32, u32)> {
 ///
 /// Degenerate sets fall back sanely: collinear points use their span
 /// divided by the count; empty or single-point sets return 1.0.
-pub fn density_cell(points: &[Point2]) -> f64 {
+///
+/// # Errors
+///
+/// [`GraphError::UnboundedCoords`] when the cell is not finite: finite
+/// coordinates can still lie further apart than an `f64` measures.
+pub fn density_cell(points: &[Point2]) -> Result<f64, GraphError> {
     let Some((lo, hi)) = bounding_box(points) else {
-        return 1.0;
+        return Ok(1.0);
     };
     let (w, h) = (hi.x - lo.x, hi.y - lo.y);
     let area = w * h;
-    if area > 0.0 {
+    let cell = if area > 0.0 {
         (area / points.len() as f64).sqrt()
     } else if w.max(h) > 0.0 {
         w.max(h) / points.len() as f64
     } else {
         1.0
+    };
+    if cell.is_finite() {
+        Ok(cell)
+    } else {
+        Err(GraphError::UnboundedCoords)
     }
 }
 
@@ -386,16 +398,24 @@ mod tests {
         let points: Vec<Point2> = (0..100)
             .map(|_| Point2::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
             .collect();
-        let cell = density_cell(&points);
+        let cell = density_cell(&points).unwrap();
         assert!((50.0..200.0).contains(&cell), "cell {cell}");
         let grid = NearestGrid::new(&points, cell);
         let q = Point2::new(500.0, 500.0);
         assert_eq!(grid.nearest(&q, 5), brute_nearest(&points, &q, 5));
         // Degenerate sets stay positive and finite.
-        assert_eq!(density_cell(&[]), 1.0);
-        assert_eq!(density_cell(&[Point2::ORIGIN]), 1.0);
+        assert_eq!(density_cell(&[]), Ok(1.0));
+        assert_eq!(density_cell(&[Point2::ORIGIN]), Ok(1.0));
         let line = [Point2::new(0.0, 3.0), Point2::new(8.0, 3.0)];
-        assert_eq!(density_cell(&line), 4.0);
+        assert_eq!(density_cell(&line), Ok(4.0));
+        // Finite points whose span is not: an error, not a cell the
+        // grid's constructor would reject.
+        for far in [
+            [Point2::new(1e308, 0.0), Point2::new(-1e308, 1.0)],
+            [Point2::new(0.0, 0.0), Point2::new(1e200, 1e200)],
+        ] {
+            assert_eq!(density_cell(&far), Err(GraphError::UnboundedCoords));
+        }
     }
 
     #[test]

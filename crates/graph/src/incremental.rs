@@ -48,7 +48,9 @@ impl GrowthResult {
 /// # Errors
 ///
 /// Returns [`GraphError::MissingCoordinates`] if the graph has no vertex
-/// coordinates (the locality model needs geometry).
+/// coordinates (the locality model needs geometry), and
+/// [`GraphError::UnboundedCoords`] if they span more than an `f64`
+/// measures.
 pub fn grow_local(graph: &CsrGraph, k: usize, seed: u64) -> Result<GrowthResult, GraphError> {
     let old_coords = graph.coords_required()?.to_vec();
     let n_old = graph.num_nodes();
@@ -79,7 +81,7 @@ pub fn grow_local(graph: &CsrGraph, k: usize, seed: u64) -> Result<GrowthResult,
     // backwards-compatible growth geometry), so ring searches stay O(k)
     // for coordinates on any scale.
     let neighbors_per_new = 3usize;
-    let mut index = NearestGrid::new(&coords, crate::geometry::density_cell(&coords));
+    let mut index = NearestGrid::new(&coords, crate::geometry::density_cell(&coords)?);
     for step in 0..k {
         let new_id = (n_old + step) as u32;
         let pt = Point2::new(

@@ -541,6 +541,11 @@ pub fn write_coords(out: &mut String, coords: &[Point2]) {
 }
 
 /// Parses a coordinate document produced by [`coords_to_text`].
+///
+/// # Errors
+///
+/// [`GraphError::Parse`], naming the line, for a missing, malformed or
+/// non-finite (`inf`, `NaN`) coordinate.
 pub fn coords_from_text(text: &str) -> Result<Vec<Point2>, GraphError> {
     let mut coords = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -550,7 +555,8 @@ pub fn coords_from_text(text: &str) -> Result<Vec<Point2>, GraphError> {
         }
         let mut it = line.split_whitespace();
         let mut axis = |what: &str| -> Result<f64, GraphError> {
-            it.next()
+            let value: f64 = it
+                .next()
                 .ok_or_else(|| GraphError::Parse {
                     line: i + 1,
                     message: format!("missing {what}"),
@@ -559,7 +565,15 @@ pub fn coords_from_text(text: &str) -> Result<Vec<Point2>, GraphError> {
                 .map_err(|_| GraphError::Parse {
                     line: i + 1,
                     message: format!("bad {what}"),
+                })?;
+            if value.is_finite() {
+                Ok(value)
+            } else {
+                Err(GraphError::Parse {
+                    line: i + 1,
+                    message: format!("non-finite {what}"),
                 })
+            }
         };
         let x = axis("x coordinate")?;
         let y = axis("y coordinate")?;
@@ -721,6 +735,26 @@ mod tests {
     fn coords_reject_garbage() {
         assert!(coords_from_text("1.0\n").is_err());
         assert!(coords_from_text("a b\n").is_err());
+    }
+
+    #[test]
+    fn coords_reject_non_finite_values_naming_the_line() {
+        for (text, what) in [
+            ("0 0\n0.5 inf\n", "y"),
+            ("0 0\nNaN 0.5\n", "x"),
+            ("0 0\n-infinity 1\n", "x"),
+        ] {
+            assert_eq!(
+                coords_from_text(text).unwrap_err(),
+                GraphError::Parse {
+                    line: 2,
+                    message: format!("non-finite {what} coordinate"),
+                }
+            );
+        }
+        // Finite values far apart still parse; their span is the
+        // consumers' to judge.
+        assert!(coords_from_text("1e308 -1e308\n").is_ok());
     }
 
     use crate::builder::GraphBuilder;

@@ -45,7 +45,10 @@ use crate::partitioner::{PartitionReport, Partitioner, PartitionerError};
 use crate::refine::RefineOptions;
 use std::sync::Mutex;
 
-/// Knobs of the V-cycle itself (the inner algorithm keeps its own).
+/// The V-cycle's settings (the inner algorithm keeps its own).
+/// [`MultilevelPartitioner`] always runs on [`MultilevelConfig::default`];
+/// the fields stay public because the benchmark harness re-composes the
+/// V-cycle from them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultilevelConfig {
     /// Stop coarsening once the graph has at most this many nodes. The
@@ -79,9 +82,6 @@ impl Default for MultilevelConfig {
 pub struct MultilevelPartitioner {
     name: &'static str,
     inner: Box<dyn Partitioner>,
-    /// V-cycle knobs; the inner algorithm's configuration lives in the
-    /// inner partitioner itself.
-    pub config: MultilevelConfig,
     /// Recycled per-level workspace (match arrays, contraction scratch,
     /// FM engine), kept warm across `partition` calls and
     /// `DynamicSession` batches. Behind a mutex because the trait takes
@@ -91,28 +91,13 @@ pub struct MultilevelPartitioner {
 }
 
 impl MultilevelPartitioner {
-    /// Wraps `inner` with the default [`MultilevelConfig`].
+    /// Wraps `inner` in the V-cycle of [`MultilevelConfig::default`].
     pub fn new(name: &'static str, inner: Box<dyn Partitioner>) -> Self {
-        Self::with_config(name, inner, MultilevelConfig::default())
-    }
-
-    /// Wraps `inner` with explicit V-cycle knobs.
-    pub fn with_config(
-        name: &'static str,
-        inner: Box<dyn Partitioner>,
-        config: MultilevelConfig,
-    ) -> Self {
         MultilevelPartitioner {
             name,
             inner,
-            config,
             arena: Mutex::new(LevelArena::new()),
         }
-    }
-
-    /// The wrapped coarsest-level algorithm.
-    pub fn inner(&self) -> &dyn Partitioner {
-        self.inner.as_ref()
     }
 }
 
@@ -121,7 +106,6 @@ impl std::fmt::Debug for MultilevelPartitioner {
         f.debug_struct("MultilevelPartitioner")
             .field("name", &self.name)
             .field("inner", &self.inner.name())
-            .field("config", &self.config)
             .finish()
     }
 }
@@ -143,9 +127,10 @@ impl Partitioner for MultilevelPartitioner {
                 "cannot split {n} nodes into {num_parts} parts"
             )));
         }
+        let config = MultilevelConfig::default();
         // Never coarsen below the part count; a matching round at most
         // halves, so the coarsest graph keeps strictly more nodes than k.
-        let target = self.config.coarsen_target.max(num_parts as usize * 2);
+        let target = config.coarsen_target.max(num_parts as usize * 2);
 
         // Claim the recycled arena (or fall back to a fresh one under
         // contention/poisoning — same results, just cold buffers).
@@ -159,10 +144,10 @@ impl Partitioner for MultilevelPartitioner {
             }
         };
 
-        let levels = coarsen_to_with_arena(graph, target, seed, self.config.match_scheme, arena);
+        let levels = coarsen_to_with_arena(graph, target, seed, config.match_scheme, arena);
         let coarsest = levels.last().map_or(graph, |l| &l.coarse);
 
-        let opts = &self.config.refine;
+        let opts = &config.refine;
         let mut partition = self.inner.partition(coarsest, num_parts, seed)?.partition;
         // The arena's FM workspace serves every level of the uncoarsening
         // (its buffers are sized once at the fine level and reused — and
@@ -207,7 +192,6 @@ impl Partitioner for MultilevelPartitioner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::from_edges;
     use crate::coarsen::{coarsen_to, project_through};
     use crate::generators::{grid2d, jittered_mesh, GridKind};
     use crate::partition::{cut_size, Partition};
@@ -258,7 +242,8 @@ mod tests {
         let ml = ml_blocks();
         let report = ml.partition(&g, 4, 11).unwrap();
         // Recompute the raw projected solution (deterministic pipeline).
-        let levels = coarsen_to(&g, ml.config.coarsen_target.max(8), 11);
+        let target = MultilevelConfig::default().coarsen_target;
+        let levels = coarsen_to(&g, target.max(8), 11);
         let coarsest = levels.last().map_or(&g, |l| &l.coarse);
         let coarse_p = Blocks.partition(coarsest, 4, 11).unwrap().partition;
         let projected = project_through(&levels, &coarse_p);
@@ -374,25 +359,5 @@ mod tests {
         let report = ml_blocks().partition(&g, 4, 3).unwrap();
         assert_eq!(report.partition.num_nodes(), 20);
         assert_eq!(report.metrics.total_cut, 0);
-    }
-
-    #[test]
-    fn custom_config_is_honoured() {
-        let g = from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5), (2, 3)]).unwrap();
-        let ml = MultilevelPartitioner::with_config(
-            "mlblocks",
-            Box::new(Blocks),
-            MultilevelConfig {
-                coarsen_target: 2,
-                match_scheme: MatchScheme::ParallelHandshake,
-                refine: RefineOptions {
-                    balance_slack: 0.5,
-                    max_passes: 2,
-                },
-            },
-        );
-        assert_eq!(ml.inner().name(), "blocks");
-        let report = ml.partition(&g, 2, 1).unwrap();
-        assert_eq!(report.partition.num_nodes(), 6);
     }
 }

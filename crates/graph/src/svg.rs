@@ -11,27 +11,11 @@ use crate::geometry::bounding_box;
 use crate::partition::Partition;
 use std::fmt::Write as _;
 
-/// Rendering options for [`render_partition`].
-#[derive(Debug, Clone)]
-pub struct SvgOptions {
-    /// Canvas width in pixels (height follows the aspect ratio).
-    pub width: f64,
-    /// Vertex radius in pixels.
-    pub node_radius: f64,
-    /// Emphasize cut edges (thicker, dark) over internal edges (thin,
-    /// part-coloured).
-    pub highlight_cut: bool,
-}
+/// Canvas width in pixels (height follows the aspect ratio).
+const WIDTH: f64 = 640.0;
 
-impl Default for SvgOptions {
-    fn default() -> Self {
-        SvgOptions {
-            width: 640.0,
-            node_radius: 4.0,
-            highlight_cut: true,
-        }
-    }
-}
+/// Vertex radius in pixels.
+const NODE_RADIUS: f64 = 4.0;
 
 /// A qualitative palette with enough contrast for up to 16 parts; labels
 /// beyond 16 wrap around.
@@ -45,7 +29,9 @@ pub fn part_color(part: u32) -> &'static str {
     PALETTE[(part as usize) % PALETTE.len()]
 }
 
-/// Renders `graph` coloured by `partition` as an SVG document.
+/// Renders `graph` coloured by `partition` as an SVG document, 640 px
+/// wide: internal edges thin and part-coloured, cut edges dark, dashed
+/// and drawn above them.
 ///
 /// # Errors
 ///
@@ -55,11 +41,7 @@ pub fn part_color(part: u32) -> &'static str {
 ///
 /// Panics if the partition covers a different number of nodes than the
 /// graph has.
-pub fn render_partition(
-    graph: &CsrGraph,
-    partition: &Partition,
-    opts: &SvgOptions,
-) -> Result<String, GraphError> {
+pub fn render_partition(graph: &CsrGraph, partition: &Partition) -> Result<String, GraphError> {
     assert_eq!(
         graph.num_nodes(),
         partition.num_nodes(),
@@ -72,8 +54,8 @@ pub fn render_partition(
     ));
     let span_x = (hi.x - lo.x).max(1e-9);
     let span_y = (hi.y - lo.y).max(1e-9);
-    let margin = opts.node_radius * 3.0;
-    let inner_w = opts.width - 2.0 * margin;
+    let margin = NODE_RADIUS * 3.0;
+    let inner_w = WIDTH - 2.0 * margin;
     let inner_h = inner_w * span_y / span_x;
     let height = inner_h + 2.0 * margin;
     // SVG's y axis grows downward; flip so plots match math convention.
@@ -84,7 +66,7 @@ pub fn render_partition(
     let _ = writeln!(
         out,
         r#"<svg xmlns="http://www.w3.org/2000/svg" width="{:.0}" height="{:.0}" viewBox="0 0 {:.0} {:.0}">"#,
-        opts.width, height, opts.width, height
+        WIDTH, height, WIDTH, height
     );
     let _ = writeln!(out, r#"<rect width="100%" height="100%" fill="white"/>"#);
 
@@ -105,14 +87,9 @@ pub fn render_partition(
                 part_color(pu)
             );
         } else {
-            let (stroke, width) = if opts.highlight_cut {
-                ("#222222", 2.0)
-            } else {
-                ("#bbbbbb", 1.0)
-            };
             let _ = writeln!(
                 cut_edges,
-                r#"<line x1="{:.1}" y1="{:.1}" x2="{:.1}" y2="{:.1}" stroke="{stroke}" stroke-width="{width}" stroke-dasharray="4 2"/>"#,
+                r##"<line x1="{:.1}" y1="{:.1}" x2="{:.1}" y2="{:.1}" stroke="#222222" stroke-width="2" stroke-dasharray="4 2"/>"##,
                 px(a.x),
                 py(a.y),
                 px(b.x),
@@ -129,7 +106,7 @@ pub fn render_partition(
             r#"<circle cx="{:.1}" cy="{:.1}" r="{:.1}" fill="{}" stroke="black" stroke-width="0.5"/>"#,
             px(p.x),
             py(p.y),
-            opts.node_radius,
+            NODE_RADIUS,
             part_color(labels[v as usize])
         );
     }
@@ -146,7 +123,7 @@ mod tests {
     fn renders_well_formed_svg() {
         let g = paper_graph(78);
         let p = Partition::round_robin(78, 4);
-        let svg = render_partition(&g, &p, &SvgOptions::default()).unwrap();
+        let svg = render_partition(&g, &p).unwrap();
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));
         // One circle per node.
@@ -159,7 +136,7 @@ mod tests {
     fn cut_edges_are_dashed_and_counted() {
         let g = paper_graph(98);
         let p = Partition::blocks(98, 2);
-        let svg = render_partition(&g, &p, &SvgOptions::default()).unwrap();
+        let svg = render_partition(&g, &p).unwrap();
         let cut = crate::partition::cut_size(&g, &p) as usize;
         assert_eq!(svg.matches("stroke-dasharray").count(), cut);
     }
@@ -175,32 +152,19 @@ mod tests {
         let g = gnp(10, 0.3, 1);
         let p = Partition::round_robin(10, 2);
         assert_eq!(
-            render_partition(&g, &p, &SvgOptions::default()).unwrap_err(),
+            render_partition(&g, &p).unwrap_err(),
             GraphError::MissingCoordinates
         );
-    }
-
-    #[test]
-    fn no_highlight_mode_draws_plain_cut_edges() {
-        let g = paper_graph(78);
-        let p = Partition::blocks(78, 2);
-        let opts = SvgOptions {
-            highlight_cut: false,
-            ..Default::default()
-        };
-        let svg = render_partition(&g, &p, &opts).unwrap();
-        assert!(!svg.contains("#222222"));
     }
 
     #[test]
     fn coordinates_are_scaled_into_canvas() {
         let g = paper_graph(78);
         let p = Partition::round_robin(78, 4);
-        let opts = SvgOptions::default();
-        let svg = render_partition(&g, &p, &opts).unwrap();
+        let svg = render_partition(&g, &p).unwrap();
         for cap in svg.split("cx=\"").skip(1) {
             let x: f64 = cap.split('"').next().unwrap().parse().unwrap();
-            assert!(x >= 0.0 && x <= opts.width, "cx {x} outside canvas");
+            assert!((0.0..=WIDTH).contains(&x), "cx {x} outside canvas");
         }
     }
 }

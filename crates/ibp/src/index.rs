@@ -2,23 +2,20 @@
 
 use crate::interleave::{bits_for, interleave2};
 
-/// The indexing schemes supported by the partitioner. Row-major and
-/// shuffled row-major are the two the paper illustrates (Figure 1);
-/// Hilbert is the natural extension with strictly better locality.
+/// The two indexing schemes the paper illustrates (Figure 1). The
+/// partitioner indexes by shuffled row-major, the better seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexScheme {
     /// `index = row * cols + col` — Figure 1(a).
     RowMajor,
     /// Bit-interleaved Morton / Z-order — Figure 1(b).
     ShuffledRowMajor,
-    /// Hilbert space-filling curve (extension; not in the paper's figure).
-    Hilbert,
 }
 
 impl IndexScheme {
     /// Index of cell `(row, col)` on a `side × side` grid (`side` need not
     /// be a power of two; it is rounded up internally for the bitwise
-    /// schemes).
+    /// scheme).
     pub fn index(&self, row: u32, col: u32, side: u32) -> u64 {
         assert!(row < side && col < side, "cell out of range");
         match self {
@@ -27,19 +24,8 @@ impl IndexScheme {
                 let bits = bits_for(side);
                 interleave2(row, col, bits)
             }
-            IndexScheme::Hilbert => {
-                let bits = bits_for(side);
-                hilbert_d(row, col, bits)
-            }
         }
     }
-
-    /// All schemes, for sweeps and tests.
-    pub const ALL: [IndexScheme; 3] = [
-        IndexScheme::RowMajor,
-        IndexScheme::ShuffledRowMajor,
-        IndexScheme::Hilbert,
-    ];
 }
 
 impl std::fmt::Display for IndexScheme {
@@ -47,34 +33,8 @@ impl std::fmt::Display for IndexScheme {
         match self {
             IndexScheme::RowMajor => write!(f, "row-major"),
             IndexScheme::ShuffledRowMajor => write!(f, "shuffled row-major"),
-            IndexScheme::Hilbert => write!(f, "hilbert"),
         }
     }
-}
-
-/// Distance along the Hilbert curve of order `bits` for cell `(row, col)`.
-/// Classic iterative rotation algorithm.
-pub fn hilbert_d(row: u32, col: u32, bits: u32) -> u64 {
-    let (mut x, mut y) = (col as u64, row as u64);
-    let mut rx: u64;
-    let mut ry: u64;
-    let mut d: u64 = 0;
-    let mut s: u64 = 1u64 << (bits - 1);
-    while s > 0 {
-        rx = u64::from((x & s) > 0);
-        ry = u64::from((y & s) > 0);
-        d += s * s * ((3 * rx) ^ ry);
-        // Rotate quadrant.
-        if ry == 0 {
-            if rx == 1 {
-                x = s.wrapping_sub(1).wrapping_sub(x);
-                y = s.wrapping_sub(1).wrapping_sub(y);
-            }
-            std::mem::swap(&mut x, &mut y);
-        }
-        s /= 2;
-    }
-    d
 }
 
 /// The paper's Figure 1(a): row-major indices of an 8×8 grid, row by row.
@@ -135,42 +95,8 @@ mod tests {
     }
 
     #[test]
-    fn hilbert_is_a_bijection() {
-        let mut seen = [false; 64];
-        for r in 0..8 {
-            for c in 0..8 {
-                let d = hilbert_d(r, c, 3) as usize;
-                assert!(d < 64);
-                assert!(!seen[d], "distance {d} repeated");
-                seen[d] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn hilbert_consecutive_cells_are_adjacent() {
-        // The defining property of the Hilbert curve: consecutive indices
-        // are unit-distance apart on the grid.
-        let bits = 4;
-        let side = 1u32 << bits;
-        let mut by_d: Vec<(u32, u32)> = vec![(0, 0); (side * side) as usize];
-        for r in 0..side {
-            for c in 0..side {
-                by_d[hilbert_d(r, c, bits) as usize] = (r, c);
-            }
-        }
-        for w in by_d.windows(2) {
-            let (r0, c0) = w[0];
-            let (r1, c1) = w[1];
-            let dist = r0.abs_diff(r1) + c0.abs_diff(c1);
-            assert_eq!(dist, 1, "cells {:?} -> {:?} not adjacent", w[0], w[1]);
-        }
-    }
-
-    #[test]
     fn non_power_of_two_sides_still_injective() {
-        for scheme in IndexScheme::ALL {
+        for scheme in [IndexScheme::RowMajor, IndexScheme::ShuffledRowMajor] {
             let mut seen = std::collections::HashSet::new();
             for r in 0..6u32 {
                 for c in 0..6u32 {
@@ -192,6 +118,9 @@ mod tests {
     #[test]
     fn display_names() {
         assert_eq!(IndexScheme::RowMajor.to_string(), "row-major");
-        assert_eq!(IndexScheme::Hilbert.to_string(), "hilbert");
+        assert_eq!(
+            IndexScheme::ShuffledRowMajor.to_string(),
+            "shuffled row-major"
+        );
     }
 }

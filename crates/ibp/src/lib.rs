@@ -9,11 +9,11 @@
 //!
 //! * [`interleave`] — bit interleaving, including the generalized
 //!   unequal-width scheme worked through in the appendix.
-//! * [`index`] — row-major, shuffled row-major (Morton / Z-order), and
-//!   Hilbert indexing of grid coordinates, plus the exact 8×8 matrices of
-//!   the paper's Figure 1.
+//! * [`index`] — row-major and shuffled row-major (Morton / Z-order)
+//!   indexing of grid coordinates, plus the exact 8×8 matrices of the
+//!   paper's Figure 1.
 //! * [`partition`] — the full pipeline from a coordinate-carrying graph to
-//!   a [`gapart_graph::Partition`].
+//!   a [`gapart_graph::Partition`], indexing by shuffled row-major.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,5 +24,5 @@ pub mod partition;
 pub mod partitioner_impl;
 
 pub use index::{figure1_row_major, figure1_shuffled, IndexScheme};
-pub use partition::{ibp_partition, IbpOptions};
+pub use partition::ibp_partition;
 pub use partitioner_impl::IbpPartitioner;

@@ -2,62 +2,46 @@
 
 use crate::index::IndexScheme;
 use gapart_graph::error::GraphError;
-use gapart_graph::geometry::quantize;
+use gapart_graph::geometry::{density_cell, quantize};
 use gapart_graph::{CsrGraph, Partition};
 
-/// Options for [`ibp_partition`].
-#[derive(Debug, Clone)]
-pub struct IbpOptions {
-    /// Indexing scheme (the paper illustrates row-major and shuffled
-    /// row-major; shuffled is the better seed and the default).
-    pub scheme: IndexScheme,
-    /// Grid resolution the coordinates are quantized onto. Higher values
-    /// distinguish nearby vertices better; 1024 is plenty for the paper's
-    /// graph sizes.
-    pub resolution: u32,
-}
-
-impl Default for IbpOptions {
-    fn default() -> Self {
-        IbpOptions {
-            scheme: IndexScheme::ShuffledRowMajor,
-            resolution: 1024,
-        }
-    }
-}
+/// Grid resolution the coordinates are quantized onto: fine enough to
+/// tell apart nearby vertices of the paper's graph sizes.
+const RESOLUTION: u32 = 1024;
 
 /// Partitions a coordinate-carrying graph into `num_parts` parts by the
-/// paper's appendix algorithm: quantize vertex coordinates onto a grid,
-/// compute each vertex's 1-D spatial index, sort (ties broken by vertex
-/// id), and cut the sorted list into `P` equal sublists.
+/// paper's appendix algorithm: quantize vertex coordinates onto a
+/// 1024 × 1024 grid, compute each vertex's shuffled row-major (Morton)
+/// index, sort (ties broken by vertex id), and cut the sorted list into
+/// `P` equal sublists.
 ///
 /// # Errors
 ///
-/// [`GraphError::MissingCoordinates`] if the graph carries no geometry;
-/// [`GraphError::PartOutOfRange`] if `num_parts` is zero or exceeds the
-/// node count.
-pub fn ibp_partition(
-    graph: &CsrGraph,
-    num_parts: u32,
-    opts: &IbpOptions,
-) -> Result<Partition, GraphError> {
+/// [`GraphError::BadPartCount`] if `num_parts` is zero or exceeds the
+/// node count; [`GraphError::MissingCoordinates`] if the graph carries no
+/// geometry; [`GraphError::UnboundedCoords`] if its coordinates span
+/// more than an `f64` measures.
+pub fn ibp_partition(graph: &CsrGraph, num_parts: u32) -> Result<Partition, GraphError> {
     let n = graph.num_nodes();
     if num_parts == 0 || num_parts as usize > n {
-        return Err(GraphError::PartOutOfRange {
-            part: num_parts,
+        return Err(GraphError::BadPartCount {
             num_parts,
+            num_nodes: n,
         });
     }
     let coords = graph.coords_required()?;
+    // No grid covers coordinates further apart than an f64 measures.
+    density_cell(coords)?;
 
     // Phase 1: indexing.
-    let cells = quantize(coords, opts.resolution);
+    let cells = quantize(coords, RESOLUTION);
     let mut keyed: Vec<(u64, u32)> = cells
         .iter()
         .enumerate()
         .map(|(v, &(cx, cy))| {
-            // quantize returns (x, y); the schemes take (row, col).
-            (opts.scheme.index(cy, cx, opts.resolution), v as u32)
+            // quantize returns (x, y); the scheme takes (row, col).
+            let index = IndexScheme::ShuffledRowMajor.index(cy, cx, RESOLUTION);
+            (index, v as u32)
         })
         .collect();
 
@@ -90,7 +74,7 @@ mod tests {
     fn parts_are_equal_sized() {
         let g = paper_graph(167);
         for parts in [2u32, 4, 8] {
-            let p = ibp_partition(&g, parts, &IbpOptions::default()).unwrap();
+            let p = ibp_partition(&g, parts).unwrap();
             let sizes = p.part_sizes();
             let min = *sizes.iter().min().unwrap();
             let max = *sizes.iter().max().unwrap();
@@ -101,7 +85,7 @@ mod tests {
     #[test]
     fn locality_beats_round_robin() {
         let g = paper_graph(144);
-        let ibp = ibp_partition(&g, 4, &IbpOptions::default()).unwrap();
+        let ibp = ibp_partition(&g, 4).unwrap();
         let rr = Partition::round_robin(144, 4);
         assert!(
             cut_size(&g, &ibp) < cut_size(&g, &rr),
@@ -113,28 +97,13 @@ mod tests {
 
     #[test]
     fn shuffled_beats_row_major_on_square_grid() {
-        // On a square grid split 4 ways, row-major produces 4 horizontal
-        // slabs (3 full-width cuts); Morton produces 4 quadrant-ish blocks
-        // (shorter total boundary).
+        // On a square grid split 4 ways, row-major order produces 4
+        // horizontal slabs (3 full-width cuts) — the grid's ids are
+        // row-major, so those are its id blocks; Morton produces 4
+        // quadrant-ish blocks (shorter total boundary).
         let g = grid2d(16, 16, GridKind::FourConnected);
-        let rm = ibp_partition(
-            &g,
-            4,
-            &IbpOptions {
-                scheme: IndexScheme::RowMajor,
-                resolution: 16,
-            },
-        )
-        .unwrap();
-        let sh = ibp_partition(
-            &g,
-            4,
-            &IbpOptions {
-                scheme: IndexScheme::ShuffledRowMajor,
-                resolution: 16,
-            },
-        )
-        .unwrap();
+        let rm = Partition::blocks(256, 4);
+        let sh = ibp_partition(&g, 4).unwrap();
         assert!(
             cut_size(&g, &sh) < cut_size(&g, &rm),
             "shuffled {} vs row-major {}",
@@ -144,46 +113,23 @@ mod tests {
     }
 
     #[test]
-    fn hilbert_no_worse_than_shuffled() {
-        let g = grid2d(16, 16, GridKind::FourConnected);
-        let mk = |scheme| {
-            let p = ibp_partition(
-                &g,
-                8,
-                &IbpOptions {
-                    scheme,
-                    resolution: 16,
-                },
-            )
-            .unwrap();
-            cut_size(&g, &p)
-        };
-        assert!(mk(IndexScheme::Hilbert) <= mk(IndexScheme::ShuffledRowMajor));
-    }
-
-    #[test]
     fn row_major_on_grid_gives_slabs() {
+        // Morton's leading bit is the row's, so a 2-way split of an 8 × 8
+        // grid is its row-major halves: the top 4 rows in one part, the
+        // bottom 4 in the other, cut = 8.
         let g = grid2d(8, 8, GridKind::FourConnected);
-        let p = ibp_partition(
-            &g,
-            2,
-            &IbpOptions {
-                scheme: IndexScheme::RowMajor,
-                resolution: 8,
-            },
-        )
-        .unwrap();
-        // Top 4 rows in one part, bottom 4 in the other: cut = 8.
+        let p = ibp_partition(&g, 2).unwrap();
         let m = PartitionMetrics::compute(&g, &p);
         assert_eq!(m.total_cut, 8);
         assert_eq!(m.part_loads, vec![32, 32]);
+        assert_eq!(p, Partition::blocks(64, 2));
     }
 
     #[test]
     fn requires_coordinates() {
         let g = gapart_graph::generators::gnp(20, 0.2, 1);
         assert_eq!(
-            ibp_partition(&g, 2, &IbpOptions::default()).unwrap_err(),
+            ibp_partition(&g, 2).unwrap_err(),
             GraphError::MissingCoordinates
         );
     }
@@ -191,15 +137,18 @@ mod tests {
     #[test]
     fn rejects_bad_part_count() {
         let g = paper_graph(78);
-        assert!(ibp_partition(&g, 0, &IbpOptions::default()).is_err());
-        assert!(ibp_partition(&g, 100, &IbpOptions::default()).is_err());
+        assert!(ibp_partition(&g, 0).is_err());
+        assert_eq!(
+            ibp_partition(&g, 100).unwrap_err().to_string(),
+            "cannot split 78 nodes into 100 parts"
+        );
     }
 
     #[test]
     fn deterministic() {
         let g = paper_graph(213);
-        let a = ibp_partition(&g, 8, &IbpOptions::default()).unwrap();
-        let b = ibp_partition(&g, 8, &IbpOptions::default()).unwrap();
+        let a = ibp_partition(&g, 8).unwrap();
+        let b = ibp_partition(&g, 8).unwrap();
         assert_eq!(a, b);
     }
 }

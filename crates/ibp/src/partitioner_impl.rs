@@ -1,6 +1,6 @@
 //! [`Partitioner`] implementation for the index-based partitioner.
 
-use crate::partition::{ibp_partition, IbpOptions};
+use crate::partition::ibp_partition;
 use gapart_graph::partitioner::{PartitionReport, Partitioner, PartitionerError};
 use gapart_graph::CsrGraph;
 
@@ -10,10 +10,7 @@ use gapart_graph::CsrGraph;
 /// randomness — so the trait's `seed` argument is ignored. Graphs without
 /// coordinates are rejected with a [`PartitionerError`].
 #[derive(Debug, Clone, Default)]
-pub struct IbpPartitioner {
-    /// Indexing scheme and grid resolution.
-    pub options: IbpOptions,
-}
+pub struct IbpPartitioner;
 
 impl Partitioner for IbpPartitioner {
     fn name(&self) -> &'static str {
@@ -26,7 +23,7 @@ impl Partitioner for IbpPartitioner {
         num_parts: u32,
         _seed: u64,
     ) -> Result<PartitionReport, PartitionerError> {
-        let p = ibp_partition(graph, num_parts, &self.options).map_err(PartitionerError::new)?;
+        let p = ibp_partition(graph, num_parts).map_err(PartitionerError::new)?;
         Ok(PartitionReport::new(self.name(), graph, p))
     }
 }
@@ -39,7 +36,7 @@ mod tests {
     #[test]
     fn seed_is_irrelevant_and_coordinates_required() {
         let g = jittered_mesh(60, 9);
-        let p = IbpPartitioner::default();
+        let p = IbpPartitioner;
         let a = p.partition(&g, 4, 1).unwrap();
         let b = p.partition(&g, 4, 2).unwrap();
         assert_eq!(a.partition, b.partition);

@@ -3,9 +3,8 @@
 use gapart_graph::generators::jittered_mesh;
 use gapart_graph::partition::cut_size;
 use gapart_graph::Partition;
-use gapart_ibp::index::{hilbert_d, IndexScheme};
+use gapart_ibp::ibp_partition;
 use gapart_ibp::interleave::{bits_for, deinterleave2, interleave, interleave2, Dim};
-use gapart_ibp::{ibp_partition, IbpOptions};
 use proptest::prelude::*;
 
 proptest! {
@@ -70,53 +69,25 @@ proptest! {
         }
     }
 
-    /// Hilbert distance is a bijection on any power-of-two grid, and
-    /// consecutive distances are grid-adjacent.
-    #[test]
-    fn hilbert_bijective_and_continuous(bits in 1u32..6) {
-        let side = 1u32 << bits;
-        let total = (side as u64) * (side as u64);
-        let mut by_d = vec![None; total as usize];
-        for r in 0..side {
-            for c in 0..side {
-                let d = hilbert_d(r, c, bits);
-                prop_assert!(d < total);
-                prop_assert!(by_d[d as usize].is_none());
-                by_d[d as usize] = Some((r, c));
-            }
-        }
-        for w in by_d.windows(2) {
-            let (r0, c0) = w[0].unwrap();
-            let (r1, c1) = w[1].unwrap();
-            prop_assert_eq!(r0.abs_diff(r1) + c0.abs_diff(c1), 1);
-        }
-    }
-
-    /// IBP balance invariant and determinism on arbitrary meshes, all
-    /// schemes.
+    /// IBP balance invariant and determinism on arbitrary meshes.
     #[test]
     fn ibp_balanced_and_deterministic(
         n in 4usize..250,
         parts in 2u32..9,
         seed in any::<u64>(),
-        scheme_idx in 0usize..3,
     ) {
         prop_assume!(parts as usize <= n);
         let g = jittered_mesh(n, seed);
-        let opts = IbpOptions {
-            scheme: IndexScheme::ALL[scheme_idx],
-            resolution: 256,
-        };
-        let p1 = ibp_partition(&g, parts, &opts).unwrap();
-        let p2 = ibp_partition(&g, parts, &opts).unwrap();
+        let p1 = ibp_partition(&g, parts).unwrap();
+        let p2 = ibp_partition(&g, parts).unwrap();
         prop_assert_eq!(&p1, &p2);
         let sizes = p1.part_sizes();
         let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
         prop_assert!(max - min <= 1);
     }
 
-    /// Locality schemes (Morton, Hilbert) never do worse than a random
-    /// shuffle of the same part sizes — the entire point of indexing.
+    /// Morton-order IBP never does worse than a random shuffle of the
+    /// same part sizes — the entire point of indexing.
     #[test]
     fn spatial_indexing_beats_random_assignment(
         n in 40usize..200,
@@ -124,8 +95,7 @@ proptest! {
     ) {
         let g = jittered_mesh(n, seed);
         let parts = 4u32;
-        let opts = IbpOptions { scheme: IndexScheme::Hilbert, resolution: 512 };
-        let ibp = ibp_partition(&g, parts, &opts).unwrap();
+        let ibp = ibp_partition(&g, parts).unwrap();
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xabc);
@@ -133,7 +103,7 @@ proptest! {
         shuffled.shuffle(&mut rng);
         let random = Partition::new(shuffled, parts).unwrap();
         prop_assert!(cut_size(&g, &ibp) <= cut_size(&g, &random),
-            "Hilbert IBP lost to a random shuffle");
+            "Morton IBP lost to a random shuffle");
     }
 
     /// bits_for always covers the requested range with the minimum width.

@@ -5,33 +5,17 @@
 //! deflation: spectral bisection must project out the constant vector,
 //! which spans the Laplacian's known null space on a connected graph.
 
-use crate::csr::CsrMatrix;
 use crate::dense::{axpy, dot, normalize, orthogonalize_against};
 use crate::tridiag::{eigh_tridiagonal, TridiagError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Tuning knobs for [`lanczos_smallest`].
-#[derive(Debug, Clone)]
-pub struct LanczosOptions {
-    /// Maximum Krylov subspace dimension (capped at the effective problem
-    /// size automatically).
-    pub max_iters: usize,
-    /// Convergence tolerance on the Ritz residual estimate `|β_j s_{ji}|`.
-    pub tol: f64,
-    /// Seed for the random start vector.
-    pub seed: u64,
-}
+/// Largest Krylov subspace [`lanczos_smallest`] builds (capped at the
+/// effective problem size automatically).
+const MAX_ITERS: usize = 400;
 
-impl Default for LanczosOptions {
-    fn default() -> Self {
-        LanczosOptions {
-            max_iters: 300,
-            tol: 1e-8,
-            seed: 0x4c41_4e43, // "LANC"
-        }
-    }
-}
+/// Convergence tolerance on the Ritz residual estimate `|β_j s_{ji}|`.
+const TOLERANCE: f64 = 1e-7;
 
 /// Outcome of a Lanczos run.
 #[derive(Debug, Clone)]
@@ -75,17 +59,20 @@ impl From<TridiagError> for LanczosError {
 
 /// Computes the `k` smallest eigenpairs of the symmetric operator `op`
 /// (`op(x, y)` must set `y = A x`) of dimension `n`, restricted to the
-/// orthogonal complement of `deflate` (which must be orthonormal).
+/// orthogonal complement of `deflate` (which must be orthonormal). `seed`
+/// draws the random start vector.
 ///
 /// Uses Lanczos with full reorthogonalization against both the Krylov
 /// basis and the deflation vectors, restarting with fresh random
-/// directions when the Krylov space goes invariant early.
+/// directions when the Krylov space goes invariant early. It builds at
+/// most 400 Krylov vectors and stops once every wanted Ritz residual
+/// estimate is at most 1e-7.
 pub fn lanczos_smallest<F>(
     op: F,
     n: usize,
     k: usize,
     deflate: &[Vec<f64>],
-    opts: &LanczosOptions,
+    seed: u64,
 ) -> Result<LanczosResult, LanczosError>
 where
     F: Fn(&[f64], &mut [f64]),
@@ -103,8 +90,8 @@ where
             converged: true,
         });
     }
-    let max_dim = opts.max_iters.min(effective_dim).max(want);
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let max_dim = MAX_ITERS.min(effective_dim).max(want);
+    let mut rng = StdRng::seed_from_u64(seed);
 
     let fresh_start = |rng: &mut StdRng, basis: &[Vec<f64>]| -> Option<Vec<f64>> {
         for _ in 0..20 {
@@ -154,8 +141,8 @@ where
                 .take(want)
                 .map(|(_, s)| (beta * s[dim - 1]).abs())
                 .fold(0.0f64, f64::max);
-            if worst_residual <= opts.tol || dim == max_dim || beta <= 1e-12 {
-                if beta <= 1e-12 && dim < max_dim && worst_residual > opts.tol {
+            if worst_residual <= TOLERANCE || dim == max_dim || beta <= 1e-12 {
+                if beta <= 1e-12 && dim < max_dim && worst_residual > TOLERANCE {
                     // Invariant subspace before convergence: restart
                     // direction, keep the basis.
                     if let Some(v) = fresh_start(&mut rng, &basis) {
@@ -164,7 +151,7 @@ where
                         continue;
                     }
                 }
-                converged = worst_residual <= opts.tol;
+                converged = worst_residual <= TOLERANCE;
                 let eigenvalues: Vec<f64> = vals[..want].to_vec();
                 let eigenvectors: Vec<Vec<f64>> = vecs[..want]
                     .iter()
@@ -224,21 +211,33 @@ where
     })
 }
 
-/// Convenience wrapper: smallest eigenpairs of a [`CsrMatrix`].
-pub fn lanczos_smallest_csr(
-    a: &CsrMatrix,
-    k: usize,
-    deflate: &[Vec<f64>],
-    opts: &LanczosOptions,
-) -> Result<LanczosResult, LanczosError> {
-    lanczos_smallest(|x, y| a.matvec(x, y), a.dim(), k, deflate, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn path_laplacian(n: usize) -> CsrMatrix {
+    /// The start-vector seed these tests have always drawn ("LANC").
+    const SEED: u64 = 0x4c41_4e43;
+
+    /// A test-local dense matrix built from `(row, col, value)` triplets,
+    /// duplicates summed.
+    fn matrix(n: usize, triplets: &[(u32, u32, f64)]) -> Vec<Vec<f64>> {
+        let mut a = vec![vec![0.0; n]; n];
+        for &(r, c, v) in triplets {
+            a[r as usize][c as usize] += v;
+        }
+        a
+    }
+
+    /// `y = A x` as the operator closure [`lanczos_smallest`] takes.
+    fn op(a: &[Vec<f64>]) -> impl Fn(&[f64], &mut [f64]) + '_ {
+        move |x, y| {
+            for (yi, row) in y.iter_mut().zip(a) {
+                *yi = dot(row, x);
+            }
+        }
+    }
+
+    fn path_laplacian(n: usize) -> Vec<Vec<f64>> {
         let mut t = Vec::new();
         for i in 0..n as u32 {
             let deg = if i == 0 || i == n as u32 - 1 {
@@ -252,13 +251,13 @@ mod tests {
                 t.push((i + 1, i, -1.0));
             }
         }
-        CsrMatrix::from_triplets(n, &t)
+        matrix(n, &t)
     }
 
     #[test]
     fn smallest_of_diagonal_matrix() {
-        let a = CsrMatrix::from_triplets(4, &[(0, 0, 4.0), (1, 1, 1.0), (2, 2, 3.0), (3, 3, 2.0)]);
-        let r = lanczos_smallest_csr(&a, 2, &[], &LanczosOptions::default()).unwrap();
+        let a = matrix(4, &[(0, 0, 4.0), (1, 1, 1.0), (2, 2, 3.0), (3, 3, 2.0)]);
+        let r = lanczos_smallest(op(&a), 4, 2, &[], SEED).unwrap();
         assert!(r.converged);
         assert!((r.eigenvalues[0] - 1.0).abs() < 1e-7, "{:?}", r.eigenvalues);
         assert!((r.eigenvalues[1] - 2.0).abs() < 1e-7);
@@ -270,7 +269,7 @@ mod tests {
         let n = 12;
         let a = path_laplacian(n);
         let ones = vec![1.0 / (n as f64).sqrt(); n];
-        let r = lanczos_smallest_csr(&a, 1, &[ones], &LanczosOptions::default()).unwrap();
+        let r = lanczos_smallest(op(&a), n, 1, &[ones], SEED).unwrap();
         let expect = 4.0 * (std::f64::consts::PI / (2.0 * n as f64)).sin().powi(2);
         assert!(
             (r.eigenvalues[0] - expect).abs() < 1e-7,
@@ -292,10 +291,11 @@ mod tests {
         let a = path_laplacian(30);
         let n = 30;
         let ones = vec![1.0 / (n as f64).sqrt(); n];
-        let r = lanczos_smallest_csr(&a, 3, &[ones], &LanczosOptions::default()).unwrap();
+        let r = lanczos_smallest(op(&a), n, 3, &[ones], SEED).unwrap();
         assert!(r.converged);
         for (lam, v) in r.eigenvalues.iter().zip(&r.eigenvectors) {
-            let av = a.apply(v);
+            let mut av = vec![0.0; n];
+            op(&a)(v, &mut av);
             let res: f64 = av
                 .iter()
                 .zip(v)
@@ -311,13 +311,7 @@ mod tests {
         let n = 20;
         let a = path_laplacian(n);
         let ones = vec![1.0 / (n as f64).sqrt(); n];
-        let r = lanczos_smallest_csr(
-            &a,
-            2,
-            std::slice::from_ref(&ones),
-            &LanczosOptions::default(),
-        )
-        .unwrap();
+        let r = lanczos_smallest(op(&a), n, 2, std::slice::from_ref(&ones), SEED).unwrap();
         for v in &r.eigenvectors {
             assert!(dot(v, &ones).abs() < 1e-7);
         }
@@ -325,9 +319,9 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_rejected() {
-        let a = CsrMatrix::from_triplets(3, &[(0, 0, 1.0)]);
+        let a = matrix(3, &[(0, 0, 1.0)]);
         assert!(matches!(
-            lanczos_smallest_csr(&a, 0, &[], &LanczosOptions::default()),
+            lanczos_smallest(op(&a), 3, 0, &[], SEED),
             Err(LanczosError::Degenerate)
         ));
     }
@@ -335,9 +329,9 @@ mod tests {
     #[test]
     fn want_capped_at_effective_dimension() {
         // 3x3 with one deflation vector: at most 2 pairs available.
-        let a = CsrMatrix::from_triplets(3, &[(0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0)]);
+        let a = matrix(3, &[(0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0)]);
         let e0 = vec![1.0, 0.0, 0.0];
-        let r = lanczos_smallest_csr(&a, 5, &[e0], &LanczosOptions::default()).unwrap();
+        let r = lanczos_smallest(op(&a), 3, 5, &[e0], SEED).unwrap();
         assert!(r.eigenvalues.len() <= 2);
     }
 
@@ -345,14 +339,8 @@ mod tests {
     fn deterministic_given_seed() {
         let a = path_laplacian(15);
         let ones = vec![1.0 / 15f64.sqrt(); 15];
-        let r1 = lanczos_smallest_csr(
-            &a,
-            1,
-            std::slice::from_ref(&ones),
-            &LanczosOptions::default(),
-        )
-        .unwrap();
-        let r2 = lanczos_smallest_csr(&a, 1, &[ones], &LanczosOptions::default()).unwrap();
+        let r1 = lanczos_smallest(op(&a), 15, 1, std::slice::from_ref(&ones), SEED).unwrap();
+        let r2 = lanczos_smallest(op(&a), 15, 1, &[ones], SEED).unwrap();
         assert_eq!(r1.eigenvalues, r2.eigenvalues);
     }
 
@@ -371,9 +359,9 @@ mod tests {
             (3, 2, -1.0),
             (3, 3, 1.0),
         ];
-        let a = CsrMatrix::from_triplets(4, &t);
+        let a = matrix(4, &t);
         let ones = vec![0.5; 4];
-        let r = lanczos_smallest_csr(&a, 1, &[ones], &LanczosOptions::default()).unwrap();
+        let r = lanczos_smallest(op(&a), 4, 1, &[ones], SEED).unwrap();
         assert!(r.eigenvalues[0].abs() < 1e-8, "{:?}", r.eigenvalues);
     }
 }

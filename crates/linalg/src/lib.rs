@@ -1,4 +1,4 @@
-//! Minimal sparse linear algebra for the RSB baseline.
+//! Minimal linear algebra for the RSB baseline.
 //!
 //! The paper's main comparison baseline is Recursive Spectral Bisection
 //! (Pothen–Simon–Liou), which needs the second-smallest eigenpair (the
@@ -6,12 +6,13 @@
 //! substrate from scratch:
 //!
 //! * [`dense`] — the handful of dense vector kernels Lanczos needs.
-//! * [`csr`] — a symmetric sparse matrix in CSR form with `y = Ax`.
 //! * [`tridiag`] — implicit-QL eigensolver for symmetric tridiagonal
 //!   matrices (the classic `tql2` algorithm), eigenvalues + eigenvectors.
 //! * [`lanczos`] — Lanczos iteration with full reorthogonalization and
 //!   optional deflation, returning the smallest eigenpairs of a symmetric
-//!   operator.
+//!   operator given as a closure `y = A x` — RSB applies its Laplacian
+//!   straight from the graph's own CSR rows, so this crate stores no
+//!   matrix.
 //!
 //! Scope is deliberately limited to what spectral bisection needs; this is
 //! not a general linear-algebra library.
@@ -19,10 +20,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod csr;
 pub mod dense;
 pub mod lanczos;
 pub mod tridiag;
 
-pub use csr::CsrMatrix;
-pub use lanczos::{lanczos_smallest, LanczosOptions, LanczosResult};
+pub use lanczos::{lanczos_smallest, LanczosResult};

@@ -5,18 +5,8 @@ use crate::RsbError;
 use gapart_graph::subgraph::induced_subgraph;
 use gapart_graph::{CsrGraph, Partition};
 
-/// Options for [`rsb_partition`].
-#[derive(Debug, Clone)]
-pub struct RsbOptions {
-    /// Seed for the Lanczos start vectors (one derived seed per recursion).
-    pub seed: u64,
-}
-
-impl Default for RsbOptions {
-    fn default() -> Self {
-        RsbOptions { seed: 0x5253_4200 } // "RSB"
-    }
-}
+/// The seed RSB runs under when a caller names none ("RSB").
+pub const DEFAULT_SEED: u64 = 0x5253_4200;
 
 /// Splits `graph` into `num_parts` parts by recursive spectral bisection.
 ///
@@ -24,17 +14,14 @@ impl Default for RsbOptions {
 /// nodes by Fiedler value (ties by node id, for determinism), and cuts at
 /// the weighted quantile that sends `⌊p/2⌋ / p` of the load left — so any
 /// part count is supported, not just powers of two. Recursion operates on
-/// induced subgraphs, exactly as in the original RSB formulation.
+/// induced subgraphs, exactly as in the original RSB formulation. `seed`
+/// draws the Lanczos start vectors (one derived seed per recursion).
 ///
 /// # Errors
 ///
 /// [`RsbError::BadPartCount`] when `num_parts == 0` or exceeds the node
 /// count; [`RsbError::Eigensolver`] if a Fiedler solve fails.
-pub fn rsb_partition(
-    graph: &CsrGraph,
-    num_parts: u32,
-    opts: &RsbOptions,
-) -> Result<Partition, RsbError> {
+pub fn rsb_partition(graph: &CsrGraph, num_parts: u32, seed: u64) -> Result<Partition, RsbError> {
     let n = graph.num_nodes();
     if num_parts == 0 || num_parts as usize > n {
         return Err(RsbError::BadPartCount {
@@ -44,13 +31,8 @@ pub fn rsb_partition(
     }
     let mut labels = vec![0u32; n];
     let all: Vec<u32> = (0..n as u32).collect();
-    recurse(graph, &all, 0, num_parts, opts.seed, &mut labels)?;
+    recurse(graph, &all, 0, num_parts, seed, &mut labels)?;
     Ok(Partition::new(labels, num_parts).expect("recursion emits in-range labels"))
-}
-
-/// Convenience 2-way split.
-pub fn rsb_bisect(graph: &CsrGraph, opts: &RsbOptions) -> Result<Partition, RsbError> {
-    rsb_partition(graph, 2, opts)
 }
 
 fn recurse(
@@ -150,7 +132,7 @@ mod tests {
         // 4 x 16 grid: optimal bisection cuts across the short dimension,
         // cost 4. RSB should find exactly that.
         let g = grid2d(4, 16, GridKind::FourConnected);
-        let p = rsb_bisect(&g, &RsbOptions::default()).unwrap();
+        let p = rsb_partition(&g, 2, DEFAULT_SEED).unwrap();
         let m = PartitionMetrics::compute(&g, &p);
         assert_eq!(m.part_loads, vec![32, 32]);
         assert_eq!(
@@ -165,7 +147,7 @@ mod tests {
         for &n in &[78usize, 144, 279] {
             let g = paper_graph(n);
             for parts in [2u32, 4, 8] {
-                let p = rsb_partition(&g, parts, &RsbOptions::default()).unwrap();
+                let p = rsb_partition(&g, parts, DEFAULT_SEED).unwrap();
                 let m = PartitionMetrics::compute(&g, &p);
                 let ideal = n as f64 / parts as f64;
                 for &load in &m.part_loads {
@@ -183,7 +165,7 @@ mod tests {
         // A 2-D mesh of n nodes has bisection width O(√n); allow generous
         // slack but reject absurd cuts (e.g. half the edges).
         let g = paper_graph(144);
-        let p = rsb_bisect(&g, &RsbOptions::default()).unwrap();
+        let p = rsb_partition(&g, 2, DEFAULT_SEED).unwrap();
         let m = PartitionMetrics::compute(&g, &p);
         assert!(
             m.total_cut <= 40,
@@ -195,7 +177,7 @@ mod tests {
     #[test]
     fn non_power_of_two_parts() {
         let g = paper_graph(98);
-        let p = rsb_partition(&g, 3, &RsbOptions::default()).unwrap();
+        let p = rsb_partition(&g, 3, DEFAULT_SEED).unwrap();
         let m = PartitionMetrics::compute(&g, &p);
         assert_eq!(m.part_loads.iter().sum::<u64>(), 98);
         for &load in &m.part_loads {
@@ -207,11 +189,11 @@ mod tests {
     fn rejects_bad_part_counts() {
         let g = paper_graph(78);
         assert!(matches!(
-            rsb_partition(&g, 0, &RsbOptions::default()),
+            rsb_partition(&g, 0, DEFAULT_SEED),
             Err(RsbError::BadPartCount { .. })
         ));
         assert!(matches!(
-            rsb_partition(&g, 100, &RsbOptions::default()),
+            rsb_partition(&g, 100, DEFAULT_SEED),
             Err(RsbError::BadPartCount { .. })
         ));
     }
@@ -219,7 +201,7 @@ mod tests {
     #[test]
     fn num_parts_equal_num_nodes() {
         let g = paper_graph(78);
-        let p = rsb_partition(&g, 78, &RsbOptions::default()).unwrap();
+        let p = rsb_partition(&g, 78, DEFAULT_SEED).unwrap();
         let sizes = p.part_sizes();
         assert!(sizes.iter().all(|&s| s == 1));
     }
@@ -227,8 +209,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let g = paper_graph(167);
-        let a = rsb_partition(&g, 8, &RsbOptions::default()).unwrap();
-        let b = rsb_partition(&g, 8, &RsbOptions::default()).unwrap();
+        let a = rsb_partition(&g, 8, DEFAULT_SEED).unwrap();
+        let b = rsb_partition(&g, 8, DEFAULT_SEED).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -3,12 +3,12 @@
 use crate::laplacian::laplacian;
 use crate::RsbError;
 use gapart_graph::CsrGraph;
-use gapart_linalg::lanczos::lanczos_smallest_csr;
-use gapart_linalg::LanczosOptions;
+use gapart_linalg::lanczos_smallest;
 
 /// Computes the Fiedler vector of `graph`: the eigenvector of the
 /// second-smallest Laplacian eigenvalue, obtained as the smallest
-/// eigenpair after deflating the constant vector.
+/// eigenpair after deflating the constant vector. `seed` draws the
+/// Lanczos start vector.
 ///
 /// On a *disconnected* graph the returned vector corresponds to a zero
 /// eigenvalue and is (numerically) piecewise constant on components —
@@ -27,14 +27,8 @@ pub fn fiedler_vector(graph: &CsrGraph, seed: u64) -> Result<Vec<f64>, RsbError>
             "graph with {n} nodes has no Fiedler vector"
         )));
     }
-    let l = laplacian(graph);
     let ones = vec![1.0 / (n as f64).sqrt(); n];
-    let opts = LanczosOptions {
-        max_iters: 400,
-        tol: 1e-7,
-        seed,
-    };
-    let result = lanczos_smallest_csr(&l, 1, &[ones], &opts)
+    let result = lanczos_smallest(laplacian(graph), n, 1, &[ones], seed)
         .map_err(|e| RsbError::Eigensolver(e.to_string()))?;
     let v = result
         .eigenvectors

@@ -4,7 +4,8 @@
 //! median of its Fiedler vector (the eigenvector of the second-smallest
 //! Laplacian eigenvalue) and recurses on the halves. This crate implements:
 //!
-//! * [`laplacian()`] — Laplacian assembly from a [`gapart_graph::CsrGraph`].
+//! * [`laplacian()`] — the Laplacian `y = L x`, applied straight from a
+//!   [`gapart_graph::CsrGraph`]'s rows.
 //! * [`fiedler`] — the Fiedler vector via deflated Lanczos.
 //! * [`bisect`] — median bisection and the full recursive partitioner,
 //!   supporting any part count (not just powers of two) via proportional
@@ -26,7 +27,7 @@ pub mod laplacian;
 mod multilevel;
 pub mod partitioner_impl;
 
-pub use bisect::{rsb_bisect, rsb_partition, RsbOptions};
+pub use bisect::{rsb_partition, DEFAULT_SEED};
 pub use fiedler::fiedler_vector;
 pub use laplacian::laplacian;
 pub use partitioner_impl::RsbPartitioner;

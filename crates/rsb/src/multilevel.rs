@@ -6,7 +6,7 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::bisect::{rsb_partition, RsbOptions};
+    use crate::bisect::{rsb_partition, DEFAULT_SEED};
     use crate::RsbPartitioner;
     use gapart_graph::generators::{jittered_mesh, paper_graph};
     use gapart_graph::multilevel::{MultilevelConfig, MultilevelPartitioner};
@@ -20,7 +20,7 @@ mod tests {
     /// RSB inside the default V-cycle, exactly as the registry builds
     /// `mlrsb`.
     fn mlrsb() -> MultilevelPartitioner {
-        MultilevelPartitioner::new("mlrsb", Box::new(RsbPartitioner::default()))
+        MultilevelPartitioner::new("mlrsb", Box::new(RsbPartitioner))
     }
 
     fn mlrsb_partition(g: &CsrGraph, parts: u32) -> Partition {
@@ -59,7 +59,7 @@ mod tests {
     #[test]
     fn comparable_to_flat_rsb_on_medium_mesh() {
         let g = jittered_mesh(600, 3);
-        let flat = rsb_partition(&g, 4, &RsbOptions::default()).unwrap();
+        let flat = rsb_partition(&g, 4, DEFAULT_SEED).unwrap();
         let ml = mlrsb_partition(&g, 4);
         let mf = PartitionMetrics::compute(&g, &flat);
         let mm = PartitionMetrics::compute(&g, &ml);

@@ -1,20 +1,17 @@
 //! [`Partitioner`] implementation for RSB.
 
-use crate::bisect::{rsb_partition, RsbOptions};
+use crate::bisect::rsb_partition;
 use gapart_graph::partitioner::{PartitionReport, Partitioner, PartitionerError};
 use gapart_graph::CsrGraph;
 
 /// Recursive spectral bisection as a [`Partitioner`].
 ///
-/// The trait's `seed` argument overrides [`RsbOptions::seed`] per call, so
-/// a single instance serves any number of seeded runs. Wrapped in
+/// The trait's `seed` argument is RSB's seed, so a single instance
+/// serves any number of seeded runs. Wrapped in
 /// [`gapart_graph::multilevel::MultilevelPartitioner`] it is the
 /// registry's multilevel RSB, `mlrsb`.
 #[derive(Debug, Clone, Default)]
-pub struct RsbPartitioner {
-    /// Template options; the per-call seed replaces `options.seed`.
-    pub options: RsbOptions,
-}
+pub struct RsbPartitioner;
 
 impl Partitioner for RsbPartitioner {
     fn name(&self) -> &'static str {
@@ -27,9 +24,7 @@ impl Partitioner for RsbPartitioner {
         num_parts: u32,
         seed: u64,
     ) -> Result<PartitionReport, PartitionerError> {
-        let mut opts = self.options.clone();
-        opts.seed = seed;
-        let p = rsb_partition(graph, num_parts, &opts).map_err(PartitionerError::new)?;
+        let p = rsb_partition(graph, num_parts, seed).map_err(PartitionerError::new)?;
         Ok(PartitionReport::new(self.name(), graph, p))
     }
 }
@@ -43,9 +38,9 @@ mod tests {
     #[test]
     fn both_implementations_satisfy_the_contract() {
         let g = jittered_mesh(80, 3);
-        let mlrsb = MultilevelPartitioner::new("mlrsb", Box::new(RsbPartitioner::default()));
+        let mlrsb = MultilevelPartitioner::new("mlrsb", Box::new(RsbPartitioner));
         for p in [
-            Box::new(RsbPartitioner::default()) as Box<dyn Partitioner>,
+            Box::new(RsbPartitioner) as Box<dyn Partitioner>,
             Box::new(mlrsb),
         ] {
             let a = p.partition(&g, 4, 11).unwrap();

@@ -16,15 +16,14 @@ use gapart::core::{FitnessEvaluator, FitnessKind, GaConfig};
 use gapart::graph::generators::paper_graph;
 use gapart::graph::incremental::grow_local;
 use gapart::graph::partition::PartitionMetrics;
-use gapart::rsb::{rsb_partition, RsbOptions};
+use gapart::rsb::{rsb_partition, DEFAULT_SEED};
 
 fn main() {
     let parts = 4u32;
 
     // Step 1: initial mesh and partition.
     let mesh = paper_graph(183);
-    let initial =
-        rsb_partition(&mesh, parts, &RsbOptions::default()).expect("mesh is partitionable");
+    let initial = rsb_partition(&mesh, parts, DEFAULT_SEED).expect("mesh is partitionable");
     let m0 = PartitionMetrics::compute(&mesh, &initial);
     println!("initial mesh: 183 nodes, cut {}", m0.total_cut);
 

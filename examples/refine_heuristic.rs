@@ -9,8 +9,8 @@ use gapart::core::{DpgaConfig, DpgaEngine, FitnessKind, GaConfig};
 use gapart::graph::generators::paper_graph;
 use gapart::graph::partition::PartitionMetrics;
 use gapart::graph::{CsrGraph, Partition};
-use gapart::ibp::{ibp_partition, IbpOptions};
-use gapart::rsb::{rsb_partition, RsbOptions};
+use gapart::ibp::ibp_partition;
+use gapart::rsb::{rsb_partition, DEFAULT_SEED};
 
 /// GA refinement of `seed`: heterogeneous islands (half seeded, half
 /// random) so the search explores while elitism protects the seed.
@@ -48,8 +48,8 @@ fn main() {
         graph.num_edges()
     );
 
-    let ibp = ibp_partition(&graph, parts, &IbpOptions::default()).expect("coords exist");
-    let rsb = rsb_partition(&graph, parts, &RsbOptions::default()).expect("partitionable");
+    let ibp = ibp_partition(&graph, parts).expect("coords exist");
+    let rsb = rsb_partition(&graph, parts, DEFAULT_SEED).expect("partitionable");
 
     println!("{:<28} {:>9} {:>9}", "method", "total cut", "worst cut");
     println!("{}", "-".repeat(48));

@@ -32,7 +32,7 @@ use crate::graph::io::{attach_coords, coords_from_text, coords_to_text, from_met
 use crate::graph::partition::{hash_labels, Partition, PartitionMetrics};
 use crate::graph::partitioner::Partitioner;
 use crate::graph::CsrGraph;
-use crate::rsb::{rsb_partition, RsbOptions};
+use crate::rsb::{rsb_partition, DEFAULT_SEED};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -441,12 +441,8 @@ fn cmd_partition(args: &Args) -> Result<String, CliError> {
 }
 
 fn save_svg(path: &str, graph: &CsrGraph, partition: &Partition) -> Result<(), CliError> {
-    let svg = crate::graph::svg::render_partition(
-        graph,
-        partition,
-        &crate::graph::svg::SvgOptions::default(),
-    )
-    .map_err(|e| CliError::Failed(format!("svg: {e} (pass --coords for METIS inputs)")))?;
+    let svg = crate::graph::svg::render_partition(graph, partition)
+        .map_err(|e| CliError::Failed(format!("svg: {e} (pass --coords for METIS inputs)")))?;
     std::fs::write(path, svg)?;
     Ok(())
 }
@@ -519,7 +515,7 @@ fn cmd_grow(args: &Args) -> Result<String, CliError> {
                 let text = std::fs::read_to_string(lp)?;
                 labels_from_text(&text, parts)?
             }
-            None => rsb_partition(&graph, parts, &RsbOptions::default())
+            None => rsb_partition(&graph, parts, DEFAULT_SEED)
                 .map_err(|e| CliError::Failed(e.to_string()))?,
         };
         let config = GaConfig::paper_defaults(parts)

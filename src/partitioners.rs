@@ -38,8 +38,8 @@ pub fn by_name(name: &str) -> Option<Box<dyn Partitioner>> {
     match name {
         "dpga" => Some(Box::new(DpgaPartitioner::default())),
         "ga" => Some(Box::new(GaPartitioner::default())),
-        "rsb" => Some(Box::new(RsbPartitioner::default())),
-        "ibp" => Some(Box::new(IbpPartitioner::default())),
+        "rsb" => Some(Box::new(RsbPartitioner)),
+        "ibp" => Some(Box::new(IbpPartitioner)),
         "mldpga" => Some(multilevel(
             "mldpga",
             Box::new(DpgaPartitioner::new(DpgaConfig::coarse(2))),
@@ -48,8 +48,8 @@ pub fn by_name(name: &str) -> Option<Box<dyn Partitioner>> {
             "mlga",
             Box::new(GaPartitioner::new(GaConfig::coarse_defaults(2))),
         )),
-        "mlrsb" => Some(multilevel("mlrsb", Box::new(RsbPartitioner::default()))),
-        "mlibp" => Some(multilevel("mlibp", Box::new(IbpPartitioner::default()))),
+        "mlrsb" => Some(multilevel("mlrsb", Box::new(RsbPartitioner))),
+        "mlibp" => Some(multilevel("mlibp", Box::new(IbpPartitioner))),
         _ => None,
     }
 }

@@ -161,6 +161,90 @@ fn failed_operations_exit_1_without_panicking() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A 60-node mesh and its coordinate file in a fresh directory.
+fn mesh60(tag: &str) -> (std::path::PathBuf, String, String) {
+    let dir = std::env::temp_dir().join(format!("gapart-exit-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let g = dir.join("g.metis").to_str().unwrap().to_string();
+    let xy = dir.join("g.xy").to_str().unwrap().to_string();
+    let ok = cli()
+        .args(["gen", "--kind", "mesh", "--nodes", "60", "--seed", "5"])
+        .args(["--out", &g, "--coords-out", &xy])
+        .output()
+        .unwrap();
+    assert!(ok.status.success());
+    (dir, g, xy)
+}
+
+#[test]
+fn coordinate_files_without_a_finite_extent_exit_1() {
+    let (dir, g, xy) = mesh60("coords");
+    let text = std::fs::read_to_string(&xy).unwrap();
+    // One line replaced: an infinite value, two finite values whose
+    // span overflows f64, and a NaN.
+    for (i, line) in ["0.5 inf", "1e308 -1e308", "NaN 0.5"].iter().enumerate() {
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines[6] = line;
+        let bad = dir.join(format!("bad-{i}.xy"));
+        std::fs::write(&bad, lines.join("\n") + "\n").unwrap();
+        let bad = bad.to_str().unwrap();
+        let grown = dir.join("grown.metis");
+        let trace = dir.join("t.trace");
+        let (grown, trace) = (grown.to_str().unwrap(), trace.to_str().unwrap());
+        for args in [
+            vec!["grow", &g, "--coords", bad, "--add", "5", "--out", grown],
+            vec![
+                "trace",
+                &g,
+                "--coords",
+                bad,
+                "--scenario",
+                "mesh-growth",
+                "--batches",
+                "1",
+                "--ops",
+                "3",
+                "--out",
+                trace,
+            ],
+            vec![
+                "partition",
+                &g,
+                "--coords",
+                bad,
+                "--method",
+                "ibp",
+                "--parts",
+                "4",
+            ],
+        ] {
+            let out = cli().args(&args).output().unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{line:?} {args:?}: {err}");
+            assert_eq!(err.lines().count(), 1, "{line:?} {args:?}: {err}");
+            assert!(!err.contains("panicked"), "{line:?} {args:?}: {err}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn too_many_parts_names_the_node_count_for_every_method() {
+    let (dir, g, xy) = mesh60("parts");
+    for method in gapart::partitioners::NAMES {
+        let out = cli()
+            .args(["partition", &g, "--coords", &xy, "--method", method])
+            .args(["--parts", "61"])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{method}: {err}");
+        assert_eq!(err.lines().count(), 1, "{method}: {err}");
+        assert!(err.contains("60 nodes into 61 parts"), "{method}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// METIS headers whose vertex counts no file of theirs can back.
 const OVERSIZED_HEADERS: [&str; 2] = ["1152921504606846976 0\n", "100000000 0\n"];
 

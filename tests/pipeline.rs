@@ -11,8 +11,8 @@ use gapart::core::{
 use gapart::graph::generators::{paper_graph, PAPER_SIZES};
 use gapart::graph::incremental::grow_local;
 use gapart::graph::partition::{cut_size, PartitionMetrics};
-use gapart::ibp::{ibp_partition, IbpOptions};
-use gapart::rsb::{rsb_partition, RsbOptions};
+use gapart::ibp::ibp_partition;
+use gapart::rsb::{rsb_partition, DEFAULT_SEED};
 
 fn quick_ga(parts: u32, gens: usize) -> GaConfig {
     GaConfig::paper_defaults(parts)
@@ -26,8 +26,8 @@ fn every_paper_graph_flows_through_all_partitioners() {
     for &n in &PAPER_SIZES {
         let g = paper_graph(n);
         for parts in [2u32, 4] {
-            let ibp = ibp_partition(&g, parts, &IbpOptions::default()).unwrap();
-            let rsb = rsb_partition(&g, parts, &RsbOptions::default()).unwrap();
+            let ibp = ibp_partition(&g, parts).unwrap();
+            let rsb = rsb_partition(&g, parts, DEFAULT_SEED).unwrap();
             let ga = GaEngine::new(&g, quick_ga(parts, 10)).unwrap().run();
             for (name, p) in [("ibp", &ibp), ("rsb", &rsb), ("ga", &ga.best_partition)] {
                 let m = PartitionMetrics::compute(&g, p);
@@ -49,7 +49,7 @@ fn every_paper_graph_flows_through_all_partitioners() {
 fn ga_refines_rsb_without_regression() {
     let g = paper_graph(139);
     for parts in [2u32, 4, 8] {
-        let rsb = rsb_partition(&g, parts, &RsbOptions::default()).unwrap();
+        let rsb = rsb_partition(&g, parts, DEFAULT_SEED).unwrap();
         let evaluator = FitnessEvaluator::new(&g, parts, FitnessKind::TotalCut);
         let seed_fitness = evaluator.evaluate(rsb.labels());
         let config = quick_ga(parts, 40).seeded_from(&rsb);
@@ -81,7 +81,7 @@ fn dpga_full_paper_configuration_runs() {
 #[test]
 fn incremental_pipeline_end_to_end() {
     let base = paper_graph(118);
-    let old = rsb_partition(&base, 4, &RsbOptions::default()).unwrap();
+    let old = rsb_partition(&base, 4, DEFAULT_SEED).unwrap();
     let grown = grow_local(&base, 21, 5).unwrap();
     assert_eq!(grown.graph.num_nodes(), 139);
 
@@ -103,7 +103,7 @@ fn incremental_pipeline_end_to_end() {
 fn heterogeneous_islands_never_lose_the_seed() {
     let g = paper_graph(98);
     let parts = 4;
-    let ibp = ibp_partition(&g, parts, &IbpOptions::default()).unwrap();
+    let ibp = ibp_partition(&g, parts).unwrap();
     let seeded = InitStrategy::Seeded {
         partition: ibp.labels().to_vec(),
         perturbation: 0.1,
@@ -126,7 +126,7 @@ fn heterogeneous_islands_never_lose_the_seed() {
 #[test]
 fn multilevel_rsb_agrees_with_flat_rsb_quality_class() {
     let g = paper_graph(309);
-    let flat = rsb_partition(&g, 8, &RsbOptions::default()).unwrap();
+    let flat = rsb_partition(&g, 8, DEFAULT_SEED).unwrap();
     // The registry's `mlrsb` at the seed multilevel RSB defaulted to.
     let mlrsb = gapart::partitioners::by_name("mlrsb").unwrap();
     let ml = mlrsb.partition(&g, 8, 0x4d4c_5253).unwrap().partition;

@@ -7,7 +7,7 @@ use gapart::graph::generators::jittered_mesh;
 use gapart::graph::partition::{cut_size, Partition, PartitionMetrics};
 use gapart::graph::subgraph::induced_subgraph;
 use gapart::graph::traversal::connected_components;
-use gapart::ibp::{ibp_partition, IbpOptions};
+use gapart::ibp::ibp_partition;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -127,22 +127,16 @@ proptest! {
     }
 
     /// IBP always produces parts whose sizes differ by at most one, for
-    /// every scheme, resolution and part count.
+    /// every part count.
     #[test]
     fn ibp_balance_invariant(
         n in 8usize..300,
         parts in 2u32..9,
         seed in any::<u64>(),
-        scheme_idx in 0usize..3,
-        resolution in 2u32..512,
     ) {
         prop_assume!(parts as usize <= n);
         let g = jittered_mesh(n, seed);
-        let opts = IbpOptions {
-            scheme: gapart::ibp::IndexScheme::ALL[scheme_idx],
-            resolution,
-        };
-        let p = ibp_partition(&g, parts, &opts).unwrap();
+        let p = ibp_partition(&g, parts).unwrap();
         let sizes = p.part_sizes();
         let min = sizes.iter().min().unwrap();
         let max = sizes.iter().max().unwrap();
