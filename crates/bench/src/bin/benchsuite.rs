@@ -31,7 +31,7 @@
 //! 2 with the usage lines on a malformed command line.
 
 use gapart::core::dynamic::{BatchAction, SessionSpec};
-use gapart::core::GaConfig;
+use gapart::core::{GaConfig, GaPartitioner};
 use gapart::graph::dynamic::apply_batch;
 use gapart::graph::dynamic::scenario::{generate, Scenario, TraceSpec};
 use gapart::graph::dynamic::Mutation;
@@ -603,7 +603,7 @@ fn run_suite(smoke: bool, out_path: &str, max_threads: usize) -> Result<(), Stri
     rows.push(run_method("grid-anchor", &anchor, "mlrsb", "multilevel", 1));
     lap("grid-anchor", &mut scenario_walls, &mut mark);
 
-    let ga_lite = partitioners::tuned_ga(
+    let ga_lite = GaPartitioner::new(
         GaConfig::paper_defaults(PARTS)
             .with_population_size(48)
             .with_generations(15),
@@ -617,7 +617,7 @@ fn run_suite(smoke: bool, out_path: &str, max_threads: usize) -> Result<(), Stri
     rows.push(run_partitioner(
         "grid-ga-anchor",
         &small_anchor,
-        &*ga_lite,
+        &ga_lite,
         "flat",
         1,
     ));
@@ -716,7 +716,7 @@ fn run_suite(smoke: bool, out_path: &str, max_threads: usize) -> Result<(), Stri
             small.num_edges()
         );
         for &t in &cap(&[1, 4]) {
-            rows.push(run_partitioner("grid-ga", &small, &*ga_lite, "flat", t));
+            rows.push(run_partitioner("grid-ga", &small, &ga_lite, "flat", t));
         }
         for &t in &cap(&[1, 4]) {
             rows.push(run_method("grid-ga", &small, "mlga", "multilevel", t));

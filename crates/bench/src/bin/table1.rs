@@ -4,52 +4,28 @@
 //! Run: `cargo run -p gapart-bench --release --bin table1`
 
 use gapart_bench::paper_data::TABLE1;
-use gapart_bench::table::{vs_paper, TextTable};
+use gapart_bench::table::PaperTable;
 use gapart_bench::ExperimentProtocol;
 use gapart_core::FitnessKind;
 use gapart_graph::generators::paper_graph;
 
 fn main() {
     let protocol = ExperimentProtocol::from_env();
-    println!("Table 1 — Best solutions: DKNUX (IBP-seeded) vs RSB, Fitness 1");
-    println!(
-        "protocol: {} runs x {} generations, population {}, {}\n",
-        protocol.runs, protocol.generations, protocol.population, protocol.topology
-    );
-
-    let parts_list = [2u32, 4, 8];
-    let mut table = TextTable::new(["graph / method", "2 parts", "4 parts", "8 parts"]);
-    for row in TABLE1 {
-        let n: usize = row.label.parse().expect("table1 labels are node counts");
-        let graph = paper_graph(n);
-
-        let mut ga_cells = Vec::new();
-        let mut rsb_cells = Vec::new();
-        for (i, &parts) in parts_list.iter().enumerate() {
+    let table = PaperTable {
+        title: "Table 1 — Best solutions: DKNUX (IBP-seeded) vs RSB, Fitness 1",
+        parts: [2, 4, 8],
+        rows: &TABLE1,
+        suffixes: [" nodes — DKNUX", " nodes — RSB"],
+    };
+    print!(
+        "{}",
+        table.render(&protocol, |label, parts| {
+            let graph = paper_graph(label.parse().expect("table1 labels are node counts"));
             let ibp_seed = protocol.baseline("ibp", &graph, parts);
             let summary =
                 protocol.run_seeded(&graph, parts, FitnessKind::TotalCut, &ibp_seed.partition);
-            ga_cells.push(vs_paper(summary.best_cut, Some(row.dknux[i])));
-
             let rsb = protocol.baseline("rsb", &graph, parts);
-            rsb_cells.push(vs_paper(rsb.metrics.total_cut, Some(row.rsb[i])));
-        }
-        table.row([
-            format!("{} nodes — DKNUX", row.label),
-            ga_cells[0].clone(),
-            ga_cells[1].clone(),
-            ga_cells[2].clone(),
-        ]);
-        table.row([
-            format!("{} nodes — RSB", row.label),
-            rsb_cells[0].clone(),
-            rsb_cells[1].clone(),
-            rsb_cells[2].clone(),
-        ]);
-    }
-    println!("{}", table.render());
-    println!(
-        "(measured values are best-of-{} DPGA runs; paper values in parentheses)",
-        protocol.runs
+            [summary.best_cut, rsb.metrics.total_cut]
+        })
     );
 }

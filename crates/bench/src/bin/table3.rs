@@ -9,50 +9,27 @@
 
 use gapart_bench::paper_data::{parse_incremental_label, TABLE3};
 use gapart_bench::runner::incremental_fixture;
-use gapart_bench::table::{vs_paper, TextTable};
+use gapart_bench::table::PaperTable;
 use gapart_bench::ExperimentProtocol;
 use gapart_core::FitnessKind;
 
 fn main() {
     let protocol = ExperimentProtocol::from_env();
-    println!("Table 3 — Incremental partitioning (DKNUX) vs RSB from scratch, Fitness 1");
-    println!(
-        "protocol: {} runs x {} generations, population {}, {}\n",
-        protocol.runs, protocol.generations, protocol.population, protocol.topology
-    );
-
-    let parts_list = [2u32, 4, 8];
-    let mut table = TextTable::new(["graph / method", "2 parts", "4 parts", "8 parts"]);
-    for row in TABLE3 {
-        let (base_n, added) =
-            parse_incremental_label(row.label).expect("table3 labels are base+added");
-
-        let mut ga_cells = Vec::new();
-        let mut rsb_cells = Vec::new();
-        for (i, &parts) in parts_list.iter().enumerate() {
+    let table = PaperTable {
+        title: "Table 3 — Incremental partitioning (DKNUX) vs RSB from scratch, Fitness 1",
+        parts: [2, 4, 8],
+        rows: &TABLE3,
+        suffixes: [" — DKNUX (incr)", " — RSB (scratch)"],
+    };
+    print!(
+        "{}",
+        table.render(&protocol, |label, parts| {
+            let (base_n, added) =
+                parse_incremental_label(label).expect("table3 labels are base+added");
             let (_base, grown, old) = incremental_fixture(base_n, added, parts);
             let summary = protocol.run_incremental(&grown, &old, FitnessKind::TotalCut);
-            ga_cells.push(vs_paper(summary.best_cut, Some(row.dknux[i])));
-
             let rsb = protocol.baseline("rsb", &grown, parts);
-            rsb_cells.push(vs_paper(rsb.metrics.total_cut, Some(row.rsb[i])));
-        }
-        table.row([
-            format!("{} — DKNUX (incr)", row.label),
-            ga_cells[0].clone(),
-            ga_cells[1].clone(),
-            ga_cells[2].clone(),
-        ]);
-        table.row([
-            format!("{} — RSB (scratch)", row.label),
-            rsb_cells[0].clone(),
-            rsb_cells[1].clone(),
-            rsb_cells[2].clone(),
-        ]);
-    }
-    println!("{}", table.render());
-    println!(
-        "(measured values are best-of-{} DPGA runs; paper values in parentheses)",
-        protocol.runs
+            [summary.best_cut, rsb.metrics.total_cut]
+        })
     );
 }

@@ -7,48 +7,31 @@
 //! Run: `cargo run -p gapart-bench --release --bin table4`
 
 use gapart_bench::paper_data::TABLE4;
-use gapart_bench::table::{vs_paper, TextTable};
+use gapart_bench::table::PaperTable;
 use gapart_bench::ExperimentProtocol;
-use gapart_core::FitnessKind;
+use gapart_core::{FitnessKind, InitStrategy};
 use gapart_graph::generators::paper_graph;
 
 fn main() {
     let protocol = ExperimentProtocol::from_env();
-    println!("Table 4 — Worst-cut minimization from a random population, Fitness 2");
-    println!(
-        "protocol: {} runs x {} generations, population {}, {}\n",
-        protocol.runs, protocol.generations, protocol.population, protocol.topology
-    );
-
-    let parts_list = [4u32, 8];
-    let mut table = TextTable::new(["graph / method", "4 parts", "8 parts"]);
-    for row in TABLE4 {
-        let n: usize = row.label.parse().expect("table4 labels are node counts");
-        let graph = paper_graph(n);
-
-        let mut ga_cells = Vec::new();
-        let mut rsb_cells = Vec::new();
-        for (i, &parts) in parts_list.iter().enumerate() {
-            let summary = protocol.run_random_init(&graph, parts, FitnessKind::WorstCut);
-            ga_cells.push(vs_paper(summary.best_cut, Some(row.dknux[i])));
-
+    let table = PaperTable {
+        title: "Table 4 — Worst-cut minimization from a random population, Fitness 2",
+        parts: [4, 8],
+        rows: &TABLE4,
+        suffixes: [" nodes — DKNUX", " nodes — RSB"],
+    };
+    print!(
+        "{}",
+        table.render(&protocol, |label, parts| {
+            let graph = paper_graph(label.parse().expect("table4 labels are node counts"));
+            let summary = protocol.run(
+                &graph,
+                parts,
+                FitnessKind::WorstCut,
+                InitStrategy::BalancedRandom,
+            );
             let rsb = protocol.baseline("rsb", &graph, parts);
-            rsb_cells.push(vs_paper(rsb.metrics.max_cut, row.rsb[i]));
-        }
-        table.row([
-            format!("{} nodes — DKNUX", row.label),
-            ga_cells[0].clone(),
-            ga_cells[1].clone(),
-        ]);
-        table.row([
-            format!("{} nodes — RSB", row.label),
-            rsb_cells[0].clone(),
-            rsb_cells[1].clone(),
-        ]);
-    }
-    println!("{}", table.render());
-    println!(
-        "(measured values are best-of-{} DPGA runs; paper values in parentheses)",
-        protocol.runs
+            [summary.best_cut, rsb.metrics.max_cut]
+        })
     );
 }

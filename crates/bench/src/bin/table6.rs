@@ -5,48 +5,27 @@
 
 use gapart_bench::paper_data::{parse_incremental_label, TABLE6};
 use gapart_bench::runner::incremental_fixture;
-use gapart_bench::table::{vs_paper, TextTable};
+use gapart_bench::table::PaperTable;
 use gapart_bench::ExperimentProtocol;
 use gapart_core::FitnessKind;
 
 fn main() {
     let protocol = ExperimentProtocol::from_env();
-    println!("Table 6 — Incremental partitioning under Fitness 2 (worst cut)");
-    println!(
-        "protocol: {} runs x {} generations, population {}, {}\n",
-        protocol.runs, protocol.generations, protocol.population, protocol.topology
-    );
-
-    let parts_list = [4u32, 8];
-    let mut table = TextTable::new(["graph / method", "4 parts", "8 parts"]);
-    for row in TABLE6 {
-        let (base_n, added) =
-            parse_incremental_label(row.label).expect("table6 labels are base+added");
-
-        let mut ga_cells = Vec::new();
-        let mut rsb_cells = Vec::new();
-        for (i, &parts) in parts_list.iter().enumerate() {
+    let table = PaperTable {
+        title: "Table 6 — Incremental partitioning under Fitness 2 (worst cut)",
+        parts: [4, 8],
+        rows: &TABLE6,
+        suffixes: [" — DKNUX (incr)", " — RSB (scratch)"],
+    };
+    print!(
+        "{}",
+        table.render(&protocol, |label, parts| {
+            let (base_n, added) =
+                parse_incremental_label(label).expect("table6 labels are base+added");
             let (_base, grown, old) = incremental_fixture(base_n, added, parts);
             let summary = protocol.run_incremental(&grown, &old, FitnessKind::WorstCut);
-            ga_cells.push(vs_paper(summary.best_cut, Some(row.dknux[i])));
-
             let rsb = protocol.baseline("rsb", &grown, parts);
-            rsb_cells.push(vs_paper(rsb.metrics.max_cut, row.rsb[i]));
-        }
-        table.row([
-            format!("{} — DKNUX (incr)", row.label),
-            ga_cells[0].clone(),
-            ga_cells[1].clone(),
-        ]);
-        table.row([
-            format!("{} — RSB (scratch)", row.label),
-            rsb_cells[0].clone(),
-            rsb_cells[1].clone(),
-        ]);
-    }
-    println!("{}", table.render());
-    println!(
-        "(measured values are best-of-{} DPGA runs; paper values in parentheses)",
-        protocol.runs
+            [summary.best_cut, rsb.metrics.max_cut]
+        })
     );
 }

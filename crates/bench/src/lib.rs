@@ -7,7 +7,8 @@
 //! * [`runner`] — the standard experimental protocol: DPGA (16
 //!   subpopulations, total population 320, `p_c = 0.7`, `p_m = 0.01`),
 //!   tables take the best of 5 runs, figures average 5 runs.
-//! * [`table`] — plain-text table rendering for the experiment binaries.
+//! * [`table`] — plain-text table rendering for the experiment binaries,
+//!   and [`table::PaperTable`], the one driver behind Tables 1–6.
 //!
 //! Binaries (run with `cargo run -p gapart-bench --release --bin <name>`):
 //! the paper reproductions `table1` … `table6`, `figure1`,

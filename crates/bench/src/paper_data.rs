@@ -3,39 +3,34 @@
 //! `None` marks cells the paper leaves blank (Table 6 omits the RSB
 //! column for the 78+20 case).
 
-/// One row of a Fitness-1 table (parts 2, 4, 8): cut values `Σ C(q)/2`.
+/// One row of a paper table with `N` part columns.
 #[derive(Debug, Clone, Copy)]
-pub struct F1Row {
+pub struct PaperRow<const N: usize> {
     /// Graph label (node count, or base+added for incremental rows).
     pub label: &'static str,
-    /// DKNUX cuts at 2/4/8 parts.
-    pub dknux: [u64; 3],
-    /// RSB cuts at 2/4/8 parts.
-    pub rsb: [u64; 3],
+    /// DKNUX values, one per part column.
+    pub dknux: [u64; N],
+    /// RSB values, one per part column (`None` where the paper is blank).
+    pub rsb: [Option<u64>; N],
 }
 
+/// One row of a Fitness-1 table (parts 2, 4, 8): cut values `Σ C(q)/2`.
+pub type F1Row = PaperRow<3>;
+
 /// One row of a Fitness-2 table (parts 4, 8): worst cuts `max_q C(q)`.
-#[derive(Debug, Clone, Copy)]
-pub struct F2Row {
-    /// Graph label.
-    pub label: &'static str,
-    /// DKNUX worst cuts at 4/8 parts.
-    pub dknux: [u64; 2],
-    /// RSB worst cuts at 4/8 parts (`None` where the paper is blank).
-    pub rsb: [Option<u64>; 2],
-}
+pub type F2Row = PaperRow<2>;
 
 /// Table 1: DKNUX (IBP-seeded) vs RSB, Fitness 1.
 pub const TABLE1: [F1Row; 2] = [
     F1Row {
         label: "167",
         dknux: [20, 63, 109],
-        rsb: [20, 59, 120],
+        rsb: [Some(20), Some(59), Some(120)],
     },
     F1Row {
         label: "144",
         dknux: [33, 65, 120],
-        rsb: [36, 78, 119],
+        rsb: [Some(36), Some(78), Some(119)],
     },
 ];
 
@@ -44,22 +39,22 @@ pub const TABLE2: [F1Row; 4] = [
     F1Row {
         label: "139",
         dknux: [28, 65, 100],
-        rsb: [30, 69, 113],
+        rsb: [Some(30), Some(69), Some(113)],
     },
     F1Row {
         label: "213",
         dknux: [41, 77, 138],
-        rsb: [41, 82, 151],
+        rsb: [Some(41), Some(82), Some(151)],
     },
     F1Row {
         label: "243",
         dknux: [43, 88, 141],
-        rsb: [47, 95, 154],
+        rsb: [Some(47), Some(95), Some(154)],
     },
     F1Row {
         label: "279",
         dknux: [36, 78, 139],
-        rsb: [37, 88, 155],
+        rsb: [Some(37), Some(88), Some(155)],
     },
 ];
 
@@ -68,22 +63,22 @@ pub const TABLE3: [F1Row; 4] = [
     F1Row {
         label: "118+21",
         dknux: [31, 61, 103],
-        rsb: [30, 69, 113],
+        rsb: [Some(30), Some(69), Some(113)],
     },
     F1Row {
         label: "118+41",
         dknux: [31, 66, 120],
-        rsb: [33, 75, 128],
+        rsb: [Some(33), Some(75), Some(128)],
     },
     F1Row {
         label: "183+30",
         dknux: [37, 72, 133],
-        rsb: [41, 82, 151],
+        rsb: [Some(41), Some(82), Some(151)],
     },
     F1Row {
         label: "183+60",
         dknux: [44, 83, 160],
-        rsb: [47, 95, 154],
+        rsb: [Some(47), Some(95), Some(154)],
     },
 ];
 
@@ -235,7 +230,7 @@ mod tests {
         for row in TABLE2.iter().chain(&TABLE3) {
             for i in 0..3 {
                 total += 1;
-                if row.dknux[i] <= row.rsb[i] {
+                if Some(row.dknux[i]) <= row.rsb[i] {
                     wins += 1;
                 }
             }

@@ -175,16 +175,6 @@ impl ExperimentProtocol {
         }
     }
 
-    /// Random-initialization protocol (Table 4).
-    pub fn run_random_init(
-        &self,
-        graph: &CsrGraph,
-        num_parts: u32,
-        fitness: FitnessKind,
-    ) -> RunSummary {
-        self.run(graph, num_parts, fitness, InitStrategy::BalancedRandom)
-    }
-
     /// Heuristic-seeded protocol (Tables 1, 2, 5): heterogeneous islands —
     /// half the subpopulations are seeded from `seed_partition` (first
     /// copy exact, rest 10% perturbed), the other half start
@@ -282,6 +272,7 @@ pub fn incremental_fixture(
 mod tests {
     use super::*;
     use gapart_graph::generators::paper_graph;
+    use gapart_graph::partitioner::Partitioner;
 
     fn tiny() -> ExperimentProtocol {
         ExperimentProtocol {
@@ -299,7 +290,7 @@ mod tests {
     #[test]
     fn protocol_runs_and_summarizes() {
         let g = paper_graph(78);
-        let s = tiny().run_random_init(&g, 4, FitnessKind::TotalCut);
+        let s = tiny().run(&g, 4, FitnessKind::TotalCut, InitStrategy::BalancedRandom);
         assert_eq!(s.cuts.len(), 2);
         assert_eq!(s.histories.len(), 2);
         assert_eq!(s.best_cut, *s.cuts.iter().min().unwrap());
@@ -333,14 +324,14 @@ mod tests {
             // GA/DPGA at registry defaults are slow; shrink via env-free
             // trait dispatch with the tiny protocol's own config instead.
             let report = match name {
-                "ga" => gapart::partitioners::tuned_ga(
+                "ga" => gapart_core::GaPartitioner::new(
                     gapart_core::GaConfig::paper_defaults(4)
                         .with_population_size(16)
                         .with_generations(3),
                 )
                 .partition(&g, 4, 1)
                 .unwrap(),
-                "dpga" => gapart::partitioners::tuned_dpga(protocol.dpga_config(
+                "dpga" => gapart_core::DpgaPartitioner::new(protocol.dpga_config(
                     4,
                     FitnessKind::TotalCut,
                     InitStrategy::BalancedRandom,
@@ -392,8 +383,8 @@ mod tests {
     #[test]
     fn deterministic_protocol() {
         let g = paper_graph(88);
-        let a = tiny().run_random_init(&g, 4, FitnessKind::TotalCut);
-        let b = tiny().run_random_init(&g, 4, FitnessKind::TotalCut);
+        let a = tiny().run(&g, 4, FitnessKind::TotalCut, InitStrategy::BalancedRandom);
+        let b = tiny().run(&g, 4, FitnessKind::TotalCut, InitStrategy::BalancedRandom);
         assert_eq!(a.cuts, b.cuts);
     }
 }

@@ -4,8 +4,10 @@
 //! a minimal data-parallel runtime with the subset of rayon's API the
 //! partitioners use:
 //!
-//! * `par_iter()` / `par_iter_mut()` / `into_par_iter()` on slices and
-//!   `Vec<T>`, with `map(..).collect()` and `for_each(..)`.
+//! * `into_par_iter()` on `Vec<T>` and `Range<usize>`, `par_iter_mut()`
+//!   on slices, and `par_chunks()` / `par_chunks_mut()` on slices, with
+//!   `with_min_len`, `enumerate`, `map` / `map_init` then `collect`, and
+//!   `for_each`.
 //! * [`ThreadPoolBuilder`] / [`ThreadPool::install`] to bound worker
 //!   counts (`sweep`'s DPGA speedup table sweeps pool sizes).
 //! * [`current_num_threads`].
@@ -25,11 +27,6 @@
 #![warn(missing_docs)]
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Global default thread count; 0 = fall through to `RAYON_NUM_THREADS`
-/// and then `std::thread::available_parallelism`.
-static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Cached `RAYON_NUM_THREADS` (honoured like real rayon for the ambient
 /// default; 0 = unset/unparsable = auto). Read once — the CI
@@ -56,10 +53,6 @@ thread_local! {
 /// Number of worker threads a parallel call issued here would use.
 pub fn current_num_threads() -> usize {
     let n = POOL_THREADS.with(Cell::get);
-    if n > 0 {
-        return n;
-    }
-    let n = DEFAULT_THREADS.load(Ordering::Relaxed);
     if n > 0 {
         return n;
     }
@@ -107,12 +100,6 @@ impl ThreadPoolBuilder {
         Ok(ThreadPool {
             num_threads: self.num_threads,
         })
-    }
-
-    /// Installs this configuration as the global default.
-    pub fn build_global(self) -> Result<(), ThreadPoolBuildError> {
-        DEFAULT_THREADS.store(self.num_threads, Ordering::Relaxed);
-        Ok(())
     }
 }
 
@@ -163,18 +150,13 @@ fn join_unwinding<R>(handle: std::thread::ScopedJoinHandle<'_, R>) -> R {
     }
 }
 
-/// Runs `f` over `items`, in parallel when worthwhile, preserving input
-/// order in the returned vector.
-fn drive<T: Send, R: Send>(items: Vec<T>, min_len: usize, f: &(impl Fn(T) -> R + Sync)) -> Vec<R> {
-    drive_init(items, min_len, &|| (), &|_: &mut (), t| f(t))
-}
-
-/// The one chunk, spawn, join and flatten loop behind [`drive`]: runs
-/// `f` over `items` like it, threading per-worker state — `init` runs
-/// once per worker chunk (once total on the sequential path) and `f`
-/// receives `&mut` access to it, the shim's `map_init`, for amortizing
-/// scratch allocations across a chunk.
-fn drive_init<T, R, S, INIT, F>(items: Vec<T>, min_len: usize, init: &INIT, f: &F) -> Vec<R>
+/// The one chunk, spawn, join and flatten loop: runs `f` over `items`,
+/// in parallel when worthwhile, preserving input order in the returned
+/// vector. It threads per-worker state — `init` runs once per worker
+/// chunk (once total on the sequential path) and `f` receives `&mut`
+/// access to it, the shim's `map_init`, for amortizing scratch
+/// allocations across a chunk.
+fn drive<T, R, S, INIT, F>(items: Vec<T>, min_len: usize, init: &INIT, f: &F) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -245,14 +227,13 @@ impl<T: Send> ParIter<T> {
         }
     }
 
-    /// Parallel map. Lazy: runs when the result is driven.
-    pub fn map<R: Send, F: Fn(T) -> R + Sync>(self, f: F) -> ParMap<T, R, F> {
-        ParMap {
-            items: self.items,
-            min_len: self.min_len,
-            f,
-            _out: std::marker::PhantomData,
-        }
+    /// Parallel map. Lazy: runs when the result is driven. It is
+    /// [`ParIter::map_init`] over a unit state.
+    pub fn map<R: Send, F: Fn(T) -> R + Sync>(
+        self,
+        f: F,
+    ) -> ParMapInit<T, (), R, impl Fn() + Sync, impl Fn(&mut (), T) -> R + Sync> {
+        self.map_init(|| (), move |_: &mut (), t| f(t))
     }
 
     /// Parallel map with per-worker state (subset of rayon's
@@ -276,45 +257,12 @@ impl<T: Send> ParIter<T> {
 
     /// Applies `f` to every item in parallel.
     pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
-        drive(self.items, self.min_len, &f);
-    }
-
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when there are no items.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.map(f).collect::<Vec<()>>();
     }
 }
 
-/// Lazy parallel map adapter produced by [`ParIter::map`].
-pub struct ParMap<T, R, F> {
-    items: Vec<T>,
-    min_len: usize,
-    f: F,
-    _out: std::marker::PhantomData<fn() -> R>,
-}
-
-impl<T: Send, R: Send, F: Fn(T) -> R + Sync> ParMap<T, R, F> {
-    /// Drives the map and collects results **in input order**.
-    pub fn collect<C: FromIterator<R>>(self) -> C {
-        drive(self.items, self.min_len, &self.f)
-            .into_iter()
-            .collect()
-    }
-
-    /// Drives the map, discarding results.
-    pub fn for_each<G: Fn(R) + Sync>(self, g: G) {
-        let f = self.f;
-        let min_len = self.min_len;
-        drive(self.items, min_len, &move |t| g(f(t)));
-    }
-}
-
-/// Lazy stateful map adapter produced by [`ParIter::map_init`].
+/// Lazy stateful map adapter produced by [`ParIter::map`] and
+/// [`ParIter::map_init`].
 pub struct ParMapInit<T, S, R, INIT, F> {
     items: Vec<T>,
     min_len: usize,
@@ -332,7 +280,7 @@ where
 {
     /// Drives the map and collects results **in input order**.
     pub fn collect<C: FromIterator<R>>(self) -> C {
-        drive_init(self.items, self.min_len, &self.init, &self.f)
+        drive(self.items, self.min_len, &self.init, &self.f)
             .into_iter()
             .collect()
     }
@@ -370,49 +318,6 @@ impl IntoParallelIterator for std::ops::Range<usize> {
     }
 }
 
-impl IntoParallelIterator for std::ops::Range<u32> {
-    type Item = u32;
-
-    fn into_par_iter(self) -> ParIter<u32> {
-        ParIter {
-            items: self.collect(),
-            min_len: 1,
-        }
-    }
-}
-
-/// `par_iter()` on shared slices (subset of
-/// `rayon::iter::IntoParallelRefIterator`).
-pub trait IntoParallelRefIterator<'a> {
-    /// Borrowed item type.
-    type Item: Send + 'a;
-
-    /// Parallel iterator over `&self`.
-    fn par_iter(&'a self) -> ParIter<Self::Item>;
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Item = &'a T;
-
-    fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter {
-            items: self.iter().collect(),
-            min_len: 1,
-        }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = &'a T;
-
-    fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter {
-            items: self.iter().collect(),
-            min_len: 1,
-        }
-    }
-}
-
 /// `par_iter_mut()` on exclusive slices (subset of
 /// `rayon::iter::IntoParallelRefMutIterator`).
 pub trait IntoParallelRefMutIterator<'a> {
@@ -424,17 +329,6 @@ pub trait IntoParallelRefMutIterator<'a> {
 }
 
 impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
-    type Item = &'a mut T;
-
-    fn par_iter_mut(&'a mut self) -> ParIter<&'a mut T> {
-        ParIter {
-            items: self.iter_mut().collect(),
-            min_len: 1,
-        }
-    }
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
     type Item = &'a mut T;
 
     fn par_iter_mut(&'a mut self) -> ParIter<&'a mut T> {
@@ -499,8 +393,7 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
 /// Glob-import module mirroring `rayon::prelude`.
 pub mod prelude {
     pub use crate::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelSlice,
-        ParallelSliceMut,
+        IntoParallelIterator, IntoParallelRefMutIterator, ParallelSlice, ParallelSliceMut,
     };
 }
 
@@ -538,13 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn par_iter_reads_in_parallel() {
-        let v: Vec<u64> = (0..1000).collect();
-        let sum: u64 = v.par_iter().map(|&x| x).collect::<Vec<u64>>().iter().sum();
-        assert_eq!(sum, 999 * 1000 / 2);
-    }
-
-    #[test]
     fn pool_install_bounds_thread_count() {
         let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         assert_eq!(pool.current_num_threads(), 2);
@@ -570,7 +456,7 @@ mod tests {
 
     #[test]
     fn map_init_amortizes_state_and_preserves_order() {
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         static INITS: AtomicUsize = AtomicUsize::new(0);
         let v: Vec<u64> = (0..10_000).collect();
         let out: Vec<u64> = v
@@ -640,7 +526,7 @@ mod tests {
     #[test]
     fn enumerate_indices_are_exact_in_input_order() {
         let v: Vec<u32> = (100..10_100).collect();
-        let pairs: Vec<(usize, u32)> = v.par_iter().enumerate().map(|(i, &x)| (i, x)).collect();
+        let pairs: Vec<(usize, u32)> = v.into_par_iter().enumerate().map(|(i, x)| (i, x)).collect();
         assert_eq!(pairs.len(), 10_000);
         for (i, x) in pairs {
             assert_eq!(x as usize, 100 + i);

@@ -178,11 +178,6 @@ impl<'g> DpgaEngine<'g> {
         })
     }
 
-    /// Number of subpopulations.
-    pub fn num_subpopulations(&self) -> usize {
-        self.engines.len()
-    }
-
     /// Advances every subpopulation by `generations` in lockstep (no
     /// migration inside the block), the islands split across the
     /// installed pool's workers.
@@ -324,10 +319,8 @@ mod tests {
         let g = paper_graph(78);
         let mut cfg = small_dpga(4);
         cfg.base.population_size = 67; // not divisible by 4
-        let e = DpgaEngine::new(&g, cfg).unwrap();
-        assert_eq!(e.num_subpopulations(), 4);
-        // 67 = 17 + 17 + 17 + 16 — verified indirectly by a clean run.
-        let r = e.run();
+                                       // 67 = 17 + 17 + 17 + 16 — verified indirectly by a clean run.
+        let r = DpgaEngine::new(&g, cfg).unwrap().run();
         assert_eq!(r.per_subpop.len(), 4);
     }
 

@@ -90,6 +90,19 @@ impl From<GraphError> for DynamicError {
 /// `serve`) — the bytes "SC94".
 pub const DEFAULT_SESSION_SEED: u64 = 0x5343_3934;
 
+/// The one seed grammar every surface reads (a session's `seed=`, the
+/// CLI's `--seed`): decimal, or hexadecimal after `0x`/`0X`. `None` when
+/// `value` is neither or does not fit a `u64`.
+pub fn parse_seed(value: &str) -> Option<u64> {
+    match value
+        .strip_prefix("0x")
+        .or_else(|| value.strip_prefix("0X"))
+    {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => value.parse().ok(),
+    }
+}
+
 /// A malformed or invalid [`SessionSpec`] field.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
@@ -212,14 +225,7 @@ impl SessionSpec {
                 }
             }
             "seed" => {
-                let parsed = match value
-                    .strip_prefix("0x")
-                    .or_else(|| value.strip_prefix("0X"))
-                {
-                    Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                    None => value.parse().ok(),
-                };
-                self.seed = parsed.ok_or_else(bad)?;
+                self.seed = parse_seed(value).ok_or_else(bad)?;
             }
             "threshold" => {
                 self.threshold = value

@@ -5,7 +5,6 @@
 //! crossover, mutation, optional hill climbing, elitist replacement, and
 //! the DKNUX reference update — lives here.
 
-use crate::chromosome::Chromosome;
 use crate::error::GaError;
 use crate::fitness::{EvalScratch, FitnessEvaluator, FitnessKind};
 use crate::hillclimb::{hill_climb_in, swap_climb_in};
@@ -296,19 +295,19 @@ impl<'g> GaEngine<'g> {
         config.validate(graph.num_nodes())?;
         let evaluator = FitnessEvaluator::new(graph, config.num_parts, config.fitness);
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let chromosomes = config.init.generate(
+        let genes = config.init.generate(
             graph.num_nodes(),
             config.num_parts,
             config.population_size,
             &mut rng,
         )?;
-        let population = Population::evaluate(chromosomes, &evaluator);
+        let population = Population::evaluate(genes, &evaluator);
         let best_ever = population.best().clone();
-        let reference = best_ever.chromosome.genes().to_vec();
+        let reference = best_ever.genes.clone();
         // Grown by push: the generation budget is a bound, not a size to
         // reserve up front.
         let mut history = ConvergenceHistory::default();
-        let best_cut = evaluator.reported_cut(best_ever.chromosome.genes());
+        let best_cut = evaluator.reported_cut(&best_ever.genes);
         history.push(best_ever.fitness, population.mean_fitness(), best_cut);
         Ok(GaEngine {
             graph,
@@ -326,20 +325,10 @@ impl<'g> GaEngine<'g> {
         })
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &GaConfig {
-        &self.config
-    }
-
-    /// Best individual found so far.
-    pub fn best(&self) -> &Individual {
-        &self.best_ever
-    }
-
     /// Makes `ind` the best individual ever seen: caches its reported cut,
     /// marks it unpolished and, under DKNUX, re-targets the reference.
     fn set_best(&mut self, ind: Individual) {
-        let genes = ind.chromosome.genes();
+        let genes = &ind.genes;
         self.best_cut = self.evaluator.reported_cut(genes);
         self.best_polished = false;
         if self.config.crossover.is_dynamic() {
@@ -347,11 +336,6 @@ impl<'g> GaEngine<'g> {
             self.reference.extend_from_slice(genes);
         }
         self.best_ever = ind;
-    }
-
-    /// Convergence history so far (index 0 = initial population).
-    pub fn history(&self) -> &ConvergenceHistory {
-        &self.history
     }
 
     /// Copies of the `k` fittest individuals (for DPGA emigration).
@@ -399,8 +383,8 @@ impl<'g> GaEngine<'g> {
         while offspring.len() < wanted {
             let i = binary_tournament(&fitness_values, &mut self.rng);
             let j = binary_tournament(&fitness_values, &mut self.rng);
-            let pa = self.population.individuals[i].chromosome.genes();
-            let pb = self.population.individuals[j].chromosome.genes();
+            let pa = &self.population.individuals[i].genes;
+            let pb = &self.population.individuals[j].genes;
 
             let (mut c1, mut c2) = if self.rng.gen::<f64>() < CROSSOVER_RATE {
                 let ctx = CrossoverCtx {
@@ -444,10 +428,7 @@ impl<'g> GaEngine<'g> {
                 }
                 _ => evaluator.evaluate_with(&genes, scratch),
             };
-            Individual {
-                chromosome: Chromosome::new(genes),
-                fitness,
-            }
+            Individual { genes, fitness }
         };
         // One scratch per worker chunk, not per offspring; min_len keeps
         // tiny populations inline (thread spawn would cost more than the
@@ -472,15 +453,12 @@ impl<'g> GaEngine<'g> {
         // Elite polish: one swap-climb of the global best per generation,
         // skipped while it is the same best that a polish left unchanged.
         if self.config.elite_swap_passes > 0 && !self.best_polished {
-            let mut genes = self.best_ever.chromosome.genes().to_vec();
+            let mut genes = self.best_ever.genes.clone();
             let passes = self.config.elite_swap_passes;
             let fitness =
                 swap_climb_in(&self.evaluator, &mut genes, passes, &mut self.scratch).fitness;
             if fitness > self.best_ever.fitness {
-                self.set_best(Individual {
-                    chromosome: Chromosome::new(genes),
-                    fitness,
-                });
+                self.set_best(Individual { genes, fitness });
                 // Feed the improvement back into the gene pool.
                 self.population.replace_worst(vec![self.best_ever.clone()]);
             } else {
@@ -508,21 +486,16 @@ impl<'g> GaEngine<'g> {
     /// drives [`GaEngine::step`] itself).
     pub fn finish(mut self) -> GaResult {
         if let HillClimbMode::FinalBest { passes } = self.config.hill_climb {
-            let mut genes = self.best_ever.chromosome.genes().to_vec();
+            let mut genes = self.best_ever.genes.clone();
             let fitness =
                 hill_climb_in(&self.evaluator, &mut genes, passes, &mut self.scratch).fitness;
             if fitness > self.best_ever.fitness {
-                self.set_best(Individual {
-                    chromosome: Chromosome::new(genes),
-                    fitness,
-                });
+                self.set_best(Individual { genes, fitness });
             }
         }
-        let best_partition = self
-            .best_ever
-            .chromosome
-            .clone()
-            .into_partition(self.config.num_parts);
+        let best_partition = Partition::new(self.best_ever.genes, self.config.num_parts)
+            // gapart-lint: allow(lib-panic) -- genes come only from operators that write labels < num_parts, so a failure here is a bug
+            .expect("operators keep genes in range");
         let best_metrics = PartitionMetrics::compute(self.graph, &best_partition);
         GaResult {
             best_partition,
@@ -654,7 +627,7 @@ mod tests {
         let g = paper_graph(78);
         let mut e = GaEngine::new(&g, small_config(2).with_generations(usize::MAX / 4)).unwrap();
         e.step();
-        assert_eq!(e.history().len(), 2);
+        assert_eq!(e.history.len(), 2);
     }
 
     #[test]
@@ -758,8 +731,8 @@ mod tests {
         let migrants = e1.emigrants(3);
         assert_eq!(migrants.len(), 3);
         assert!(migrants[0].fitness >= migrants[1].fitness);
-        let before_best = e2.best().fitness;
+        let before_best = e2.best_ever.fitness;
         e2.immigrate(migrants.clone());
-        assert!(e2.best().fitness >= before_best.max(migrants[0].fitness));
+        assert!(e2.best_ever.fitness >= before_best.max(migrants[0].fitness));
     }
 }

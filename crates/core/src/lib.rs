@@ -3,16 +3,16 @@
 //!
 //! This crate implements everything in §3 of the paper:
 //!
-//! * [`chromosome`] — the vector representation: gene `i` is the part of
-//!   node `i`.
+//! * [`population`] — the vector representation (an individual's gene
+//!   `i` is the part of node `i`), population containers and the seeding
+//!   strategies of §3.5 (balanced-random, heuristic-seeded, incremental
+//!   reuse).
 //! * [`fitness`] — Fitness 1 (total communication cost) and Fitness 2
 //!   (worst-part communication cost), plus an incremental-move evaluator.
 //! * [`ops`] — crossover operators: 1-point, 2-point, k-point, uniform
 //!   (UX), and the paper's **KNUX** and **DKNUX**; plus mutation.
 //! * [`selection`] — binary tournament selection.
 //! * [`hillclimb`] — boundary-vertex hill climbing (§3.6).
-//! * [`population`] — population containers and the seeding strategies of
-//!   §3.5 (balanced-random, heuristic-seeded, incremental reuse).
 //! * [`engine`] — the single-population generational GA.
 //! * [`dpga`] — the coarse-grained distributed-population GA (§3.4):
 //!   subpopulations on a hypercube (or a ring or complete graph)
@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chromosome;
 pub mod dpga;
 pub mod dynamic;
 pub mod engine;

@@ -46,14 +46,6 @@ pub enum CrossoverOp {
 }
 
 impl CrossoverOp {
-    /// Whether the operator needs a reference solution in its context.
-    pub fn requires_reference(&self) -> bool {
-        matches!(
-            self,
-            CrossoverOp::Knux | CrossoverOp::Dknux | CrossoverOp::DknuxFitness(_)
-        )
-    }
-
     /// Whether the operator re-targets its reference to the best-so-far
     /// (the "dynamic" family).
     pub fn is_dynamic(&self) -> bool {

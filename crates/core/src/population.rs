@@ -1,17 +1,18 @@
 //! Populations and the initialization strategies of §3.5.
 
-use crate::chromosome::Chromosome;
 use crate::error::GaError;
 use crate::fitness::{EvalScratch, FitnessEvaluator};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rayon::prelude::*;
 
-/// A chromosome with its cached fitness.
+/// A candidate solution with its cached fitness. The paper's
+/// representation (§3.1): an individual is a vector whose `i`-th element
+/// names the part that node `i` is allocated to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Individual {
-    /// The candidate solution.
-    pub chromosome: Chromosome,
+    /// The candidate solution: `genes[i]` is the part label of node `i`.
+    pub genes: Vec<u32>,
     /// Cached fitness (higher is better).
     pub fitness: f64,
 }
@@ -40,7 +41,7 @@ pub enum InitStrategy {
 }
 
 impl InitStrategy {
-    /// Generates `pop_size` chromosomes of length `n` over `num_parts`
+    /// Generates `pop_size` gene vectors of length `n` over `num_parts`
     /// parts.
     ///
     /// # Errors
@@ -58,7 +59,7 @@ impl InitStrategy {
         num_parts: u32,
         pop_size: usize,
         rng: &mut R,
-    ) -> Result<Vec<Chromosome>, GaError> {
+    ) -> Result<Vec<Vec<u32>>, GaError> {
         let mut out = Vec::new();
         out.try_reserve_exact(pop_size)
             .map_err(|_| GaError::BadPopulation {
@@ -79,7 +80,7 @@ impl InitStrategy {
                     }
                     pos += take;
                 }
-                Chromosome::new(genes)
+                genes
             })),
             InitStrategy::Seeded {
                 partition,
@@ -95,7 +96,7 @@ impl InitStrategy {
                     if i > 0 {
                         crate::ops::mutation::mutate(&mut genes, *perturbation, num_parts, rng);
                     }
-                    Chromosome::new(genes)
+                    genes
                 }));
             }
         }
@@ -111,20 +112,17 @@ pub struct Population {
 }
 
 impl Population {
-    /// Evaluates `chromosomes` across the installed rayon pool and wraps
+    /// Evaluates `genes` across the installed rayon pool and wraps
     /// them into a population. Fitness is a pure function of the genes
     /// and results are reduced in index order, so every pool size builds
     /// the identical population.
-    pub fn evaluate(chromosomes: Vec<Chromosome>, evaluator: &FitnessEvaluator<'_>) -> Self {
-        let individuals = chromosomes
+    pub fn evaluate(genes: Vec<Vec<u32>>, evaluator: &FitnessEvaluator<'_>) -> Self {
+        let individuals = genes
             .into_par_iter()
             .with_min_len(crate::engine::PAR_MIN_OFFSPRING)
-            .map_init(EvalScratch::default, |scratch, c| {
-                let fitness = evaluator.evaluate_with(c.genes(), scratch);
-                Individual {
-                    chromosome: c,
-                    fitness,
-                }
+            .map_init(EvalScratch::default, |scratch, genes| {
+                let fitness = evaluator.evaluate_with(&genes, scratch);
+                Individual { genes, fitness }
             })
             .collect();
         Population { individuals }
@@ -234,7 +232,7 @@ mod tests {
             .unwrap();
         for c in &chroms {
             let mut counts = [0usize; 4];
-            for &g in c.genes() {
+            for &g in c {
                 counts[g as usize] += 1;
             }
             let min = counts.iter().min().unwrap();
@@ -253,15 +251,12 @@ mod tests {
         }
         .generate(50, 3, 10, &mut rng)
         .unwrap();
-        assert_eq!(chroms[0].genes(), &seed[..]);
+        assert_eq!(chroms[0], seed);
         // Later individuals perturbed but close.
-        let distant = chroms[1..]
-            .iter()
-            .filter(|c| c.genes() == &seed[..])
-            .count();
+        let distant = chroms[1..].iter().filter(|c| **c == seed).count();
         assert!(distant < 9, "perturbation did nothing");
         for c in &chroms[1..] {
-            let hamming = c.hamming(&Chromosome::new(seed.clone()));
+            let hamming = c.iter().zip(&seed).filter(|(a, b)| a != b).count();
             assert!(hamming <= 25, "perturbed too far: {hamming}");
         }
     }

@@ -22,6 +22,7 @@ use super::{apply_batch, Mutation, MutationLog};
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
 use crate::geometry::{density_cell, NearestGrid, Point2};
+use crate::incremental::grow_step;
 use crate::traversal::bfs_distances;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -78,6 +79,7 @@ pub struct TraceSpec {
 ///
 /// # Errors
 ///
+/// [`GraphError::EmptyGraph`] if the graph has no node to draw from;
 /// [`GraphError::MissingCoordinates`] if [`Scenario::MeshGrowth`] is
 /// requested for a graph without coordinates;
 /// [`GraphError::UnboundedCoords`] if the graph's coordinates span more
@@ -89,6 +91,9 @@ pub fn generate(
     scenario: Scenario,
     spec: &TraceSpec,
 ) -> Result<Vec<Vec<Mutation>>, GraphError> {
+    if graph.num_nodes() == 0 {
+        return Err(GraphError::EmptyGraph);
+    }
     let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x7374_7265_616d); // "stream"
     match scenario {
         Scenario::MeshGrowth => mesh_growth(graph, spec, &mut rng),
@@ -102,30 +107,24 @@ fn mesh_growth(
     spec: &TraceSpec,
     rng: &mut StdRng,
 ) -> Result<Vec<Vec<Mutation>>, GraphError> {
-    let mut coords = graph.coords_required()?.to_vec();
+    let coords = graph.coords_required()?;
     // Length scale from the measured point density, so growth looks the
     // same whatever the coordinate units are.
-    let spacing = density_cell(&coords)?;
-    let mut index = NearestGrid::new(&coords, spacing);
+    let spacing = density_cell(coords)?;
+    let mut index = NearestGrid::new(coords, spacing);
     let mut batches = Vec::with_capacity(spec.batches);
     for _ in 0..spec.batches {
-        let mut log = MutationLog::new(coords.len());
-        let anchor = rng.gen_range(0..coords.len() as u32);
-        let anchor_pt = coords[anchor as usize];
-        let radius = 2.0 * spacing;
-        for _ in 0..spec.ops_per_batch {
-            let pt = Point2::new(
-                anchor_pt.x + rng.gen_range(-radius..radius),
-                anchor_pt.y + rng.gen_range(-radius..radius),
-            );
-            let nbrs = index.nearest(&pt, 3);
-            let id = log.add_node(1, Some(pt));
-            for nbr in nbrs {
-                log.add_edge(id, nbr, 1);
-            }
-            index.insert(pt);
-            coords.push(pt);
-        }
+        let mut log = MutationLog::new(index.len());
+        let anchor = rng.gen_range(0..index.len() as u32);
+        let anchor_pt = index.points()[anchor as usize];
+        grow_step(
+            &mut index,
+            anchor_pt,
+            2.0 * spacing,
+            spec.ops_per_batch,
+            &mut log,
+            rng,
+        );
         batches.push(log.into_ops());
     }
     Ok(batches)

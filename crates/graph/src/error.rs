@@ -63,6 +63,8 @@ pub enum GraphError {
         /// Number of parts in the partition.
         num_parts: u32,
     },
+    /// The operation draws a node from the graph, and the graph has none.
+    EmptyGraph,
     /// The operation requires vertex coordinates but the graph has none.
     MissingCoordinates,
     /// The coordinates lie further apart than an `f64` measures (`1e308`
@@ -121,6 +123,7 @@ impl fmt::Display for GraphError {
             GraphError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
             }
+            GraphError::EmptyGraph => write!(f, "graph has no nodes"),
             GraphError::MissingCoordinates => write!(f, "graph has no vertex coordinates"),
             GraphError::UnboundedCoords => {
                 write!(f, "coordinates span more than an f64 measures")

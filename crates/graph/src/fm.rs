@@ -50,8 +50,8 @@
 //! [`FmRefiner`] owns every buffer the engine needs and recycles them
 //! across calls; the streaming layer keeps one per session so a batch's
 //! dirty-frontier refinement allocates nothing beyond first-use growth
-//! (see `gapart_core::dynamic::DynamicSession`). One-shot callers can
-//! use the [`refine_fm`] / [`refine_fm_local`] conveniences.
+//! (see `gapart_core::dynamic::DynamicSession`). A one-shot caller
+//! refines through a fresh `FmRefiner::new()`.
 
 use crate::coarsen::splitmix64;
 use crate::csr::CsrGraph;
@@ -801,27 +801,6 @@ fn bucket_remove(
     prev[v as usize] = NONE;
 }
 
-/// One-shot [`FmRefiner::refine`] with a fresh workspace.
-pub fn refine_fm(
-    graph: &CsrGraph,
-    partition: &mut Partition,
-    opts: &RefineOptions,
-    seed: u64,
-) -> RefineStats {
-    FmRefiner::new().refine(graph, partition, opts, seed)
-}
-
-/// One-shot [`FmRefiner::refine_local`] with a fresh workspace.
-pub fn refine_fm_local(
-    graph: &CsrGraph,
-    partition: &mut Partition,
-    opts: &RefineOptions,
-    seed: u64,
-    region: &[u32],
-) -> RefineStats {
-    FmRefiner::new().refine_local(graph, partition, opts, seed, region)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -850,7 +829,7 @@ mod tests {
         let g = from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let mut p = Partition::new(vec![1, 0, 1, 1], 2).unwrap();
         let before = cut_size(&g, &p);
-        let stats = refine_fm(&g, &mut p, &opts(0.6, 4), SEED);
+        let stats = FmRefiner::new().refine(&g, &mut p, &opts(0.6, 4), SEED);
         let after = cut_size(&g, &p);
         assert!(after < before, "no improvement: {before} -> {after}");
         assert_eq!((before - after) as u64, stats.gain);
@@ -862,7 +841,7 @@ mod tests {
         for seed in 0..5u64 {
             let mut p = random_partition(139, 4, seed);
             let before = cut_size(&g, &p);
-            let stats = refine_fm(&g, &mut p, &opts(0.1, 8), SEED ^ seed);
+            let stats = FmRefiner::new().refine(&g, &mut p, &opts(0.1, 8), SEED ^ seed);
             let after = cut_size(&g, &p);
             assert!(after <= before, "cut increased {before} -> {after}");
             assert_eq!(before - after, stats.gain, "reported gain is not exact");
@@ -873,7 +852,7 @@ mod tests {
     fn respects_balance_slack() {
         let g = paper_graph(144);
         let mut p = random_partition(144, 4, 9);
-        refine_fm(&g, &mut p, &opts(0.05, 8), SEED);
+        FmRefiner::new().refine(&g, &mut p, &opts(0.05, 8), SEED);
         let m = PartitionMetrics::compute(&g, &p);
         let cap = (m.avg_load * 1.05).ceil() as u64;
         for &l in &m.part_loads {
@@ -889,7 +868,7 @@ mod tests {
             let base = random_partition(167, 6, seed);
             // Fresh engine vs engine reused across differing graph calls.
             let mut a = base.clone();
-            let sa = refine_fm(&g, &mut a, &opts(0.1, 6), SEED);
+            let sa = FmRefiner::new().refine(&g, &mut a, &opts(0.1, 6), SEED);
             let mut b = base.clone();
             let sb = engine.refine(&g, &mut b, &opts(0.1, 6), SEED);
             assert_eq!(a, b, "reused workspace diverged from fresh engine");
@@ -904,7 +883,7 @@ mod tests {
         let before = cut_size(&g, &base);
         for seed in 0..4u64 {
             let mut p = base.clone();
-            let stats = refine_fm(&g, &mut p, &opts(0.2, 10), seed);
+            let stats = FmRefiner::new().refine(&g, &mut p, &opts(0.2, 10), seed);
             assert_eq!(before - cut_size(&g, &p), stats.gain);
         }
     }
@@ -920,7 +899,7 @@ mod tests {
         for seed in 0..3u64 {
             let base = random_partition(213, 4, seed);
             let mut full = base.clone();
-            let sf = refine_fm(&g, &mut full, &opts(0.1, 6), SEED);
+            let sf = FmRefiner::new().refine(&g, &mut full, &opts(0.1, 6), SEED);
 
             let boundary = boundary_nodes(&g, &base);
             let mut padded = boundary.clone();
@@ -956,7 +935,7 @@ mod tests {
         let mut p = random_partition(144, 4, 5);
         let before = p.clone();
         let region: Vec<u32> = (40..80u32).collect();
-        let stats = refine_fm_local(&g, &mut p, &opts(0.2, 6), SEED, &region);
+        let stats = FmRefiner::new().refine_local(&g, &mut p, &opts(0.2, 6), SEED, &region);
         for v in 0..144u32 {
             if !region.contains(&v) {
                 assert_eq!(p.part(v), before.part(v), "non-region node {v} moved");
@@ -974,8 +953,8 @@ mod tests {
         let fwd: Vec<u32> = (10..50u32).collect();
         let mut rev: Vec<u32> = fwd.iter().rev().copied().collect();
         rev.extend_from_slice(&fwd); // duplicates too
-        let sa = refine_fm_local(&g, &mut a, &opts(0.2, 6), SEED, &fwd);
-        let sb = refine_fm_local(&g, &mut b, &opts(0.2, 6), SEED, &rev);
+        let sa = FmRefiner::new().refine_local(&g, &mut a, &opts(0.2, 6), SEED, &fwd);
+        let sb = FmRefiner::new().refine_local(&g, &mut b, &opts(0.2, 6), SEED, &rev);
         assert_eq!(a, b);
         assert_eq!(sa, sb);
     }
@@ -985,19 +964,19 @@ mod tests {
         let g = paper_graph(78);
         let mut p = random_partition(78, 4, 1);
         let before = p.clone();
-        let stats = refine_fm_local(&g, &mut p, &opts(0.1, 4), SEED, &[]);
+        let stats = FmRefiner::new().refine_local(&g, &mut p, &opts(0.1, 4), SEED, &[]);
         assert_eq!(stats, RefineStats { moves: 0, gain: 0 });
         assert_eq!(p, before);
         // Single part: no external edges can exist.
         let mut single = Partition::all_zero(78, 1);
-        let stats = refine_fm(&g, &mut single, &opts(0.1, 4), SEED);
+        let stats = FmRefiner::new().refine(&g, &mut single, &opts(0.1, 4), SEED);
         assert_eq!(stats.moves, 0);
         // Edgeless graph: no boundary.
         let e = crate::builder::GraphBuilder::with_nodes(12)
             .build()
             .unwrap();
         let mut p = Partition::round_robin(12, 3);
-        let stats = refine_fm(&e, &mut p, &opts(0.1, 4), SEED);
+        let stats = FmRefiner::new().refine(&e, &mut p, &opts(0.1, 4), SEED);
         assert_eq!(stats, RefineStats { moves: 0, gain: 0 });
     }
 
@@ -1013,7 +992,7 @@ mod tests {
             .unwrap();
         let mut p = Partition::new(vec![0, 1, 1, 0], 2).unwrap();
         let before = cut_size(&g, &p);
-        let stats = refine_fm(&g, &mut p, &opts(1.0, 4), SEED);
+        let stats = FmRefiner::new().refine(&g, &mut p, &opts(1.0, 4), SEED);
         assert_eq!(before - cut_size(&g, &p), stats.gain);
         assert_eq!(p.part(0), p.part(1), "heavy edge left cut");
     }
@@ -1046,7 +1025,7 @@ mod tests {
         labels[M + 1] = 1;
         let mut p = Partition::new(labels, 2).unwrap();
         let before = cut_size(&g, &p);
-        let stats = refine_fm(&g, &mut p, &opts(2.0, 4), SEED);
+        let stats = FmRefiner::new().refine(&g, &mut p, &opts(2.0, 4), SEED);
         assert_eq!(
             stats.moves,
             M - 1,

@@ -189,6 +189,11 @@ impl NearestGrid {
         self.points.is_empty()
     }
 
+    /// The indexed points; a point's id is its position.
+    pub fn points(&self) -> &[Point2] {
+        &self.points
+    }
+
     /// Inserts a point, returning its id (insertion order).
     pub fn insert(&mut self, p: Point2) -> u32 {
         let id = self.points.len() as u32;

@@ -2,37 +2,22 @@
 //! partition it, then modify by adding some number of nodes in a local area
 //! chosen randomly within the graph".
 
-use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
+use crate::dynamic::{apply_batch, MutationLog};
 use crate::error::GraphError;
-use crate::geometry::{NearestGrid, Point2};
+use crate::geometry::{density_cell, NearestGrid, Point2};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Result of growing a graph locally: the new graph plus enough metadata
-/// to reason about what changed. New nodes occupy ids
-/// `first_new .. graph.num_nodes()`; the ids of pre-existing nodes are
-/// unchanged, so a partition of the old graph remains valid on the prefix.
+/// Result of growing a graph locally. New nodes take the ids after the
+/// old graph's last; the ids of pre-existing nodes are unchanged, so a
+/// partition of the old graph remains valid on the prefix.
 #[derive(Debug, Clone)]
 pub struct GrowthResult {
     /// The grown graph.
     pub graph: CsrGraph,
     /// The randomly chosen vertex around which the new nodes cluster.
     pub anchor: u32,
-    /// Id of the first newly added node (`== old node count`).
-    pub first_new: u32,
-}
-
-impl GrowthResult {
-    /// Ids of the newly added nodes.
-    pub fn new_nodes(&self) -> impl Iterator<Item = u32> + '_ {
-        self.first_new..self.graph.num_nodes() as u32
-    }
-
-    /// Number of newly added nodes.
-    pub fn num_new(&self) -> usize {
-        self.graph.num_nodes() - self.first_new as usize
-    }
 }
 
 /// Grows `graph` by `k` unit-weight nodes clustered in a local area around
@@ -48,66 +33,71 @@ impl GrowthResult {
 /// # Errors
 ///
 /// Returns [`GraphError::MissingCoordinates`] if the graph has no vertex
-/// coordinates (the locality model needs geometry), and
-/// [`GraphError::UnboundedCoords`] if they span more than an `f64`
-/// measures.
+/// coordinates (the locality model needs geometry),
+/// [`GraphError::EmptyGraph`] if it has no node to anchor the growth, and
+/// [`GraphError::UnboundedCoords`] if the coordinates span more than an
+/// `f64` measures.
 pub fn grow_local(graph: &CsrGraph, k: usize, seed: u64) -> Result<GrowthResult, GraphError> {
-    let old_coords = graph.coords_required()?.to_vec();
+    let coords = graph.coords_required()?;
     let n_old = graph.num_nodes();
-    assert!(n_old > 0, "cannot grow an empty graph");
+    if n_old == 0 {
+        return Err(GraphError::EmptyGraph);
+    }
     let mut rng = StdRng::seed_from_u64(seed ^ 0x6772_6f77); // "grow"
     let anchor = rng.gen_range(0..n_old as u32);
-    let anchor_pt = old_coords[anchor as usize];
+    let anchor_pt = coords[anchor as usize];
 
     // Local length scale: roughly two grid spacings of the original mesh.
     let spacing = 1.0 / (n_old as f64).sqrt();
     let radius = 2.0 * spacing;
 
-    let n_new = n_old + k;
-    let mut coords = old_coords;
-    coords.reserve(k);
-    let mut b = GraphBuilder::with_nodes(n_new);
-    // Copy the existing edges.
-    for (u, v, w) in graph.edges() {
-        b.push_edge(u, v, w);
-    }
-
-    // Exact nearest-neighbour queries over ALL nodes placed so far, via a
-    // uniform spatial grid: O(1) amortized per query instead of the old
-    // O(n log n) full sort per new node. The grid returns neighbours
-    // ordered by (distance, id) — identical to the scan-and-sort it
-    // replaced. The cell size comes from the measured point density
-    // (not the unit-square 1/√n, which `radius` keeps only for
+    // The grid's cell size comes from the measured point density (not
+    // the unit-square 1/√n, which `radius` keeps only for
     // backwards-compatible growth geometry), so ring searches stay O(k)
     // for coordinates on any scale.
-    let neighbors_per_new = 3usize;
-    let mut index = NearestGrid::new(&coords, crate::geometry::density_cell(&coords)?);
-    for step in 0..k {
-        let new_id = (n_old + step) as u32;
+    let mut index = NearestGrid::new(coords, density_cell(coords)?);
+    let mut log = MutationLog::new(n_old);
+    grow_step(&mut index, anchor_pt, radius, k, &mut log, &mut rng);
+    let (grown, _) = apply_batch(graph, log.ops())?;
+    Ok(GrowthResult {
+        graph: grown,
+        anchor,
+    })
+}
+
+/// The §4.2 local-growth step that [`grow_local`] and the mesh-growth
+/// trace generator share: scatters `count` unit-weight nodes uniformly
+/// over the square of half-width `radius` around `anchor_pt`, and wires
+/// each to its 3 nearest points placed so far, ties to the lower id. The
+/// nodes and their edges go into `log`, and the points into `index`,
+/// whose ids must continue `log`'s.
+// gapart-lint: allow(panic-reach) -- `nearest` reads only ids `index` inserted, and finite coordinates (checked by `density_cell`) keep its distances comparable
+pub(crate) fn grow_step<R: Rng + ?Sized>(
+    index: &mut NearestGrid,
+    anchor_pt: Point2,
+    radius: f64,
+    count: usize,
+    log: &mut MutationLog,
+    rng: &mut R,
+) {
+    for _ in 0..count {
         let pt = Point2::new(
             anchor_pt.x + rng.gen_range(-radius..radius),
             anchor_pt.y + rng.gen_range(-radius..radius),
         );
-        for nbr in index.nearest(&pt, neighbors_per_new) {
-            b.push_edge(new_id, nbr, 1);
+        let nbrs = index.nearest(&pt, 3);
+        let id = log.add_node(1, Some(pt));
+        for nbr in nbrs {
+            log.add_edge(id, nbr, 1);
         }
         index.insert(pt);
-        coords.push(pt);
     }
-
-    let mut vweights = graph.node_weights().to_vec();
-    vweights.extend(std::iter::repeat_n(1, k));
-    let grown = b.node_weights(vweights).coords(coords).build()?;
-    Ok(GrowthResult {
-        graph: grown,
-        anchor,
-        first_new: n_old as u32,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::GraphBuilder;
     use crate::generators::paper_graph;
     use crate::traversal::is_connected;
 
@@ -116,9 +106,6 @@ mod tests {
         let g = paper_graph(118);
         let r = grow_local(&g, 21, 7).unwrap();
         assert_eq!(r.graph.num_nodes(), 139);
-        assert_eq!(r.first_new, 118);
-        assert_eq!(r.num_new(), 21);
-        assert_eq!(r.new_nodes().count(), 21);
     }
 
     #[test]
@@ -150,7 +137,7 @@ mod tests {
         let coords = r.graph.coords().unwrap();
         let anchor_pt = coords[r.anchor as usize];
         let spacing = 1.0 / (183f64).sqrt();
-        for v in r.new_nodes() {
+        for v in 183..r.graph.num_nodes() as u32 {
             let d = coords[v as usize].dist(&anchor_pt);
             assert!(d <= 2.0 * spacing * 1.5 + 1e-9, "node {v} too far: {d}");
         }
@@ -205,7 +192,6 @@ mod tests {
         GrowthResult {
             graph: grown,
             anchor,
-            first_new: n_old as u32,
         }
     }
 
@@ -217,7 +203,6 @@ mod tests {
             let slow = grow_local_reference(&g, k, seed);
             assert_eq!(fast.graph, slow.graph, "n={n} k={k} seed={seed}");
             assert_eq!(fast.anchor, slow.anchor);
-            assert_eq!(fast.first_new, slow.first_new);
         }
     }
 
@@ -254,13 +239,20 @@ mod tests {
             grow_local(&g, 5, 0).unwrap_err(),
             GraphError::MissingCoordinates
         );
+        let empty = GraphBuilder::with_nodes(0)
+            .coords(Vec::new())
+            .build()
+            .unwrap();
+        assert_eq!(
+            grow_local(&empty, 3, 0).unwrap_err(),
+            GraphError::EmptyGraph
+        );
     }
 
     #[test]
     fn zero_growth_is_identity_graph() {
         let g = paper_graph(78);
         let r = grow_local(&g, 0, 1).unwrap();
-        assert_eq!(r.graph.num_nodes(), 78);
-        assert_eq!(r.num_new(), 0);
+        assert_eq!(r.graph, g);
     }
 }

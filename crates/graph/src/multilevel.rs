@@ -290,7 +290,7 @@ mod tests {
         // bit-identical to projecting plainly and running a fresh,
         // unhinted FM engine at every level.
         use crate::coarsen::coarsen_to;
-        use crate::fm::refine_fm;
+        use crate::fm::FmRefiner;
         let g = jittered_mesh(600, 21);
         let seed = 17;
         let fast = ml_blocks().partition(&g, 5, seed).unwrap().partition;
@@ -299,11 +299,11 @@ mod tests {
         let coarsest = levels.last().map_or(&g, |l| &l.coarse);
         let mut p = Blocks.partition(coarsest, 5, seed).unwrap().partition;
         let opts = crate::refine::RefineOptions::default();
-        refine_fm(coarsest, &mut p, &opts, seed);
+        FmRefiner::new().refine(coarsest, &mut p, &opts, seed);
         for (i, level) in levels.iter().enumerate().rev() {
             p = level.project(&p);
             let fine = if i == 0 { &g } else { &levels[i - 1].coarse };
-            refine_fm(fine, &mut p, &opts, seed);
+            FmRefiner::new().refine(fine, &mut p, &opts, seed);
         }
         assert_eq!(fast, p, "fast path diverged from the reference V-cycle");
     }

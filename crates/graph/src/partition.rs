@@ -117,14 +117,6 @@ impl Partition {
         }
         sizes
     }
-
-    /// Extends the partition with `extra` new nodes, all labelled `part`.
-    /// Used by incremental repartitioning to cover newly added nodes before
-    /// reassignment.
-    pub fn extend_with(&mut self, extra: usize, part: u32) {
-        assert!(part < self.num_parts, "part label out of range");
-        self.labels.extend(std::iter::repeat_n(part, extra));
-    }
 }
 
 /// All cost metrics of a `(graph, partition)` pair, computed in one pass
@@ -350,13 +342,6 @@ mod tests {
         assert_eq!(boundary_nodes(&g, &p), vec![0, 1, 2, 3]);
         let single = Partition::all_zero(4, 2);
         assert!(boundary_nodes(&g, &single).is_empty());
-    }
-
-    #[test]
-    fn extend_with_appends_labels() {
-        let mut p = Partition::round_robin(3, 2);
-        p.extend_with(2, 1);
-        assert_eq!(p.labels(), &[0, 1, 0, 1, 1]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! greedy sweep ([`sweep`]), which no longer exists outside this file.
 
 use gapart_graph::builder::GraphBuilder;
-use gapart_graph::fm::{refine_fm, refine_fm_local, FmRefiner};
+use gapart_graph::fm::FmRefiner;
 use gapart_graph::partition::{cut_size, Partition, PartitionMetrics};
 use gapart_graph::refine::{RefineOptions, RefineStats};
 use gapart_graph::CsrGraph;
@@ -173,7 +173,7 @@ proptest! {
         let g = build(n, &edges, seed);
         let mut p = random_partition(n, parts, seed);
         let before = cut_size(&g, &p);
-        let stats = refine_fm(&g, &mut p, &OPTS, seed);
+        let stats = FmRefiner::new().refine(&g, &mut p, &OPTS, seed);
         let after = cut_size(&g, &p);
         prop_assert!(after <= before, "cut worsened: {before} -> {after}");
         prop_assert_eq!(before - after, stats.gain, "reported gain is not the exact cut delta");
@@ -191,7 +191,7 @@ proptest! {
         // still be within it after.
         let cap = (g.total_node_weight() as f64 / parts as f64 * (1.0 + OPTS.balance_slack)).ceil() as u64;
         let loads_before = PartitionMetrics::compute(&g, &p).part_loads;
-        refine_fm(&g, &mut p, &OPTS, seed);
+        FmRefiner::new().refine(&g, &mut p, &OPTS, seed);
         let loads_after = PartitionMetrics::compute(&g, &p).part_loads;
         for (q, (&b, &a)) in loads_before.iter().zip(&loads_after).enumerate() {
             if b <= cap {
@@ -210,7 +210,7 @@ proptest! {
         let mut p = random_partition(n, parts, seed);
         let populated_before: Vec<bool> =
             p.part_sizes().iter().map(|&s| s > 0).collect();
-        refine_fm(&g, &mut p, &OPTS, seed);
+        FmRefiner::new().refine(&g, &mut p, &OPTS, seed);
         for (q, (&was, &now)) in populated_before
             .iter()
             .zip(p.part_sizes().iter().map(|s| *s > 0).collect::<Vec<_>>().iter())
@@ -235,7 +235,7 @@ proptest! {
                 .build()
                 .unwrap();
             let mut p = base.clone();
-            let stats = pool.install(|| refine_fm(&g, &mut p, &OPTS, seed));
+            let stats = pool.install(|| FmRefiner::new().refine(&g, &mut p, &OPTS, seed));
             match &reference {
                 None => reference = Some((p, stats)),
                 Some((rp, rs)) => {
@@ -260,7 +260,7 @@ proptest! {
             (0..n as u32).filter(|_| rng.gen_range(0..3u8) > 0).collect();
 
         let mut fresh = base.clone();
-        let sf = refine_fm_local(&g, &mut fresh, &OPTS, seed, &region);
+        let sf = FmRefiner::new().refine_local(&g, &mut fresh, &OPTS, seed, &region);
         for v in 0..n as u32 {
             if !region.contains(&v) {
                 prop_assert_eq!(fresh.part(v), base.part(v), "non-region node {} moved", v);
@@ -306,7 +306,7 @@ fn fm_beats_the_sweep_across_structured_instances() {
             let base = random_partition(g.num_nodes(), 4, pseed * 7 + gseed);
             let mut fm = base.clone();
             let mut swept = base;
-            refine_fm(&g, &mut fm, &opts, pseed);
+            FmRefiner::new().refine(&g, &mut fm, &opts, pseed);
             sweep(&g, &mut swept, &opts);
             let (cf, cs) = (cut_size(&g, &fm), cut_size(&g, &swept));
             assert!(
@@ -344,7 +344,7 @@ fn at_least_matches_the_sweep_refiner_on_random_partitions() {
         let base = Partition::new(labels, 4).unwrap();
         let mut fm = base.clone();
         let mut swept = base;
-        refine_fm(&g, &mut fm, &opts, 0x464d);
+        FmRefiner::new().refine(&g, &mut fm, &opts, 0x464d);
         sweep(&g, &mut swept, &opts);
         let (cf, cs) = (cut_size(&g, &fm), cut_size(&g, &swept));
         assert!(cf <= cs, "seed {seed}: FM cut {cf} worse than sweep {cs}");

@@ -4,8 +4,20 @@ use gapart_graph::generators::jittered_mesh;
 use gapart_graph::partition::cut_size;
 use gapart_graph::Partition;
 use gapart_ibp::ibp_partition;
-use gapart_ibp::interleave::{bits_for, deinterleave2, interleave, interleave2, Dim};
+use gapart_ibp::interleave::{bits_for, interleave, interleave2, Dim};
 use proptest::prelude::*;
+
+/// Inverse of `interleave2`, the oracle of its round trip: recovers
+/// `(row, col)` from a Morton index.
+fn deinterleave2(index: u64, bits: u32) -> (u32, u32) {
+    let mut row = 0u32;
+    let mut col = 0u32;
+    for k in 0..bits {
+        col |= (((index >> (2 * k)) & 1) as u32) << k;
+        row |= (((index >> (2 * k + 1)) & 1) as u32) << k;
+    }
+    (row, col)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

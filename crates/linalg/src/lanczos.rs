@@ -6,7 +6,7 @@
 //! which spans the Laplacian's known null space on a connected graph.
 
 use crate::dense::{axpy, dot, normalize, orthogonalize_against};
-use crate::tridiag::{eigh_tridiagonal, TridiagError};
+use crate::tridiag::{eigh_tridiagonal, eigh_tridiagonal_last_row, TridiagError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -131,15 +131,15 @@ where
         orthogonalize_against(&mut w, &basis);
         let beta = normalize(&mut w);
 
-        // Convergence test on the current tridiagonal system.
+        // Convergence test on the current tridiagonal system. The
+        // residual estimates need only the last row of its eigenvectors.
         let dim = alphas.len();
         if dim >= want {
-            let (vals, vecs) = eigh_tridiagonal(&alphas, &betas[..dim - 1])?;
-            let worst_residual = vals
+            let (_, last) = eigh_tridiagonal_last_row(&alphas, &betas[..dim - 1])?;
+            let worst_residual = last
                 .iter()
-                .zip(&vecs)
                 .take(want)
-                .map(|(_, s)| (beta * s[dim - 1]).abs())
+                .map(|s| (beta * s).abs())
                 .fold(0.0f64, f64::max);
             if worst_residual <= TOLERANCE || dim == max_dim || beta <= 1e-12 {
                 if beta <= 1e-12 && dim < max_dim && worst_residual > TOLERANCE {
@@ -152,24 +152,7 @@ where
                     }
                 }
                 converged = worst_residual <= TOLERANCE;
-                let eigenvalues: Vec<f64> = vals[..want].to_vec();
-                let eigenvectors: Vec<Vec<f64>> = vecs[..want]
-                    .iter()
-                    .map(|s| {
-                        let mut x = vec![0.0f64; n];
-                        for (coeff, v) in s.iter().zip(&basis) {
-                            axpy(*coeff, v, &mut x);
-                        }
-                        normalize(&mut x);
-                        x
-                    })
-                    .collect();
-                return Ok(LanczosResult {
-                    eigenvalues,
-                    eigenvectors,
-                    iterations: dim,
-                    converged,
-                });
+                break;
             }
         } else if beta <= 1e-12 {
             // Invariant subspace before we even have `want` values.
@@ -187,7 +170,7 @@ where
         basis.push(w.clone());
     }
 
-    // Fallback: solve whatever space we built.
+    // Solve the space built, eigenvectors included, once.
     let dim = alphas.len();
     let (vals, vecs) = eigh_tridiagonal(&alphas, &betas[..dim.saturating_sub(1)])?;
     let take = want.min(vals.len());

@@ -51,6 +51,47 @@ pub fn eigh_tridiagonal(
     off_diag: &[f64],
 ) -> Result<(Vec<f64>, Vec<Vec<f64>>), TridiagError> {
     let n = diag.len();
+    // z[k][j]: row k, column j; columns accumulate the rotations.
+    let mut z = vec![vec![0.0f64; n]; n];
+    for (k, row) in z.iter_mut().enumerate() {
+        row[k] = 1.0;
+    }
+    let (values, order) = ql(diag, off_diag, &mut z)?;
+    let vectors = order
+        .iter()
+        .map(|&j| (0..n).map(|k| z[k][j]).collect())
+        .collect();
+    Ok((values, vectors))
+}
+
+/// The eigenvalues of [`eigh_tridiagonal`] and the last component of each
+/// eigenvector, in the same order and to the same bits, in O(n²) instead
+/// of O(n³): every rotation updates each row of the eigenvector matrix on
+/// its own, so only the last row is accumulated. Lanczos reads nothing
+/// else when it tests convergence.
+// gapart-lint: allow(panic-reach) -- `ql`'s order is a permutation of 0..n, and the one row holds n entries
+pub fn eigh_tridiagonal_last_row(
+    diag: &[f64],
+    off_diag: &[f64],
+) -> Result<(Vec<f64>, Vec<f64>), TridiagError> {
+    let mut last = vec![0.0f64; diag.len()];
+    if let Some(x) = last.last_mut() {
+        *x = 1.0;
+    }
+    let mut z = [last];
+    let (values, order) = ql(diag, off_diag, &mut z)?;
+    Ok((values, order.iter().map(|&j| z[0][j]).collect()))
+}
+
+/// The implicit-QL iteration, applying every rotation to each of the
+/// eigenvector-matrix rows in `z`. Returns the eigenvalues ascending and
+/// the column each came from.
+fn ql(
+    diag: &[f64],
+    off_diag: &[f64],
+    z: &mut [Vec<f64>],
+) -> Result<(Vec<f64>, Vec<usize>), TridiagError> {
+    let n = diag.len();
     if n == 0 {
         return Ok((Vec::new(), Vec::new()));
     }
@@ -61,11 +102,6 @@ pub fn eigh_tridiagonal(
     // e[i] couples rows i and i+1; e[n-1] is a zero sentinel.
     let mut e: Vec<f64> = off_diag.to_vec();
     e.push(0.0);
-    // z[k][j]: row k, column j; columns accumulate the rotations.
-    let mut z = vec![vec![0.0f64; n]; n];
-    for (k, row) in z.iter_mut().enumerate() {
-        row[k] = 1.0;
-    }
 
     for l in 0..n {
         let mut iter = 0;
@@ -127,15 +163,10 @@ pub fn eigh_tridiagonal(
         }
     }
 
-    // Sort ascending, permuting eigenvector columns along.
+    // Sort ascending; the caller permutes eigenvector columns along.
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).expect("finite eigenvalues"));
-    let values: Vec<f64> = order.iter().map(|&j| d[j]).collect();
-    let vectors: Vec<Vec<f64>> = order
-        .iter()
-        .map(|&j| (0..n).map(|k| z[k][j]).collect())
-        .collect();
-    Ok((values, vectors))
+    Ok((order.iter().map(|&j| d[j]).collect(), order))
 }
 
 #[cfg(test)]
@@ -250,5 +281,38 @@ mod tests {
                 assert!(d.abs() < 1e-9, "vectors {i},{j} not orthogonal: {d}");
             }
         }
+    }
+
+    #[test]
+    fn last_row_matches_the_full_solve_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(29);
+        for n in [1usize, 2, 3, 7, 25, 60, 150] {
+            for _ in 0..4 {
+                let diag: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
+                // Lanczos restarts leave zero couplings; every fifth is one.
+                let off: Vec<f64> = (0..n - 1)
+                    .map(|i| {
+                        let x = rng.gen_range(-2.0..2.0);
+                        if i % 5 == 4 {
+                            0.0
+                        } else {
+                            x
+                        }
+                    })
+                    .collect();
+                let (vals, vecs) = eigh_tridiagonal(&diag, &off).unwrap();
+                let (last_vals, last) = eigh_tridiagonal_last_row(&diag, &off).unwrap();
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&last_vals), bits(&vals), "n={n}");
+                let want: Vec<f64> = vecs.iter().map(|v| v[n - 1]).collect();
+                assert_eq!(bits(&last), bits(&want), "n={n}");
+            }
+        }
+        assert_eq!(
+            eigh_tridiagonal_last_row(&[1.0, 2.0], &[]).unwrap_err(),
+            TridiagError::BadShape
+        );
     }
 }

@@ -21,14 +21,17 @@
 //! * `serve`      — multi-session partition daemon over stdio or a Unix
 //!   socket, with durable per-session tapes and crash recovery.
 
-use crate::core::dynamic::{BatchAction, DynamicError, SessionSpec};
+use crate::core::dynamic::{parse_seed, BatchAction, DynamicError, SessionSpec};
 use crate::core::incremental::incremental_ga;
-use crate::core::{CrossoverOp, DpgaConfig, FitnessKind, GaConfig, HillClimbMode};
+use crate::core::{
+    CrossoverOp, DpgaConfig, DpgaPartitioner, FitnessKind, GaConfig, GaPartitioner, HillClimbMode,
+};
 use crate::graph::dynamic::scenario::{generate as generate_trace, Scenario, TraceSpec};
 use crate::graph::dynamic::trace::{parse_trace, trace_to_text};
 use crate::graph::generators::{gnp, grid2d, jittered_mesh, random_geometric, GridKind};
 use crate::graph::incremental::grow_local;
 use crate::graph::io::{attach_coords, coords_from_text, coords_to_text, from_metis, to_metis};
+use crate::graph::multilevel::MultilevelPartitioner;
 use crate::graph::partition::{hash_labels, Partition, PartitionMetrics};
 use crate::graph::partitioner::Partitioner;
 use crate::graph::CsrGraph;
@@ -108,6 +111,13 @@ impl Args {
                 .parse()
                 .map_err(|_| CliError::Usage(format!("--{key} {v}: cannot parse"))),
         }
+    }
+
+    /// `--seed` in the one seed grammar ([`parse_seed`]), or `default`.
+    fn seed(&self, default: u64) -> Result<u64, CliError> {
+        self.flag("seed").map_or(Ok(default), |v| {
+            parse_seed(v).ok_or_else(|| CliError::Usage(format!("--seed {v}: cannot parse")))
+        })
     }
 
     fn require(&self, key: &str) -> Result<&str, CliError> {
@@ -266,7 +276,7 @@ fn cmd_gen(args: &Args) -> Result<String, CliError> {
     if n == 0 {
         return Err(CliError::Usage("--nodes must be positive".into()));
     }
-    let seed: u64 = args.flag_parse("seed", 42u64)?;
+    let seed = args.seed(42)?;
     let graph = match kind {
         "mesh" => jittered_mesh(n, seed),
         "grid" => {
@@ -356,7 +366,7 @@ fn cmd_partition(args: &Args) -> Result<String, CliError> {
     };
     let gens: usize = args.flag_parse("gens", 150usize)?;
     let pop: usize = args.flag_parse("pop", 320usize)?;
-    let seed: u64 = args.flag_parse("seed", 0x5343_3934u64)?;
+    let seed = args.seed(0x5343_3934)?;
     check_refine(args)?;
     // `--refine` names the V-cycle's per-level refinement; flat methods
     // have no refinement stage, so silently accepting the flag there
@@ -385,7 +395,8 @@ fn cmd_partition(args: &Args) -> Result<String, CliError> {
             if args.flag("gens").is_some() {
                 config.generations = gens;
             }
-            crate::partitioners::multilevel("mlga", crate::partitioners::tuned_ga(config))
+            let inner = Box::new(GaPartitioner::new(config));
+            Box::new(MultilevelPartitioner::new("mlga", inner))
         }
         "mldpga" => {
             let mut cfg = DpgaConfig::coarse(parts);
@@ -396,7 +407,8 @@ fn cmd_partition(args: &Args) -> Result<String, CliError> {
             if args.flag("gens").is_some() {
                 cfg.base.generations = gens;
             }
-            crate::partitioners::multilevel("mldpga", crate::partitioners::tuned_dpga(cfg))
+            let inner = Box::new(DpgaPartitioner::new(cfg));
+            Box::new(MultilevelPartitioner::new("mldpga", inner))
         }
         "ga" => {
             let mut config = GaConfig::paper_defaults(parts)
@@ -406,7 +418,7 @@ fn cmd_partition(args: &Args) -> Result<String, CliError> {
                 .with_hill_climb(HillClimbMode::Offspring { passes: 1 });
             config.boundary_mutation_rate = 0.05;
             config.crossover = CrossoverOp::Dknux;
-            crate::partitioners::tuned_ga(config)
+            Box::new(GaPartitioner::new(config))
         }
         "dpga" => {
             let mut base = GaConfig::paper_defaults(parts)
@@ -415,7 +427,8 @@ fn cmd_partition(args: &Args) -> Result<String, CliError> {
                 .with_generations(gens)
                 .with_hill_climb(HillClimbMode::Offspring { passes: 1 });
             base.boundary_mutation_rate = 0.05;
-            crate::partitioners::tuned_dpga(DpgaConfig::paper(parts).with_base(base))
+            let config = DpgaConfig::paper(parts).with_base(base);
+            Box::new(DpgaPartitioner::new(config))
         }
         other => {
             return Err(CliError::Usage(format!(
@@ -485,7 +498,7 @@ fn cmd_grow(args: &Args) -> Result<String, CliError> {
         .ok_or_else(|| CliError::Usage("grow needs a graph file".into()))?;
     let coords = args.require("coords")?;
     let k: usize = args.flag_parse("add", 0usize)?;
-    let seed: u64 = args.flag_parse("seed", 7u64)?;
+    let seed = args.seed(7)?;
     let graph = load_graph(path, Some(coords))?;
     let result = grow_local(&graph, k, seed).map_err(|e| CliError::Failed(e.to_string()))?;
 
@@ -556,7 +569,7 @@ fn cmd_trace(args: &Args) -> Result<String, CliError> {
             "--batches and --ops must be positive".into(),
         ));
     }
-    let seed: u64 = args.flag_parse("seed", 7u64)?;
+    let seed = args.seed(7)?;
     let graph = load_graph(path, args.flag("coords"))?;
     let trace = generate_trace(
         &graph,
@@ -941,6 +954,41 @@ mod tests {
         .unwrap();
         assert_eq!(first, std::fs::read_to_string(&labels).unwrap());
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_seed_flag_reads_hex_like_a_session_spec() {
+        let dir = std::env::temp_dir().join(format!("gapart-cli-seed-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (g, xy, t, out) = (path("g.metis"), path("g.xy"), path("g.trace"), path("out"));
+        run(&argv(&format!(
+            "gen --kind mesh --nodes 80 --seed 3 --out {g} --coords-out {xy}"
+        )))
+        .unwrap();
+        run(&argv(&format!(
+            "trace {g} --coords {xy} --scenario churn --batches 2 --ops 5 --out {t}"
+        )))
+        .unwrap();
+        for cmd in [
+            format!("gen --kind gnp --nodes 50 --out {out}"),
+            format!("partition {g} --parts 4 --method ga --gens 3 --pop 16 --out {out}"),
+            format!("grow {g} --coords {xy} --add 9 --out {out}"),
+            format!(
+                "trace {g} --coords {xy} --scenario mesh-growth --batches 2 --ops 4 --out {out}"
+            ),
+            format!("stream {g} --coords {xy} --trace {t} --parts 4 --labels-out {out}"),
+        ] {
+            let with = |seed: &str| {
+                let report = run(&argv(&format!("{cmd} --seed {seed}"))).unwrap();
+                (report, std::fs::read(&out).unwrap())
+            };
+            assert_eq!(with("0x2a"), with("42"), "{cmd}");
+            assert_ne!(with("0X2A"), with("43"), "{cmd}");
+            let err = run(&argv(&format!("{cmd} --seed zz"))).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{cmd}: {err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

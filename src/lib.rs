@@ -8,7 +8,8 @@
 //!
 //! * [`graph`] — CSR graphs, generators (including the paper's suite),
 //!   incremental local growth, partition metrics.
-//! * [`linalg`] — sparse matrices and the Lanczos eigensolver.
+//! * [`linalg`] — dense vector kernels, the tridiagonal eigensolver and
+//!   Lanczos over an operator closure.
 //! * [`rsb`] — the recursive-spectral-bisection baseline.
 //! * [`ibp`] — the index-based partitioner from the paper's appendix.
 //! * [`core`] — the paper's contribution: the GA partitioner with KNUX and

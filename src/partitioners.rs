@@ -32,24 +32,30 @@ pub const NAMES: [&str; 8] = [
 /// `p_c = 0.7`, `p_m = 0.01`); their multilevel variants use the smaller
 /// coarse-level sizing since the inner GA only ever sees the coarsest
 /// graph. Callers needing other knobs construct [`GaPartitioner`] /
-/// [`DpgaPartitioner`] (or [`multilevel`]) directly — the trait object
-/// interface is identical.
+/// [`DpgaPartitioner`] (or a [`MultilevelPartitioner`] around one)
+/// directly — the trait object interface is identical.
 pub fn by_name(name: &str) -> Option<Box<dyn Partitioner>> {
     match name {
         "dpga" => Some(Box::new(DpgaPartitioner::default())),
         "ga" => Some(Box::new(GaPartitioner::default())),
         "rsb" => Some(Box::new(RsbPartitioner)),
         "ibp" => Some(Box::new(IbpPartitioner)),
-        "mldpga" => Some(multilevel(
+        "mldpga" => Some(Box::new(MultilevelPartitioner::new(
             "mldpga",
             Box::new(DpgaPartitioner::new(DpgaConfig::coarse(2))),
-        )),
-        "mlga" => Some(multilevel(
+        ))),
+        "mlga" => Some(Box::new(MultilevelPartitioner::new(
             "mlga",
             Box::new(GaPartitioner::new(GaConfig::coarse_defaults(2))),
-        )),
-        "mlrsb" => Some(multilevel("mlrsb", Box::new(RsbPartitioner))),
-        "mlibp" => Some(multilevel("mlibp", Box::new(IbpPartitioner))),
+        ))),
+        "mlrsb" => Some(Box::new(MultilevelPartitioner::new(
+            "mlrsb",
+            Box::new(RsbPartitioner),
+        ))),
+        "mlibp" => Some(Box::new(MultilevelPartitioner::new(
+            "mlibp",
+            Box::new(IbpPartitioner),
+        ))),
         _ => None,
     }
 }
@@ -57,33 +63,6 @@ pub fn by_name(name: &str) -> Option<Box<dyn Partitioner>> {
 /// The former name of [`by_name`]; it goes once `perfbench` calls
 /// `by_name`.
 pub use self::by_name as by_name_with;
-
-/// One instance of every registered partitioner, in [`NAMES`] order.
-pub fn all() -> Vec<Box<dyn Partitioner>> {
-    NAMES
-        .iter()
-        .map(|n| by_name(n).expect("every registry name resolves"))
-        .collect()
-}
-
-/// GA partitioner tuned like the CLI's `partition` subcommand: smaller
-/// budget knobs than the paper protocol, boundary mutation and offspring
-/// hill climbing on.
-pub fn tuned_ga(config: GaConfig) -> Box<dyn Partitioner> {
-    Box::new(GaPartitioner::new(config))
-}
-
-/// DPGA partitioner from an explicit configuration.
-pub fn tuned_dpga(config: DpgaConfig) -> Box<dyn Partitioner> {
-    Box::new(DpgaPartitioner::new(config))
-}
-
-/// Wraps any partitioner in the generic multilevel V-cycle under the
-/// given registry name (e.g. a custom-budget GA as the coarsest-level
-/// algorithm).
-pub fn multilevel(name: &'static str, inner: Box<dyn Partitioner>) -> Box<dyn Partitioner> {
-    Box::new(MultilevelPartitioner::new(name, inner))
-}
 
 #[cfg(test)]
 mod tests {
@@ -96,7 +75,6 @@ mod tests {
             assert_eq!(p.name(), name);
         }
         assert!(by_name("metis").is_none());
-        assert_eq!(all().len(), NAMES.len());
     }
 
     #[test]

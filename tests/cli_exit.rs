@@ -229,6 +229,40 @@ fn coordinate_files_without_a_finite_extent_exit_1() {
 }
 
 #[test]
+fn empty_graphs_make_grow_and_trace_exit_1() {
+    let dir = std::env::temp_dir().join(format!("gapart-exit-empty-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (g, xy, out) = (path("g.metis"), path("g.xy"), path("out"));
+    std::fs::write(&g, "0 0\n").unwrap();
+    std::fs::write(&xy, "").unwrap();
+    let trace = |scenario: &'static str, coords: bool| {
+        let mut args = vec!["trace", &g, "--scenario", scenario];
+        args.extend(["--batches", "2", "--ops", "3", "--out", &out]);
+        if coords {
+            args.extend(["--coords", &xy]);
+        }
+        args
+    };
+    for args in [
+        vec!["grow", &g, "--coords", &xy, "--add", "3", "--out", &out],
+        trace("mesh-growth", true),
+        trace("churn", true),
+        trace("hotspot", true),
+        trace("churn", false),
+        trace("hotspot", false),
+    ] {
+        let out = cli().args(&args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(err.contains("graph has no nodes"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn too_many_parts_names_the_node_count_for_every_method() {
     let (dir, g, xy) = mesh60("parts");
     for method in gapart::partitioners::NAMES {

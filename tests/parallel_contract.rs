@@ -87,7 +87,7 @@ fn boundary_fm_is_bit_identical_across_pools() {
     // The FM engine is sequential by construction, but the contract is
     // pinned here anyway: its callers (V-cycle, streaming) run inside
     // pools, and a future parallelization must not leak scheduling.
-    use gapart::graph::fm::{refine_fm, refine_fm_local};
+    use gapart::graph::fm::FmRefiner;
     let g = grid2d(30, 30, GridKind::Triangulated);
     let opts = RefineOptions {
         balance_slack: 0.1,
@@ -101,8 +101,8 @@ fn boundary_fm_is_bit_identical_across_pools() {
         let mut local = base.clone();
         let (sf, sl) = with_pool(threads, || {
             (
-                refine_fm(&g, &mut full, &opts, SEED),
-                refine_fm_local(&g, &mut local, &opts, SEED, &region),
+                FmRefiner::new().refine(&g, &mut full, &opts, SEED),
+                FmRefiner::new().refine_local(&g, &mut local, &opts, SEED, &region),
             )
         });
         match &reference {

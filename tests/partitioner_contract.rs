@@ -4,7 +4,7 @@
 //! the GA engine's rayon-parallel fitness path must be bit-identical to
 //! its sequential path.
 
-use gapart::core::{DpgaConfig, GaConfig, GaEngine, Topology};
+use gapart::core::{DpgaConfig, DpgaPartitioner, GaConfig, GaEngine, GaPartitioner, Topology};
 use gapart::graph::generators::jittered_mesh;
 use gapart::graph::partitioner::{PartitionReport, Partitioner};
 use gapart::graph::CsrGraph;
@@ -25,21 +25,23 @@ fn mesh() -> CsrGraph {
 fn all_partitioners() -> Vec<Box<dyn Partitioner>> {
     partitioners::NAMES
         .iter()
-        .map(|&name| match name {
-            "ga" => partitioners::tuned_ga(
-                GaConfig::paper_defaults(PARTS)
-                    .with_population_size(40)
-                    .with_generations(15),
-            ),
-            "dpga" => {
-                let mut cfg = DpgaConfig::paper(PARTS);
-                cfg.topology = Topology::Hypercube(2);
-                cfg.base = GaConfig::paper_defaults(PARTS)
-                    .with_population_size(40)
-                    .with_generations(15);
-                partitioners::tuned_dpga(cfg)
+        .map(|&name| -> Box<dyn Partitioner> {
+            match name {
+                "ga" => Box::new(GaPartitioner::new(
+                    GaConfig::paper_defaults(PARTS)
+                        .with_population_size(40)
+                        .with_generations(15),
+                )),
+                "dpga" => {
+                    let mut cfg = DpgaConfig::paper(PARTS);
+                    cfg.topology = Topology::Hypercube(2);
+                    cfg.base = GaConfig::paper_defaults(PARTS)
+                        .with_population_size(40)
+                        .with_generations(15);
+                    Box::new(DpgaPartitioner::new(cfg))
+                }
+                other => partitioners::by_name(other).expect("registered name"),
             }
-            other => partitioners::by_name(other).expect("registered name"),
         })
         .collect()
 }
