@@ -111,9 +111,9 @@ fn pool(threads: usize) -> rayon::ThreadPool {
         .expect("shim pools are infallible")
 }
 
-/// One partitioner run under a forced pool: returns the row plus prints a
-/// progress line. Registry methods resolve by name; ablations (the
-/// trimmed flat GA) pass their instance via `run_partitioner`.
+/// One registry method's row under a forced pool, best of three runs:
+/// partitioning is deterministic (asserted), so repetition only de-noises
+/// the wall time.
 fn run_method(
     scenario: &'static str,
     graph: &CsrGraph,
@@ -121,39 +121,24 @@ fn run_method(
     mode: &'static str,
     threads: usize,
 ) -> Row {
-    run_partitioner(
-        scenario,
-        graph,
-        &*partitioners::by_name(method).expect("method is registered"),
-        mode,
-        threads,
-    )
+    let p = partitioners::by_name(method).expect("method is registered");
+    run_partitioner(scenario, graph, method, &*p, mode, threads, 3)
 }
 
+/// The row of `p`, labelled `method`, over `reps` runs under a forced
+/// pool; prints a progress line. Ablations (the trimmed flat GA) pass
+/// their own instance; the 1M/10M anchors run once (each rep is seconds,
+/// and their determinism is pinned by the CI matrix, not by in-process
+/// repetition).
 fn run_partitioner(
     scenario: &'static str,
     graph: &CsrGraph,
-    p: &dyn Partitioner,
-    mode: &'static str,
-    threads: usize,
-) -> Row {
-    // Best of three runs: partitioning is deterministic (asserted), so
-    // repetition only de-noises the wall time.
-    run_partitioner_reps(scenario, graph, p, mode, threads, 3)
-}
-
-/// [`run_partitioner`] with an explicit repetition count — the 1M/10M
-/// anchors run once (each rep is seconds, and their determinism is pinned
-/// by the CI matrix, not by in-process repetition).
-fn run_partitioner_reps(
-    scenario: &'static str,
-    graph: &CsrGraph,
+    method: &str,
     p: &dyn Partitioner,
     mode: &'static str,
     threads: usize,
     reps: usize,
 ) -> Row {
-    let method = p.name();
     let mut wall_ms = f64::INFINITY;
     let mut partition = None;
     for _ in 0..reps {
@@ -617,9 +602,11 @@ fn run_suite(smoke: bool, out_path: &str, max_threads: usize) -> Result<(), Stri
     rows.push(run_partitioner(
         "grid-ga-anchor",
         &small_anchor,
+        "ga",
         &ga_lite,
         "flat",
         1,
+        3,
     ));
     rows.push(run_method(
         "grid-ga-anchor",
@@ -667,9 +654,10 @@ fn run_suite(smoke: bool, out_path: &str, max_threads: usize) -> Result<(), Stri
         grid_1m.num_nodes(),
         grid_1m.num_edges()
     );
-    rows.push(run_partitioner_reps(
+    rows.push(run_partitioner(
         "grid-1m-anchor",
         &grid_1m,
+        "mlga",
         &*partitioners::by_name("mlga").expect("mlga is registered"),
         "multilevel",
         1,
@@ -716,7 +704,9 @@ fn run_suite(smoke: bool, out_path: &str, max_threads: usize) -> Result<(), Stri
             small.num_edges()
         );
         for &t in &cap(&[1, 4]) {
-            rows.push(run_partitioner("grid-ga", &small, &ga_lite, "flat", t));
+            rows.push(run_partitioner(
+                "grid-ga", &small, "ga", &ga_lite, "flat", t, 3,
+            ));
         }
         for &t in &cap(&[1, 4]) {
             rows.push(run_method("grid-ga", &small, "mlga", "multilevel", t));
@@ -762,9 +752,10 @@ fn run_suite(smoke: bool, out_path: &str, max_threads: usize) -> Result<(), Stri
             grid_10m.num_nodes(),
             grid_10m.num_edges()
         );
-        rows.push(run_partitioner_reps(
+        rows.push(run_partitioner(
             "grid-10m",
             &grid_10m,
+            "mlga",
             &*partitioners::by_name("mlga").expect("mlga is registered"),
             "multilevel",
             1,

@@ -28,13 +28,15 @@ impl TextTable {
         self
     }
 
-    /// Renders the table.
+    /// Renders the table. Widths count characters, as `{:<width$}` pads
+    /// by them, so a label holding a multi-byte `—` still lines up.
     pub fn render(&self) -> String {
         let cols = self.header.len();
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
+        let width = |cell: &String| cell.chars().count();
+        let mut widths: Vec<usize> = self.header.iter().map(width).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate().take(cols) {
-                widths[i] = widths[i].max(cell.len());
+                widths[i] = widths[i].max(width(cell));
             }
         }
         let mut out = String::new();
@@ -143,6 +145,20 @@ mod tests {
     }
 
     #[test]
+    fn multi_byte_labels_line_up() {
+        let mut t = TextTable::new(["graph / method", "4 parts"]);
+        t.row(["78 — DKNUX", "6"]);
+        t.row(["118+21 — RSB", "400"]);
+        assert_eq!(
+            t.render(),
+            "graph / method  4 parts\n\
+             -----------------------\n\
+             78 — DKNUX            6\n\
+             118+21 — RSB        400\n"
+        );
+    }
+
+    #[test]
     fn pads_short_rows() {
         let mut t = TextTable::new(["a", "b", "c"]);
         t.row(["x"]);
@@ -192,17 +208,20 @@ mod tests {
             ]
         });
         assert_eq!(calls, ["78/4", "78/8", "118+21/4", "118+21/8"]);
+        // The labels' `—` is one character but three bytes; the widest
+        // label, `118+21 — DKNUX`, is 14 characters, as wide as the
+        // header's first cell, so the label column is 14 wide.
         assert_eq!(
             text,
             "Table 0 — stub\n\
              protocol: 2 runs x 30 generations, population 64, hypercube(2)\n\
              \n\
-             graph / method          4 parts          8 parts\n\
-             ------------------------------------------------\n\
-             78 — DKNUX          6 (paper 5)    10 (paper 16)\n\
-             78 — RSB          400 (paper 7)    800 (paper -)\n\
-             118+21 — DKNUX    10 (paper 12)  14 (paper 1234)\n\
-             118+21 — RSB      400 (paper -)   800 (paper 40)\n\
+             graph / method        4 parts          8 parts\n\
+             ----------------------------------------------\n\
+             78 — DKNUX        6 (paper 5)    10 (paper 16)\n\
+             78 — RSB        400 (paper 7)    800 (paper -)\n\
+             118+21 — DKNUX  10 (paper 12)  14 (paper 1234)\n\
+             118+21 — RSB    400 (paper -)   800 (paper 40)\n\
              \n\
              (measured values are best-of-2 DPGA runs; paper values in parentheses)\n"
         );

@@ -451,7 +451,7 @@ impl std::fmt::Debug for DynamicSession {
         f.debug_struct("DynamicSession")
             .field("nodes", &self.graph.num_nodes())
             .field("parts", &self.spec.parts)
-            .field("full", &self.full.name())
+            .field("method", &self.spec.method)
             .field("epoch", &self.state.epoch)
             .field("batches", &self.state.batches)
             .finish()
@@ -653,10 +653,9 @@ mod tests {
 
     /// Small-budget multilevel GA, the intended escalation partitioner.
     fn mlga() -> Box<dyn Partitioner> {
-        Box::new(MultilevelPartitioner::new(
-            "mlga",
-            Box::new(GaPartitioner::new(GaConfig::coarse_defaults(4))),
-        ))
+        Box::new(MultilevelPartitioner::new(Box::new(GaPartitioner::new(
+            GaConfig::coarse_defaults(4),
+        ))))
     }
 
     /// Resolver over the test `mlga`, matching the [`MethodResolver`]

@@ -16,14 +16,6 @@ pub struct GaPartitioner {
     pub config: GaConfig,
 }
 
-impl Default for GaPartitioner {
-    fn default() -> Self {
-        GaPartitioner {
-            config: GaConfig::paper_defaults(2),
-        }
-    }
-}
-
 impl GaPartitioner {
     /// Partitioner from an explicit configuration template.
     pub fn new(config: GaConfig) -> Self {
@@ -32,10 +24,6 @@ impl GaPartitioner {
 }
 
 impl Partitioner for GaPartitioner {
-    fn name(&self) -> &'static str {
-        "ga"
-    }
-
     fn partition(
         &self,
         graph: &CsrGraph,
@@ -49,7 +37,6 @@ impl Partitioner for GaPartitioner {
             .map_err(PartitionerError::new)?
             .run();
         Ok(PartitionReport {
-            algorithm: self.name(),
             partition: result.best_partition,
             metrics: result.best_metrics,
         })
@@ -66,14 +53,6 @@ pub struct DpgaPartitioner {
     pub config: DpgaConfig,
 }
 
-impl Default for DpgaPartitioner {
-    fn default() -> Self {
-        DpgaPartitioner {
-            config: DpgaConfig::paper(2),
-        }
-    }
-}
-
 impl DpgaPartitioner {
     /// Partitioner from an explicit configuration template.
     pub fn new(config: DpgaConfig) -> Self {
@@ -82,10 +61,6 @@ impl DpgaPartitioner {
 }
 
 impl Partitioner for DpgaPartitioner {
-    fn name(&self) -> &'static str {
-        "dpga"
-    }
-
     fn partition(
         &self,
         graph: &CsrGraph,
@@ -99,7 +74,6 @@ impl Partitioner for DpgaPartitioner {
             .map_err(PartitionerError::new)?
             .run();
         Ok(PartitionReport {
-            algorithm: self.name(),
             partition: result.best_partition,
             metrics: result.best_metrics,
         })
@@ -112,40 +86,40 @@ mod tests {
     use gapart_graph::generators::paper_graph;
 
     fn small_ga() -> GaPartitioner {
-        let mut p = GaPartitioner::default();
-        p.config.population_size = 32;
-        p.config.generations = 10;
-        p
+        GaPartitioner::new(
+            GaConfig::paper_defaults(2)
+                .with_population_size(32)
+                .with_generations(10),
+        )
     }
 
     fn small_dpga() -> DpgaPartitioner {
-        let mut p = DpgaPartitioner::default();
-        p.config.topology = crate::topology::Topology::Hypercube(2);
-        p.config.base.population_size = 32;
-        p.config.base.generations = 10;
-        p
+        DpgaPartitioner::new(DpgaConfig {
+            topology: crate::topology::Topology::Hypercube(2),
+            ..DpgaConfig::paper(2).with_base(small_ga().config)
+        })
     }
 
     #[test]
     fn trait_runs_are_deterministic_and_valid() {
         let g = paper_graph(78);
-        for p in [
-            Box::new(small_ga()) as Box<dyn Partitioner>,
-            Box::new(small_dpga()),
+        for (name, p) in [
+            ("ga", Box::new(small_ga()) as Box<dyn Partitioner>),
+            ("dpga", Box::new(small_dpga())),
         ] {
             let a = p.partition(&g, 4, 77).unwrap();
             let b = p.partition(&g, 4, 77).unwrap();
-            assert_eq!(a.partition, b.partition, "{} not deterministic", p.name());
+            assert_eq!(a.partition, b.partition, "{name} not deterministic");
             assert_eq!(a.partition.num_nodes(), 78);
             assert!(a.partition.labels().iter().all(|&l| l < 4));
             assert!(a.metrics.total_cut > 0);
-            assert!(p.partition(&g, 0, 77).is_err(), "{}", p.name());
+            assert!(p.partition(&g, 0, 77).is_err(), "{name}");
         }
     }
 
     #[test]
     fn template_part_count_is_overridden() {
-        // The default template says 2 parts; the call says 5.
+        // The template says 2 parts; the call says 5.
         let g = paper_graph(78);
         let report = small_ga().partition(&g, 5, 3).unwrap();
         assert_eq!(report.partition.num_parts(), 5);

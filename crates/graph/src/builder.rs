@@ -1,6 +1,6 @@
 //! Validated construction of [`CsrGraph`]s from edge lists.
 
-use crate::csr::{CsrGraph, SmallCsr};
+use crate::csr::CsrGraph;
 use crate::error::GraphError;
 use crate::geometry::Point2;
 
@@ -204,7 +204,9 @@ impl GraphBuilder {
         }
 
         let g = CsrGraph {
-            topo: SmallCsr::from_usize_offsets(xadj, adjncy, eweights)?,
+            xadj: u32_offsets(xadj)?,
+            adjncy,
+            eweights,
             vweights,
             coords: self.coords,
         };
@@ -220,9 +222,33 @@ pub fn from_edges(num_nodes: usize, edges: &[(u32, u32)]) -> Result<CsrGraph, Gr
         .build()
 }
 
+/// Checked conversion of the builder's `usize` prefix sums to the
+/// graph's `u32` offsets. `xadj` must be monotone, so its last entry (the
+/// adjacency length) bounds every other; past `u32::MAX` it is a
+/// [`GraphError::AdjacencyOverflow`], never a wrap.
+fn u32_offsets(xadj: Vec<usize>) -> Result<Vec<u32>, GraphError> {
+    let entries = xadj.last().copied().unwrap_or(0);
+    if entries > u32::MAX as usize {
+        return Err(GraphError::AdjacencyOverflow { entries });
+    }
+    Ok(xadj.into_iter().map(|x| x as u32).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The checked conversion looks only at the offsets, so rejecting a
+    /// past-ceiling adjacency needs no multi-gigabyte allocation.
+    #[test]
+    fn usize_offsets_past_u32_are_rejected() {
+        let entries = u32::MAX as usize + 1;
+        let err = u32_offsets(vec![0, entries]).expect_err("past-ceiling offsets must not convert");
+        assert!(matches!(err, GraphError::AdjacencyOverflow { entries: e } if e == entries));
+        let msg = err.to_string();
+        assert!(msg.contains("4294967296"), "error names the count: {msg}");
+        assert_eq!(u32_offsets(vec![0, 2, 5]).unwrap(), [0, 2, 5]);
+    }
 
     #[test]
     fn duplicate_edges_merge_weights() {

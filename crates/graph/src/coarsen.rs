@@ -28,7 +28,7 @@
 //! flat arrays that are concatenated in chunk order, so the whole module
 //! is bit-identical for any worker-pool size.
 
-use crate::csr::{CsrGraph, SmallCsr};
+use crate::csr::CsrGraph;
 use crate::fm::FmRefiner;
 use crate::geometry::Point2;
 use crate::partition::Partition;
@@ -446,7 +446,9 @@ fn contract(graph: &CsrGraph, mate: &[u32], rep: &mut Vec<u32>) -> Coarsening {
         }
     }
     let coarse = CsrGraph {
-        topo: SmallCsr::from_u32_offsets(xadj, adjncy, eweights),
+        xadj,
+        adjncy,
+        eweights,
         vweights,
         coords,
     };

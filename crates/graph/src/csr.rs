@@ -3,66 +3,44 @@
 use crate::error::GraphError;
 use crate::geometry::Point2;
 
-/// Memory-lean CSR topology core: `u32` row offsets, adjacency, and edge
-/// weights — the three hot arrays every coarsening and refinement scan
-/// walks.
+/// An undirected graph in compressed-sparse-row form.
 ///
-/// Using `u32` instead of `usize` row offsets halves the index array on
-/// 64-bit hosts and keeps more of the hot topology in cache on
-/// million-node graphs. The price is a hard capacity ceiling:
-/// **at most `u32::MAX` adjacency entries** (≈2.1 billion directed
-/// half-edges, ≈1.07 billion undirected edges). The checked constructor
-/// [`SmallCsr::from_usize_offsets`] is the only entry from the `usize`
-/// builder world and returns [`GraphError::AdjacencyOverflow`] past the
-/// ceiling, so an in-range offset array is a type-level invariant from
-/// then on.
+/// Each undirected edge `{u, v}` is stored twice (once in each endpoint's
+/// adjacency list), the standard CSR convention. Node ids are `u32` and
+/// dense in `0..num_nodes()`. Vertex weights model per-node computation
+/// cost, edge weights model communication volume; the paper's experiments
+/// use unit weights but the representation is fully weighted.
+///
+/// The three hot arrays every coarsening and refinement scan walks —
+/// row offsets, adjacency and edge weights — are `u32`, which halves the
+/// offset array on 64-bit hosts and keeps more of the topology in cache
+/// on million-node graphs. The price is a hard capacity ceiling: **at
+/// most `u32::MAX` adjacency entries** (≈2.1 billion directed
+/// half-edges). The builder, the METIS reader and batch mutation return
+/// [`GraphError::AdjacencyOverflow`] past it; coarsening only ever
+/// shrinks an in-range graph.
+///
+/// Construct via [`crate::GraphBuilder`] (validated) or the generators.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SmallCsr {
+pub struct CsrGraph {
     pub(crate) xadj: Vec<u32>,
     pub(crate) adjncy: Vec<u32>,
     pub(crate) eweights: Vec<u32>,
+    pub(crate) vweights: Vec<u32>,
+    pub(crate) coords: Option<Vec<Point2>>,
 }
 
-impl SmallCsr {
-    /// Checked conversion from the builder world's `usize` prefix sums.
-    /// `xadj` must be a monotone offset array (length `n + 1`) whose last
-    /// entry equals `adjncy.len()`; offsets past `u32::MAX` are a hard
-    /// [`GraphError::AdjacencyOverflow`] error, never a wrap.
-    pub fn from_usize_offsets(
-        xadj: Vec<usize>,
-        adjncy: Vec<u32>,
-        eweights: Vec<u32>,
-    ) -> Result<Self, GraphError> {
-        let entries = *xadj.last().expect("offset array is never empty");
-        if entries > u32::MAX as usize {
-            return Err(GraphError::AdjacencyOverflow { entries });
-        }
-        debug_assert_eq!(entries, adjncy.len());
-        Ok(SmallCsr {
-            // Monotone + last-entry-in-range means every entry fits.
-            xadj: xadj.into_iter().map(|x| x as u32).collect(),
-            adjncy,
-            eweights,
-        })
-    }
-
-    /// Assembles from already-`u32` offsets: the coarsening path, whose
-    /// adjacency can only shrink relative to an existing in-range graph,
-    /// and the METIS reader, which checks each offset as it writes it.
-    #[inline]
-    pub(crate) fn from_u32_offsets(xadj: Vec<u32>, adjncy: Vec<u32>, eweights: Vec<u32>) -> Self {
-        debug_assert_eq!(xadj.last().map(|&end| end as usize), Some(adjncy.len()));
-        SmallCsr {
-            xadj,
-            adjncy,
-            eweights,
-        }
-    }
-
+impl CsrGraph {
     /// Number of nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
         self.xadj.len() - 1
+    }
+
+    /// Number of undirected edges.
+    #[inline]
+    pub fn num_edges(&self) -> usize {
+        self.adjncy.len() / 2
     }
 
     /// Neighbours of `v`, sorted ascending, no duplicates.
@@ -84,57 +62,6 @@ impl SmallCsr {
     pub fn degree(&self, v: u32) -> usize {
         let v = v as usize;
         (self.xadj[v + 1] - self.xadj[v]) as usize
-    }
-}
-
-/// An undirected graph in compressed-sparse-row form.
-///
-/// Each undirected edge `{u, v}` is stored twice (once in each endpoint's
-/// adjacency list), the standard CSR convention. Node ids are `u32` and
-/// dense in `0..num_nodes()`. Vertex weights model per-node computation
-/// cost, edge weights model communication volume; the paper's experiments
-/// use unit weights but the representation is fully weighted.
-///
-/// The topology lives in a [`SmallCsr`] core (`u32` offsets — see its
-/// capacity note); node weights and optional coordinates ride alongside.
-///
-/// Construct via [`crate::GraphBuilder`] (validated) or the generators.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CsrGraph {
-    pub(crate) topo: SmallCsr,
-    pub(crate) vweights: Vec<u32>,
-    pub(crate) coords: Option<Vec<Point2>>,
-}
-
-impl CsrGraph {
-    /// Number of nodes.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.topo.num_nodes()
-    }
-
-    /// Number of undirected edges.
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.topo.adjncy.len() / 2
-    }
-
-    /// Neighbours of `v`, sorted ascending, no duplicates.
-    #[inline]
-    pub fn neighbors(&self, v: u32) -> &[u32] {
-        self.topo.neighbors(v)
-    }
-
-    /// Weights of the edges leaving `v`, aligned with [`Self::neighbors`].
-    #[inline]
-    pub fn edge_weights(&self, v: u32) -> &[u32] {
-        self.topo.edge_weights(v)
-    }
-
-    /// Degree of `v`.
-    #[inline]
-    pub fn degree(&self, v: u32) -> usize {
-        self.topo.degree(v)
     }
 
     /// Weight (computation cost) of node `v`.
@@ -206,7 +133,7 @@ impl CsrGraph {
         if self.num_nodes() == 0 {
             0.0
         } else {
-            self.topo.adjncy.len() as f64 / self.num_nodes() as f64
+            self.adjncy.len() as f64 / self.num_nodes() as f64
         }
     }
 
@@ -218,14 +145,14 @@ impl CsrGraph {
     /// `u ∈ adj(v)` with equal weights).
     pub fn validate(&self) -> Result<(), GraphError> {
         let n = self.num_nodes();
-        if self.topo.adjncy.len() != self.topo.eweights.len() || self.vweights.len() != n {
+        if self.adjncy.len() != self.eweights.len() || self.vweights.len() != n {
             return Err(GraphError::Parse {
                 line: 0,
                 message: "internal arrays misaligned".into(),
             });
         }
         for v in 0..n {
-            if self.topo.xadj[v] > self.topo.xadj[v + 1] {
+            if self.xadj[v] > self.xadj[v + 1] {
                 return Err(GraphError::Parse {
                     line: 0,
                     message: format!("xadj not monotone at node {v}"),
@@ -273,31 +200,29 @@ impl CsrGraph {
     }
 
     /// Raw CSR row offsets (length `num_nodes() + 1`, `u32` — see
-    /// [`SmallCsr`] for the capacity ceiling). Exposed for substrates
+    /// [`CsrGraph`] for the capacity ceiling). Exposed for substrates
     /// (e.g. Laplacian assembly) that want zero-copy access.
     #[inline]
     pub fn xadj(&self) -> &[u32] {
-        &self.topo.xadj
+        &self.xadj
     }
 
     /// Raw flattened adjacency (each undirected edge appears twice).
     #[inline]
     pub fn adjncy(&self) -> &[u32] {
-        &self.topo.adjncy
+        &self.adjncy
     }
 
     /// Raw flattened edge weights, aligned with [`Self::adjncy`].
     #[inline]
     pub fn eweights(&self) -> &[u32] {
-        &self.topo.eweights
+        &self.eweights
     }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::builder::GraphBuilder;
-    use crate::csr::SmallCsr;
-    use crate::error::GraphError;
     use crate::geometry::Point2;
 
     fn path3() -> crate::CsrGraph {
@@ -391,19 +316,6 @@ mod tests {
     #[test]
     fn validate_accepts_builder_output() {
         path3().validate().unwrap();
-    }
-
-    /// The checked conversion rejects an offset array past the `u32`
-    /// ceiling *before* touching the (deliberately absent) adjacency, so
-    /// the test needs no multi-gigabyte allocation.
-    #[test]
-    fn usize_offsets_past_u32_are_rejected() {
-        let entries = u32::MAX as usize + 1;
-        let err = SmallCsr::from_usize_offsets(vec![0, entries], Vec::new(), Vec::new())
-            .expect_err("past-ceiling offsets must not convert");
-        assert!(matches!(err, GraphError::AdjacencyOverflow { entries: e } if e == entries));
-        let msg = err.to_string();
-        assert!(msg.contains("4294967296"), "error names the count: {msg}");
     }
 
     #[test]

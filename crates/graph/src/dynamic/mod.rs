@@ -26,7 +26,7 @@
 //! Everything here is deterministic — a trace replay is a pure function
 //! of `(graph, trace)`.
 
-use crate::csr::{CsrGraph, SmallCsr};
+use crate::csr::CsrGraph;
 use crate::error::GraphError;
 use crate::geometry::Point2;
 
@@ -381,7 +381,9 @@ pub fn apply_batch(
     });
 
     let mutated = CsrGraph {
-        topo: SmallCsr::from_u32_offsets(xadj, adjncy, eweights),
+        xadj,
+        adjncy,
+        eweights,
         vweights,
         coords,
     };

@@ -7,7 +7,7 @@
 //! Coordinates travel in a separate `x y` per-line document (one per
 //! vertex), matching common mesh tool conventions.
 
-use crate::csr::{CsrGraph, SmallCsr};
+use crate::csr::CsrGraph;
 use crate::error::GraphError;
 use crate::geometry::Point2;
 use std::fmt::Write as _;
@@ -224,7 +224,9 @@ pub fn from_metis(text: &str) -> Result<CsrGraph, GraphError> {
         ));
     }
     Ok(CsrGraph {
-        topo: SmallCsr::from_u32_offsets(xadj, adjncy, eweights),
+        xadj,
+        adjncy,
+        eweights,
         vweights,
         coords: None,
     })
@@ -515,7 +517,9 @@ pub fn attach_coords(graph: &CsrGraph, coords: Vec<Point2>) -> Result<CsrGraph, 
         });
     }
     Ok(CsrGraph {
-        topo: graph.topo.clone(),
+        xadj: graph.xadj.clone(),
+        adjncy: graph.adjncy.clone(),
+        eweights: graph.eweights.clone(),
         vweights: graph.vweights.clone(),
         coords: Some(coords),
     })

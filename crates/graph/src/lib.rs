@@ -57,7 +57,7 @@ pub mod svg;
 pub mod traversal;
 
 pub use builder::GraphBuilder;
-pub use csr::{CsrGraph, SmallCsr};
+pub use csr::CsrGraph;
 pub use dynamic::{DirtyRegion, Mutation, MutationLog};
 pub use error::GraphError;
 pub use geometry::Point2;

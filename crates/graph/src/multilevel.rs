@@ -74,13 +74,7 @@ impl Default for MultilevelConfig {
 }
 
 /// Wraps any inner [`Partitioner`] in the standard multilevel V-cycle.
-///
-/// The wrapper's registry name is supplied at construction (`"mlga"`,
-/// `"mldpga"`, `"mlrsb"`, `"mlibp"`, …) because [`Partitioner::name`]
-/// returns `&'static str` — the composed name cannot be derived from the
-/// inner one at runtime.
 pub struct MultilevelPartitioner {
-    name: &'static str,
     inner: Box<dyn Partitioner>,
     /// Recycled per-level workspace (match arrays, contraction scratch,
     /// FM engine), kept warm across `partition` calls and
@@ -92,29 +86,15 @@ pub struct MultilevelPartitioner {
 
 impl MultilevelPartitioner {
     /// Wraps `inner` in the V-cycle of [`MultilevelConfig::default`].
-    pub fn new(name: &'static str, inner: Box<dyn Partitioner>) -> Self {
+    pub fn new(inner: Box<dyn Partitioner>) -> Self {
         MultilevelPartitioner {
-            name,
             inner,
             arena: Mutex::new(LevelArena::new()),
         }
     }
 }
 
-impl std::fmt::Debug for MultilevelPartitioner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultilevelPartitioner")
-            .field("name", &self.name)
-            .field("inner", &self.inner.name())
-            .finish()
-    }
-}
-
 impl Partitioner for MultilevelPartitioner {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
     fn partition(
         &self,
         graph: &CsrGraph,
@@ -185,7 +165,7 @@ impl Partitioner for MultilevelPartitioner {
                 projected.counts,
             );
         }
-        Ok(PartitionReport::new(self.name, graph, partition))
+        Ok(PartitionReport::new(graph, partition))
     }
 }
 
@@ -204,10 +184,6 @@ mod tests {
     struct Blocks;
 
     impl Partitioner for Blocks {
-        fn name(&self) -> &'static str {
-            "blocks"
-        }
-
         fn partition(
             &self,
             graph: &CsrGraph,
@@ -218,19 +194,18 @@ mod tests {
                 return Err(PartitionerError::new("bad part count"));
             }
             let p = Partition::blocks(graph.num_nodes(), num_parts);
-            Ok(PartitionReport::new(self.name(), graph, p))
+            Ok(PartitionReport::new(graph, p))
         }
     }
 
     fn ml_blocks() -> MultilevelPartitioner {
-        MultilevelPartitioner::new("mlblocks", Box::new(Blocks))
+        MultilevelPartitioner::new(Box::new(Blocks))
     }
 
     #[test]
     fn projects_back_to_full_size_with_valid_labels() {
         let g = jittered_mesh(500, 3);
         let report = ml_blocks().partition(&g, 4, 7).unwrap();
-        assert_eq!(report.algorithm, "mlblocks");
         assert_eq!(report.partition.num_nodes(), 500);
         assert!(report.partition.labels().iter().all(|&l| l < 4));
         assert_eq!(report.metrics.part_loads.iter().sum::<u64>(), 500);
@@ -260,9 +235,6 @@ mod tests {
         // Probe inner that records the node count it was handed.
         struct Probe(Rc<Cell<usize>>);
         impl Partitioner for Probe {
-            fn name(&self) -> &'static str {
-                "probe"
-            }
             fn partition(
                 &self,
                 graph: &CsrGraph,
@@ -271,13 +243,13 @@ mod tests {
             ) -> Result<PartitionReport, PartitionerError> {
                 self.0.set(graph.num_nodes());
                 let p = Partition::blocks(graph.num_nodes(), num_parts);
-                Ok(PartitionReport::new(self.name(), graph, p))
+                Ok(PartitionReport::new(graph, p))
             }
         }
         let seen = Rc::new(Cell::new(0usize));
         let g = jittered_mesh(40, 1);
         // 40 ≤ default target 64: the inner must see the original graph.
-        let ml = MultilevelPartitioner::new("mlprobe", Box::new(Probe(Rc::clone(&seen))));
+        let ml = MultilevelPartitioner::new(Box::new(Probe(Rc::clone(&seen))));
         let report = ml.partition(&g, 2, 0).unwrap();
         assert_eq!(seen.get(), 40, "inner saw a coarsened graph");
         assert_eq!(report.partition.num_nodes(), 40);
@@ -320,9 +292,6 @@ mod tests {
     fn inner_errors_propagate() {
         struct Fails;
         impl Partitioner for Fails {
-            fn name(&self) -> &'static str {
-                "fails"
-            }
             fn partition(
                 &self,
                 _graph: &CsrGraph,
@@ -333,7 +302,7 @@ mod tests {
             }
         }
         let g = jittered_mesh(200, 2);
-        let ml = MultilevelPartitioner::new("mlfails", Box::new(Fails));
+        let ml = MultilevelPartitioner::new(Box::new(Fails));
         let err = ml.partition(&g, 4, 0).unwrap_err();
         assert!(err.message().contains("inner exploded"));
     }

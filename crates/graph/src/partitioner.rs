@@ -64,8 +64,6 @@ impl std::error::Error for PartitionerError {}
 /// A partition plus the cost report every algorithm returns.
 #[derive(Debug, Clone)]
 pub struct PartitionReport {
-    /// Which algorithm produced this (the registry name, e.g. `"dpga"`).
-    pub algorithm: &'static str,
     /// The node → part assignment.
     pub partition: Partition,
     /// Cost metrics of `partition` on the input graph: per-part loads and
@@ -75,24 +73,17 @@ pub struct PartitionReport {
 
 impl PartitionReport {
     /// Builds a report, computing the metrics against `graph`.
-    pub fn new(algorithm: &'static str, graph: &CsrGraph, partition: Partition) -> Self {
+    pub fn new(graph: &CsrGraph, partition: Partition) -> Self {
         let metrics = PartitionMetrics::compute(graph, &partition);
-        PartitionReport {
-            algorithm,
-            partition,
-            metrics,
-        }
+        PartitionReport { partition, metrics }
     }
 }
 
 /// A graph-partitioning algorithm: graph + part count + seed in,
 /// partition + cost report out. See the [module docs](self) for the
-/// behavioural contract.
+/// behavioural contract. An implementation carries no name: the
+/// facade's `partitioners` registry names and configures every method.
 pub trait Partitioner {
-    /// Stable registry name (`"ga"`, `"dpga"`, `"rsb"`, `"mlrsb"`,
-    /// `"ibp"`, …), used by the CLI `--method` flag and bench labels.
-    fn name(&self) -> &'static str;
-
     /// Partitions `graph` into `num_parts` parts.
     ///
     /// `seed` fixes all internal randomness; implementations without
@@ -121,10 +112,6 @@ mod tests {
     struct RoundRobin;
 
     impl Partitioner for RoundRobin {
-        fn name(&self) -> &'static str {
-            "round-robin"
-        }
-
         fn partition(
             &self,
             graph: &CsrGraph,
@@ -135,7 +122,7 @@ mod tests {
                 return Err(PartitionerError::new("bad part count"));
             }
             let p = Partition::round_robin(graph.num_nodes(), num_parts);
-            Ok(PartitionReport::new(self.name(), graph, p))
+            Ok(PartitionReport::new(graph, p))
         }
     }
 
@@ -144,7 +131,6 @@ mod tests {
         let g = grid2d(6, 6, GridKind::FourConnected);
         let p: Box<dyn Partitioner> = Box::new(RoundRobin);
         let report = p.partition(&g, 4, 0).unwrap();
-        assert_eq!(report.algorithm, "round-robin");
         assert_eq!(report.partition.num_nodes(), 36);
         // 36 nodes round-robin across 4 parts is perfectly balanced, and
         // imbalance is the paper's Σ (load − avg)² — zero at balance.

@@ -8,7 +8,6 @@ use gapart_graph::incremental::grow_local;
 use gapart_graph::io::{coords_from_text, coords_to_text, from_metis, to_metis};
 use gapart_graph::partition::{boundary_nodes, cut_size, Partition, PartitionMetrics};
 use gapart_graph::traversal::{bfs_distances, bfs_order, connected_components, is_connected};
-use gapart_graph::SmallCsr;
 use proptest::prelude::*;
 
 /// Strategy: a random simple graph as (n, edges).
@@ -33,28 +32,6 @@ proptest! {
         for &(u, v) in &edges {
             prop_assert!(g.has_edge(u, v));
             prop_assert!(g.has_edge(v, u));
-        }
-    }
-
-    /// Pushing a built graph's topology back through the checked
-    /// `usize → u32` offset conversion reproduces it exactly: same
-    /// offsets, neighbours, weights, and degrees for every node. This is
-    /// the compatibility contract between the `usize` builder world and
-    /// the memory-lean [`SmallCsr`] core.
-    #[test]
-    fn u32_offsets_round_trip_the_usize_builder_path((n, edges) in arb_graph()) {
-        let g = GraphBuilder::with_nodes(n).edges(edges.iter().copied()).build().unwrap();
-        let xadj_usize: Vec<usize> = g.xadj().iter().map(|&x| x as usize).collect();
-        let topo = SmallCsr::from_usize_offsets(
-            xadj_usize,
-            g.adjncy().to_vec(),
-            g.eweights().to_vec(),
-        ).unwrap();
-        prop_assert_eq!(topo.num_nodes(), g.num_nodes());
-        for v in 0..n as u32 {
-            prop_assert_eq!(topo.neighbors(v), g.neighbors(v));
-            prop_assert_eq!(topo.edge_weights(v), g.edge_weights(v));
-            prop_assert_eq!(topo.degree(v), g.degree(v));
         }
     }
 

@@ -13,10 +13,6 @@ use gapart_graph::CsrGraph;
 pub struct IbpPartitioner;
 
 impl Partitioner for IbpPartitioner {
-    fn name(&self) -> &'static str {
-        "ibp"
-    }
-
     fn partition(
         &self,
         graph: &CsrGraph,
@@ -24,7 +20,7 @@ impl Partitioner for IbpPartitioner {
         _seed: u64,
     ) -> Result<PartitionReport, PartitionerError> {
         let p = ibp_partition(graph, num_parts).map_err(PartitionerError::new)?;
-        Ok(PartitionReport::new(self.name(), graph, p))
+        Ok(PartitionReport::new(graph, p))
     }
 }
 
@@ -40,7 +36,6 @@ mod tests {
         let a = p.partition(&g, 4, 1).unwrap();
         let b = p.partition(&g, 4, 2).unwrap();
         assert_eq!(a.partition, b.partition);
-        assert_eq!(a.algorithm, "ibp");
 
         let no_coords = gnp(30, 0.2, 1);
         assert!(p.partition(&no_coords, 4, 0).is_err());

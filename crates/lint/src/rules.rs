@@ -15,9 +15,9 @@
 //!   `ThreadId`, rayon's `current_thread_index`, `thread_rng`). Output
 //!   influenced by *which* thread ran is the canonical scheduling leak.
 //! * `cast-truncate` — `as u32` inside the `u32` CSR core (`csr.rs`,
-//!   `coarsen.rs`, `fm.rs`). The PR 7 `SmallCsr` overflow safety rests on
-//!   every `usize → u32` crossing going through the checked
-//!   `from_usize_offsets`-style constructors; a bare `as u32` silently
+//!   `coarsen.rs`, `fm.rs`). The `u32` CSR's overflow safety rests on
+//!   every `usize → u32` crossing going through a checked conversion
+//!   like the builder's `u32_offsets`; a bare `as u32` silently
 //!   truncates past 4 Gi entries.
 //! * `lib-panic` — `unwrap`/`expect`/`panic!` in library code outside
 //!   `#[cfg(test)]` / `debug_assert`. Library crates surface
@@ -97,10 +97,10 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         name: "cast-truncate",
-        desc: "bare `as u32` in the u32 CSR core: silently truncates past u32::MAX; use the checked from_usize_offsets-style crossings",
+        desc: "bare `as u32` in the u32 CSR core: silently truncates past u32::MAX; use checked crossings like the builder's u32_offsets",
         patterns: &["as u32"],
-        why: "SmallCsr's overflow safety rests on every usize->u32 crossing going \
-              through a checked constructor (from_usize_offsets returns \
+        why: "The u32 CSR's overflow safety rests on every usize->u32 crossing going \
+              through a checked conversion (the builder's u32_offsets returns \
               GraphError::AdjacencyOverflow). A bare `as u32` silently wraps past \
               4 Gi entries and corrupts adjacency on the 10M-node path.",
         example: "let off = total as u32;                 // wraps at 4 Gi\n\
@@ -186,7 +186,7 @@ pub fn rule_by_name(name: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.name == name)
 }
 
-/// The three files forming the `u32` CSR core (see `SmallCsr`).
+/// The three files forming the `u32` CSR core (see `CsrGraph`).
 const CAST_SCOPE: &[&str] = &[
     "crates/graph/src/csr.rs",
     "crates/graph/src/coarsen.rs",

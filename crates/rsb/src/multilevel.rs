@@ -20,7 +20,7 @@ mod tests {
     /// RSB inside the default V-cycle, exactly as the registry builds
     /// `mlrsb`.
     fn mlrsb() -> MultilevelPartitioner {
-        MultilevelPartitioner::new("mlrsb", Box::new(RsbPartitioner))
+        MultilevelPartitioner::new(Box::new(RsbPartitioner))
     }
 
     fn mlrsb_partition(g: &CsrGraph, parts: u32) -> Partition {

@@ -14,10 +14,6 @@ use gapart_graph::CsrGraph;
 pub struct RsbPartitioner;
 
 impl Partitioner for RsbPartitioner {
-    fn name(&self) -> &'static str {
-        "rsb"
-    }
-
     fn partition(
         &self,
         graph: &CsrGraph,
@@ -25,7 +21,7 @@ impl Partitioner for RsbPartitioner {
         seed: u64,
     ) -> Result<PartitionReport, PartitionerError> {
         let p = rsb_partition(graph, num_parts, seed).map_err(PartitionerError::new)?;
-        Ok(PartitionReport::new(self.name(), graph, p))
+        Ok(PartitionReport::new(graph, p))
     }
 }
 
@@ -38,14 +34,14 @@ mod tests {
     #[test]
     fn both_implementations_satisfy_the_contract() {
         let g = jittered_mesh(80, 3);
-        let mlrsb = MultilevelPartitioner::new("mlrsb", Box::new(RsbPartitioner));
-        for p in [
-            Box::new(RsbPartitioner) as Box<dyn Partitioner>,
-            Box::new(mlrsb),
+        let mlrsb = MultilevelPartitioner::new(Box::new(RsbPartitioner));
+        for (name, p) in [
+            ("rsb", Box::new(RsbPartitioner) as Box<dyn Partitioner>),
+            ("mlrsb", Box::new(mlrsb)),
         ] {
             let a = p.partition(&g, 4, 11).unwrap();
             let b = p.partition(&g, 4, 11).unwrap();
-            assert_eq!(a.partition, b.partition, "{} not deterministic", p.name());
+            assert_eq!(a.partition, b.partition, "{name} not deterministic");
             assert_eq!(a.partition.num_nodes(), 80);
             assert!(a.partition.labels().iter().all(|&l| l < 4));
             assert!(p.partition(&g, 0, 11).is_err());

@@ -132,7 +132,7 @@ proptest! {
     #[test]
     fn multilevel_rsb_covers(n in 150usize..400, seed in any::<u64>()) {
         let g = jittered_mesh(n, seed);
-        let mlrsb = MultilevelPartitioner::new("mlrsb", Box::new(RsbPartitioner));
+        let mlrsb = MultilevelPartitioner::new(Box::new(RsbPartitioner));
         // The seed multilevel RSB defaulted to ("MLRS").
         let p = mlrsb.partition(&g, 4, 0x4d4c_5253).unwrap().partition;
         prop_assert_eq!(p.num_nodes(), n);

@@ -24,10 +24,9 @@ use std::path::{Path, PathBuf};
 
 fn resolve(name: &str) -> Option<Box<dyn Partitioner>> {
     (name == "mlga").then(|| {
-        Box::new(MultilevelPartitioner::new(
-            "mlga",
-            Box::new(GaPartitioner::new(GaConfig::coarse_defaults(4))),
-        )) as Box<dyn Partitioner>
+        Box::new(MultilevelPartitioner::new(Box::new(GaPartitioner::new(
+            GaConfig::coarse_defaults(4),
+        )))) as Box<dyn Partitioner>
     })
 }
 

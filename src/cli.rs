@@ -23,18 +23,15 @@
 
 use crate::core::dynamic::{parse_seed, BatchAction, DynamicError, SessionSpec};
 use crate::core::incremental::incremental_ga;
-use crate::core::{
-    CrossoverOp, DpgaConfig, DpgaPartitioner, FitnessKind, GaConfig, GaPartitioner, HillClimbMode,
-};
+use crate::core::{FitnessKind, GaConfig};
 use crate::graph::dynamic::scenario::{generate as generate_trace, Scenario, TraceSpec};
 use crate::graph::dynamic::trace::{parse_trace, trace_to_text};
 use crate::graph::generators::{gnp, grid2d, jittered_mesh, random_geometric, GridKind};
 use crate::graph::incremental::grow_local;
 use crate::graph::io::{attach_coords, coords_from_text, coords_to_text, from_metis, to_metis};
-use crate::graph::multilevel::MultilevelPartitioner;
 use crate::graph::partition::{hash_labels, Partition, PartitionMetrics};
-use crate::graph::partitioner::Partitioner;
 use crate::graph::CsrGraph;
+use crate::partitioners::NAMES;
 use crate::rsb::{rsb_partition, DEFAULT_SEED};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -104,13 +101,18 @@ impl Args {
         self.flags.get(key).map(String::as_str)
     }
 
+    /// `--key` parsed, or `None` when the flag is absent.
+    fn flag_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, CliError> {
+        self.flag(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| CliError::Usage(format!("--{key} {v}: cannot parse")))
+            })
+            .transpose()
+    }
+
     fn flag_parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
-        match self.flag(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("--{key} {v}: cannot parse"))),
-        }
+        Ok(self.flag_opt(key)?.unwrap_or(default))
     }
 
     /// `--seed` in the one seed grammar ([`parse_seed`]), or `default`.
@@ -136,6 +138,7 @@ GLOBAL FLAGS (any subcommand):
                 evaluation, DPGA islands; FM refinement is sequential);
                 0 or absent = all cores.
                 Output is bit-identical for every thread count.
+  Any other flag that a subcommand does not read is a usage error.
 
 USAGE:
   gapart-cli gen --kind mesh|grid|geometric|gnp --nodes N [--seed S]
@@ -146,9 +149,9 @@ USAGE:
              [--fitness total|worst] [--gens G] [--pop SIZE] [--seed S]
              [--coords G.xy] [--out labels.part] [--svg view.svg]
              (ml* methods are the multilevel V-cycle, refined by boundary
-              FM at every level; mlga/mldpga honour --fitness and default
-              --gens/--pop to the coarse-level sizing, applying them only
-              when given explicitly)
+              FM at every level; --fitness, --gens and --pop apply to the
+              four GA methods, and only when given: without them every
+              method runs exactly as stream and serve run it)
   gapart-cli eval GRAPH.metis LABELS.part --parts P [--coords G.xy]
              [--svg view.svg]
   gapart-cli grow GRAPH.metis --coords G.xy --add K [--seed S]
@@ -204,23 +207,43 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     pool.install(|| dispatch(args))
 }
 
-/// Subcommand dispatch, running inside the pool [`run`] installed.
+/// A subcommand's body.
+type Command = fn(&Args) -> Result<String, CliError>;
+
+/// Subcommand dispatch, running inside the pool [`run`] installed. Each
+/// subcommand names the flags it reads; any other flag except the global
+/// `--threads` is a usage error, so a misspelt flag never runs the
+/// command on a default.
 fn dispatch(args: &Args) -> Result<String, CliError> {
     let Some(cmd) = args.positional.first() else {
         return Err(CliError::Usage("no subcommand given".into()));
     };
-    match cmd.as_str() {
-        "gen" => cmd_gen(args),
-        "info" => cmd_info(args),
-        "partition" => cmd_partition(args),
-        "eval" => cmd_eval(args),
-        "grow" => cmd_grow(args),
-        "trace" => cmd_trace(args),
-        "stream" => cmd_stream(args),
-        "serve" => cmd_serve(args),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(CliError::Usage(format!("unknown subcommand '{other}'"))),
+    let (command, flags): (Command, &str) = match cmd.as_str() {
+        "gen" => (cmd_gen, "kind nodes seed radius p out coords-out"),
+        "info" => (cmd_info, "coords"),
+        "partition" => (
+            cmd_partition,
+            "parts coords method fitness gens pop seed refine out svg",
+        ),
+        "eval" => (cmd_eval, "parts coords svg"),
+        "grow" => (
+            cmd_grow,
+            "coords add seed out coords-out repartition old-labels gens pop labels-out",
+        ),
+        "trace" => (cmd_trace, "scenario batches ops seed coords out"),
+        "stream" => (
+            cmd_stream,
+            "parts method refine seed threshold hops trace coords labels-out graph-out coords-out",
+        ),
+        "serve" => (cmd_serve, "tape-dir snapshot-every socket"),
+        "help" | "--help" | "-h" => (|_| Ok(USAGE.to_string()), ""),
+        other => return Err(CliError::Usage(format!("unknown subcommand '{other}'"))),
+    };
+    let takes = |key: &str| key == "threads" || flags.split(' ').any(|f| f == key);
+    if let Some(key) = args.flags.keys().find(|k| !takes(k)) {
+        return Err(CliError::Usage(format!("unknown flag --{key} for {cmd}")));
     }
+    command(args)
 }
 
 fn load_graph(path: &str, coords_path: Option<&str>) -> Result<CsrGraph, CliError> {
@@ -355,17 +378,18 @@ fn cmd_partition(args: &Args) -> Result<String, CliError> {
     }
     let graph = load_graph(path, args.flag("coords"))?;
     let method = args.flag("method").unwrap_or("dpga");
-    let fitness = match args.flag("fitness").unwrap_or("total") {
-        "total" => FitnessKind::TotalCut,
-        "worst" => FitnessKind::WorstCut,
-        other => {
+    let fitness = match args.flag("fitness") {
+        None => None,
+        Some("total") => Some(FitnessKind::TotalCut),
+        Some("worst") => Some(FitnessKind::WorstCut),
+        Some(other) => {
             return Err(CliError::Usage(format!(
                 "--fitness {other}: expected total|worst"
             )))
         }
     };
-    let gens: usize = args.flag_parse("gens", 150usize)?;
-    let pop: usize = args.flag_parse("pop", 320usize)?;
+    let gens: Option<usize> = args.flag_opt("gens")?;
+    let pop: Option<usize> = args.flag_opt("pop")?;
     let seed = args.seed(0x5343_3934)?;
     check_refine(args)?;
     // `--refine` names the V-cycle's per-level refinement; flat methods
@@ -377,65 +401,20 @@ fn cmd_partition(args: &Args) -> Result<String, CliError> {
         )));
     }
 
-    // Every method goes through the one `Partitioner` abstraction; the
-    // match only configures which implementation (and with what budget).
-    // The multilevel GA methods honour --fitness like their flat twins
-    // but use the coarse-level sizing — the V-cycle, not --gens/--pop,
-    // sets their budget.
-    let partitioner: Box<dyn Partitioner> = match method {
-        "rsb" | "ibp" | "mlrsb" | "mlibp" => crate::partitioners::by_name(method)
-            .ok_or_else(|| CliError::Failed(format!("method {method} is not registered")))?,
-        "mlga" => {
-            let mut config = GaConfig::coarse_defaults(parts).with_fitness(fitness);
-            // Coarse-level sizing is the default, but an explicit budget
-            // request wins — silently discarding a flag would be worse.
-            if args.flag("pop").is_some() {
-                config.population_size = pop;
-            }
-            if args.flag("gens").is_some() {
-                config.generations = gens;
-            }
-            let inner = Box::new(GaPartitioner::new(config));
-            Box::new(MultilevelPartitioner::new("mlga", inner))
+    // The registry configures every method, as it does for `stream` and
+    // `serve`; the GA flags override a GA method's values only when given.
+    let partitioner = crate::partitioners::by_name_tuned(method, |config| {
+        if let Some(fitness) = fitness {
+            config.fitness = fitness;
         }
-        "mldpga" => {
-            let mut cfg = DpgaConfig::coarse(parts);
-            cfg.base = cfg.base.with_fitness(fitness);
-            if args.flag("pop").is_some() {
-                cfg.base.population_size = pop;
-            }
-            if args.flag("gens").is_some() {
-                cfg.base.generations = gens;
-            }
-            let inner = Box::new(DpgaPartitioner::new(cfg));
-            Box::new(MultilevelPartitioner::new("mldpga", inner))
+        if let Some(gens) = gens {
+            config.generations = gens;
         }
-        "ga" => {
-            let mut config = GaConfig::paper_defaults(parts)
-                .with_fitness(fitness)
-                .with_population_size(pop)
-                .with_generations(gens)
-                .with_hill_climb(HillClimbMode::Offspring { passes: 1 });
-            config.boundary_mutation_rate = 0.05;
-            config.crossover = CrossoverOp::Dknux;
-            Box::new(GaPartitioner::new(config))
+        if let Some(pop) = pop {
+            config.population_size = pop;
         }
-        "dpga" => {
-            let mut base = GaConfig::paper_defaults(parts)
-                .with_fitness(fitness)
-                .with_population_size(pop)
-                .with_generations(gens)
-                .with_hill_climb(HillClimbMode::Offspring { passes: 1 });
-            base.boundary_mutation_rate = 0.05;
-            let config = DpgaConfig::paper(parts).with_base(base);
-            Box::new(DpgaPartitioner::new(config))
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "--method {other}: expected dpga|ga|rsb|ibp|mldpga|mlga|mlrsb|mlibp"
-            )))
-        }
-    };
+    })
+    .ok_or_else(|| CliError::Usage(format!("--method {method}: expected {}", NAMES.join("|"))))?;
     let report = partitioner
         .partition(&graph, parts, seed)
         .map_err(|e| CliError::Failed(e.to_string()))?;
@@ -617,10 +596,9 @@ fn spec_from_flags(args: &Args) -> Result<SessionSpec, CliError> {
 /// work.
 fn open_error(e: DynamicError) -> CliError {
     match e {
-        DynamicError::UnknownMethod(m) => CliError::Usage(format!(
-            "--method {m}: expected one of {}",
-            crate::partitioners::NAMES.join("|")
-        )),
+        DynamicError::UnknownMethod(m) => {
+            CliError::Usage(format!("--method {m}: expected one of {}", NAMES.join("|")))
+        }
         other => CliError::Failed(other.to_string()),
     }
 }
@@ -954,6 +932,37 @@ mod tests {
         .unwrap();
         assert_eq!(first, std::fs::read_to_string(&labels).unwrap());
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One definition per method: `partition` and a `stream` session's
+    /// opening solve resolve every name through the registry, so on an
+    /// empty trace they write the same labels.
+    #[test]
+    fn partition_and_stream_open_with_the_same_labels_for_every_method() {
+        let dir = std::env::temp_dir().join(format!("gapart-cli-one-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (g, xy, t) = (path("g.metis"), path("g.xy"), path("empty.trace"));
+        run(&argv(&format!(
+            "gen --kind mesh --nodes 120 --seed 5 --out {g} --coords-out {xy}"
+        )))
+        .unwrap();
+        std::fs::write(&t, "").unwrap();
+        for method in NAMES {
+            let (a, b) = (path("partition.part"), path("stream.part"));
+            run(&argv(&format!(
+                "partition {g} --coords {xy} --parts 4 --method {method} --out {a}"
+            )))
+            .unwrap();
+            run(&argv(&format!(
+                "stream {g} --coords {xy} --trace {t} --parts 4 --method {method} \
+                 --labels-out {b}"
+            )))
+            .unwrap();
+            let labels = |p: &str| std::fs::read_to_string(p).unwrap();
+            assert_eq!(labels(&a), labels(&b), "{method}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -36,16 +36,17 @@
 //!
 //! Every algorithm is also reachable through the unified
 //! [`graph::partitioner::Partitioner`] trait via the [`partitioners`]
-//! registry — the same dispatch path the CLI's `--method` flag uses:
+//! registry — the one place a method is named and configured, and the
+//! dispatch path of the CLI's `--method` flag:
 //!
 //! ```
 //! use gapart::graph::generators::paper_graph;
 //! use gapart::partitioners;
 //!
 //! let graph = paper_graph(78);
+//! assert!(partitioners::NAMES.contains(&"rsb"));
 //! let rsb = partitioners::by_name("rsb").unwrap();
 //! let report = rsb.partition(&graph, 4, 42).unwrap();
-//! assert_eq!(report.algorithm, "rsb");
 //! assert_eq!(report.partition.num_nodes(), 78);
 //! assert!(report.metrics.total_cut > 0);
 //! ```

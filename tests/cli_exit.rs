@@ -28,6 +28,42 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn unknown_flags_are_usage_errors_naming_the_flag() {
+    let subcommands = [
+        "gen",
+        "info",
+        "partition",
+        "eval",
+        "grow",
+        "trace",
+        "stream",
+        "serve",
+        "help",
+    ];
+    let mut cases: Vec<(String, &str)> = subcommands
+        .iter()
+        .map(|cmd| (format!("{cmd} --bogus 1"), "--bogus"))
+        .collect();
+    cases.push((
+        "partition g.metis --parts 4 --method mlga --seeds 5".into(),
+        "--seeds",
+    ));
+    cases.push((
+        "stream g.metis --trace t --parts 4 --thresold 1.1".into(),
+        "--thresold",
+    ));
+    for (line, flag) in cases {
+        let out = cli().args(line.split_whitespace()).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{line}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let naming: Vec<&str> = err.lines().filter(|l| l.contains(flag)).collect();
+        assert_eq!(naming.len(), 1, "{line}: {err}");
+        assert!(naming[0].starts_with("usage error"), "{line}: {err}");
+        assert!(!err.contains("panicked"), "{line}: {err}");
+    }
+}
+
+#[test]
 fn retired_refine_engines_are_usage_errors() {
     let dir = std::env::temp_dir().join(format!("gapart-exit-refine-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

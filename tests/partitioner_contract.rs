@@ -19,14 +19,15 @@ fn mesh() -> CsrGraph {
     jittered_mesh(96, 7)
 }
 
-/// Small-budget instances of all eight algorithms, via the same registry
-/// the CLI uses (flat GA/DPGA get shrunk so the suite stays fast; the
-/// multilevel GA methods already carry the coarse-level sizing).
-fn all_partitioners() -> Vec<Box<dyn Partitioner>> {
+/// Small-budget instances of all eight algorithms with their registry
+/// names, via the same registry the CLI uses (flat GA/DPGA get shrunk so
+/// the suite stays fast; the multilevel GA methods already carry the
+/// coarse-level sizing).
+fn all_partitioners() -> Vec<(&'static str, Box<dyn Partitioner>)> {
     partitioners::NAMES
         .iter()
-        .map(|&name| -> Box<dyn Partitioner> {
-            match name {
+        .map(|&name| -> (&'static str, Box<dyn Partitioner>) {
+            let p: Box<dyn Partitioner> = match name {
                 "ga" => Box::new(GaPartitioner::new(
                     GaConfig::paper_defaults(PARTS)
                         .with_population_size(40)
@@ -41,13 +42,13 @@ fn all_partitioners() -> Vec<Box<dyn Partitioner>> {
                     Box::new(DpgaPartitioner::new(cfg))
                 }
                 other => partitioners::by_name(other).expect("registered name"),
-            }
+            };
+            (name, p)
         })
         .collect()
 }
 
-fn assert_contract(graph: &CsrGraph, report: &PartitionReport) {
-    let name = report.algorithm;
+fn assert_contract(name: &str, graph: &CsrGraph, report: &PartitionReport) {
     assert_eq!(
         report.partition.num_nodes(),
         graph.num_nodes(),
@@ -73,10 +74,9 @@ fn assert_contract(graph: &CsrGraph, report: &PartitionReport) {
 #[test]
 fn every_partitioner_satisfies_the_contract_on_the_same_mesh() {
     let graph = mesh();
-    for p in all_partitioners() {
+    for (name, p) in all_partitioners() {
         let report = p.partition(&graph, PARTS, SEED).unwrap();
-        assert_eq!(report.algorithm, p.name());
-        assert_contract(&graph, &report);
+        assert_contract(name, &graph, &report);
     }
 }
 
@@ -90,14 +90,12 @@ fn every_partitioner_is_deterministic_under_seed() {
         .num_threads(4)
         .build()
         .unwrap();
-    for p in all_partitioners() {
+    for (name, p) in all_partitioners() {
         let a = pool.install(|| p.partition(&graph, PARTS, SEED).unwrap());
         let b = p.partition(&graph, PARTS, SEED).unwrap();
         assert_eq!(
-            a.partition,
-            b.partition,
-            "{} differs between 4-thread and direct runs",
-            p.name()
+            a.partition, b.partition,
+            "{name} differs between 4-thread and direct runs"
         );
     }
 }
@@ -129,8 +127,8 @@ fn multilevel_methods_handle_an_edgeless_graph_without_panicking() {
 #[test]
 fn every_partitioner_rejects_zero_parts() {
     let graph = mesh();
-    for p in all_partitioners() {
-        assert!(p.partition(&graph, 0, SEED).is_err(), "{}", p.name());
+    for (name, p) in all_partitioners() {
+        assert!(p.partition(&graph, 0, SEED).is_err(), "{name}");
     }
 }
 
